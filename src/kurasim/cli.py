@@ -239,7 +239,7 @@ def main(argv=None) -> int:
     try:
         args.out.mkdir(parents=True, exist_ok=True)
         artifacts, lines = _DISPATCH[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # invalid input, or a path that cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -1,16 +1,18 @@
 """Kuramoto dynamics: the sine-coupled ODE and its linear-system counterpart.
 
 The numerical side integrates theta_i' = omega + kappa * sum_j a_ij *
-sin(theta_j - theta_i) with fixed-step Euler or RK4. The analytic side
-exponentiates x = e^{i*theta} through the adjacency eigensystem with the
-rescaled coupling gamma = 2*kappa/pi, takes arguments, and restores the
-omega*t drift that the rotating frame removed.
+sin(theta_j - theta_i) with fixed-step Euler or RK4, one state row or a
+batch of rows at a time, through a coupling kernel chosen once per graph.
+The analytic side exponentiates x = e^{i*theta} through the adjacency
+eigensystem with the rescaled coupling gamma = 2*kappa/pi, takes
+arguments, and restores the omega*t drift that the rotating frame removed.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,7 +21,7 @@ import numpy as np
 from ._text import fmt
 from .graphs import AdjacencyMatrix
 from .seeding import rng_for
-from .spectral import EigenSystem, propagator_exponents
+from .spectral import EigenSystem, propagate, propagator_exponents
 
 __all__ = [
     "IntegrationError",
@@ -28,7 +30,9 @@ __all__ = [
     "AmplitudeResult",
     "wrap_phase",
     "initial_phases",
+    "coupling_kernel",
     "km_rhs",
+    "step_states",
     "integrate_numerical",
     "analytic_trajectory",
     "analytic_amplitudes",
@@ -148,15 +152,65 @@ class Trajectory:
         return self.states.shape[1]
 
 
+def coupling_kernel(graph: AdjacencyMatrix) -> Callable[[np.ndarray], np.ndarray]:
+    """The coupling sum_j a_ij sin(theta_j - theta_i), chosen once per graph.
+
+    The returned function maps states shaped (n,) or (batch, n) to coupling
+    terms of the same shape. With c = cos(theta) and s = sin(theta) the sum is
+    c_i (A s)_i - s_i (A c)_i. On the complete graph A s and A c are the row
+    sums minus the node's own term, and the own terms cancel, so the kernel is
+    Kuramoto's mean-field form at O(n) per row. Any other graph takes two real
+    matrix products.
+    """
+    n = graph.n
+    if graph.edge_count == n * (n - 1) // 2:  # every pair coupled
+        def kernel(theta):
+            c, s = np.cos(theta), np.sin(theta)
+            return (c * s.sum(axis=-1, keepdims=True)
+                    - s * c.sum(axis=-1, keepdims=True))
+    else:
+        entries = graph.entries
+
+        def kernel(theta):
+            c, s = np.cos(theta), np.sin(theta)
+            # A is symmetric, so x @ A applies it to every row of a batch
+            return c * (s @ entries) - s * (c @ entries)
+    return kernel
+
+
 def km_rhs(theta: np.ndarray, cfg: SimulationConfig) -> np.ndarray:
     """Right-hand side omega + kappa * sum_j a_ij sin(theta_j - theta_i)."""
-    return _rhs(np.asarray(theta, dtype=float), cfg.graph.entries, cfg.kappa, cfg.omega)
+    return cfg.omega + cfg.kappa * coupling_kernel(cfg.graph)(np.asarray(theta, dtype=float))
 
 
-def _rhs(theta, entries, kappa, omega):
-    # sum_j a_ij sin(theta_j - theta_i) = Im(conj(z_i) * (A z)_i) with z = e^{i theta}
-    z = np.exp(1j * theta)
-    return omega + kappa * np.imag(np.conj(z) * (entries @ z))
+def step_states(cfg: SimulationConfig, theta0: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (step, state) after each fixed step from theta0, shaped (n,) or (batch, n).
+
+    States stay unwrapped. Raises IntegrationError with the step index as
+    soon as the state turns non-finite.
+    """
+    theta0 = np.asarray(theta0, dtype=float)
+    if theta0.shape[-1:] != (cfg.graph.n,) or theta0.ndim > 2:
+        raise ValueError(f"theta0 shape {theta0.shape} does not match graph size {cfg.graph.n}")
+    kernel = coupling_kernel(cfg.graph)
+    kappa, omega, dt = cfg.kappa, cfg.omega, cfg.dt
+
+    def rhs(theta):
+        return omega + kappa * kernel(theta)
+
+    state = theta0.copy()
+    for step in range(1, cfg.n_steps + 1):
+        if cfg.integrator == "euler":
+            state = state + dt * rhs(state)
+        else:
+            k1 = rhs(state)
+            k2 = rhs(state + 0.5 * dt * k1)
+            k3 = rhs(state + 0.5 * dt * k2)
+            k4 = rhs(state + dt * k3)
+            state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(state)):
+            raise IntegrationError(f"non-finite state at step {step}")
+        yield step, state
 
 
 def integrate_numerical(cfg: SimulationConfig, theta0: np.ndarray) -> Trajectory:
@@ -169,27 +223,15 @@ def integrate_numerical(cfg: SimulationConfig, theta0: np.ndarray) -> Trajectory
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (cfg.graph.n,):
         raise ValueError(f"theta0 shape {theta0.shape} does not match graph size {cfg.graph.n}")
-    entries, kappa, omega, dt = cfg.graph.entries, cfg.kappa, cfg.omega, cfg.dt
     record = cfg.record_steps()
     out = np.empty((record.size, theta0.size))
     out[0] = theta0
-    state = theta0.copy()
     nxt = 1
-    for step in range(1, cfg.n_steps + 1):
-        if cfg.integrator == "euler":
-            state = state + dt * _rhs(state, entries, kappa, omega)
-        else:
-            k1 = _rhs(state, entries, kappa, omega)
-            k2 = _rhs(state + 0.5 * dt * k1, entries, kappa, omega)
-            k3 = _rhs(state + 0.5 * dt * k2, entries, kappa, omega)
-            k4 = _rhs(state + dt * k3, entries, kappa, omega)
-            state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(state)):
-            raise IntegrationError(f"non-finite state at step {step}")
+    for step, state in step_states(cfg, theta0):
         if nxt < record.size and step == record[nxt]:
             out[nxt] = state
             nxt += 1
-    return Trajectory(times=record * dt, states=wrap_phase(out), source="numerical")
+    return Trajectory(times=record * cfg.dt, states=wrap_phase(out), source="numerical")
 
 
 def analytic_trajectory(es: EigenSystem, cfg: SimulationConfig, theta0: np.ndarray,
@@ -204,10 +246,9 @@ def analytic_trajectory(es: EigenSystem, cfg: SimulationConfig, theta0: np.ndarr
     if es.n != cfg.graph.n or theta0.shape != (es.n,):
         raise ValueError("eigensystem, graph and theta0 sizes must agree")
     times = cfg.sample_times()
-    x0 = np.exp(1j * theta0)
-    w = es.inverse_basis @ x0
-    expo = propagator_exponents(es, cfg.gamma, times, guard)
-    states = es.basis @ (np.exp(expo) * w[:, None])
+    factors = np.exp(propagator_exponents(es, cfg.gamma, times, guard))
+    states = propagate(es, np.exp(1j * theta0), factors)
+    del factors  # one (n, samples) array fewer while the phases are read out
     # np.angle lands in [-pi, pi]; the add-back then re-wraps to (-pi, pi]
     phases = wrap_phase(np.angle(states).T + cfg.omega * times[:, None])
     if times[0] == 0.0:  # exp(i*theta) -> arg round-trip is not bit-exact
@@ -234,10 +275,8 @@ def analytic_amplitudes(es: EigenSystem, cfg: SimulationConfig, theta0: np.ndarr
     theta0 = np.asarray(theta0, dtype=float)
     if es.n != cfg.graph.n or theta0.shape != (es.n,):
         raise ValueError("eigensystem, graph and theta0 sizes must agree")
-    x0 = np.exp(1j * theta0)
-    w = es.inverse_basis @ x0
     expo = propagator_exponents(es, cfg.gamma, np.array([float(t)]), guard)
-    x = es.basis @ (np.exp(expo[:, 0]) * w)
+    x = propagate(es, np.exp(1j * theta0), np.exp(expo[:, 0]))
     with np.errstate(divide="ignore"):
         values = -np.log(np.abs(x))
     return AmplitudeResult(values=values, t=float(t), guard=guard)

@@ -9,6 +9,7 @@ logarithmic kappa grid.
 
 from __future__ import annotations
 
+import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -19,10 +20,11 @@ import numpy as np
 from ._text import fmt
 from .dynamics import (SimulationConfig, Trajectory, analytic_trajectory,
                        initial_phases, integrate_numerical, order_parameter,
-                       wrap_phase, write_trajectory_csv)
+                       step_states, wrap_phase, write_trajectory_csv)
 from .graphs import (gen_complete, gen_erdos_renyi, gen_watts_strogatz,
                      ring_generating_vector)
-from .spectral import cdt_eigensystem, eigendecompose_symmetric
+from .spectral import (cdt_eigensystem, eigendecompose_symmetric, propagate,
+                       propagator_exponents)
 
 __all__ = [
     "ComparisonReport",
@@ -212,28 +214,55 @@ _SWEEP_CACHE: dict = {}
 
 
 def _sweep_task(task):
-    n, kappa, seed, dt, t_end = task
-    cached = _SWEEP_CACHE.get(n)
-    if cached is None:
-        cached = (gen_complete(n), cdt_eigensystem(ring_generating_vector(n, n // 2)))
-        _SWEEP_CACHE[n] = cached
-    graph, es = cached
-    _, num, ana = _comparison_pair(graph, es, kappa=kappa, omega=0.0,
-                                   dt=dt, t_end=t_end, seed=seed)
-    r_num = float(np.abs(order_parameter(num.states)).mean())
-    r_ana = float(np.abs(order_parameter(ana.states)).mean())
-    return r_num, r_ana
+    """One kappa row of the sweep: kappa, then the mean and std over seeds of
+    the time-averaged |r|, numerical and analytic.
+
+    All seeds step together as one (seeds, n) state, and |r| is summed as
+    the run goes, so no trajectory is stored. The analytic route computes
+    the propagator factors once and then evaluates one seed at a time.
+    """
+    n, kappa, seeds, dt, t_end = task
+    if n not in _SWEEP_CACHE:
+        _SWEEP_CACHE[n] = (gen_complete(n), cdt_eigensystem(ring_generating_vector(n, n // 2)))
+    graph, es = _SWEEP_CACHE[n]
+    cfg = SimulationConfig(graph=graph, kappa=kappa, dt=dt, t_end=t_end)
+    theta0 = np.array([initial_phases(n, s) for s in seeds])
+    r_num = np.abs(order_parameter(theta0))
+    for _, state in step_states(cfg, theta0):
+        r_num += np.abs(order_parameter(state))
+    r_num /= cfg.n_steps + 1
+    factors = np.exp(propagator_exponents(es, cfg.gamma, cfg.sample_times(), guard=True))
+    r_ana = np.array([_mean_abs_r_of(propagate(es, np.exp(1j * th), factors))
+                      for th in theta0])
+    return (kappa, float(r_num.mean()), float(r_num.std()),
+            float(r_ana.mean()), float(r_ana.std()))
 
 
-def _read_sweep_rows(path: Path):
-    lines = path.read_text(encoding="ascii").splitlines()
+def _mean_abs_r_of(x):
+    """Time-averaged |r| of complex states x shaped (n, samples), read through arg x.
+
+    Normalizes x in place to the unit phasors e^{i arg x}, so a seed's
+    evaluation holds no second (n, samples) array.
+    """
+    modulus = np.abs(x)
+    np.divide(x, modulus, out=x, where=modulus > 0.0)
+    x[modulus == 0.0] = 1.0  # arg 0, as np.angle reads a vanishing x_i
+    return np.abs(x.mean(axis=0)).mean()
+
+
+def _parse_sweep_lines(lines, path):
     if not lines or lines[0] != SWEEP_HEADER:
         raise ValueError(f"not a sweep CSV: {path}")
-    return [tuple(float(tok) for tok in ln.split(",")) for ln in lines[1:]]
+    rows = [tuple(float(tok) for tok in ln.split(",")) for ln in lines[1:]]
+    for i, row in enumerate(rows):
+        if len(row) != 5:
+            raise ValueError(f"sweep row {i} of {path} has {len(row)} fields, expected 5")
+    return rows
 
 
 def read_sweep_csv(path: str | Path) -> SweepResult:
-    rows = _read_sweep_rows(Path(path))
+    path = Path(path)
+    rows = _parse_sweep_lines(path.read_text(encoding="ascii").splitlines(), path)
     arr = np.asarray(rows, dtype=float).reshape(len(rows), 5)
     return SweepResult(kappas=arr[:, 0], mean_abs_r_numerical=arr[:, 1],
                        std_numerical=arr[:, 2], mean_abs_r_analytic=arr[:, 3],
@@ -251,6 +280,30 @@ def write_sweep_csv(result: SweepResult, path: str | Path) -> Path:
     return path
 
 
+def _resume_sweep(path: Path, config: dict) -> list:
+    """Rows of a sweep CSV to resume, after checking its parameter sidecar.
+
+    A torn last row, one without a trailing newline or without 5 fields,
+    is cut off the file so that it is computed again.
+    """
+    meta_path = path.with_suffix(".meta")
+    if not meta_path.exists():
+        raise ValueError(f"cannot resume {path}: parameter sidecar {meta_path.name} is missing")
+    stored = json.loads(meta_path.read_text(encoding="ascii")).get("config")
+    if stored != config:
+        raise ValueError(f"cannot resume {path}: it was written with {stored}, "
+                         f"this run has {config}")
+    data = path.read_bytes()
+    keep = data[:data.rfind(b"\n") + 1]
+    lines = keep.decode("ascii").splitlines()
+    if len(lines) > 1 and len(lines[-1].split(",")) != 5:
+        keep = keep[:-len(lines.pop()) - 1]
+    if keep != data:
+        with path.open("r+b") as fh:
+            fh.truncate(len(keep))
+    return _parse_sweep_lines(lines, path)
+
+
 def run_fig3(points: int = 100, realizations: int = 10, seed: int = 0,
              n: int = 200, kappa_lo: float = 1e-3, kappa_hi: float = 10.0,
              t_end: float = 1.0, dt: float = 1e-3, jobs: int = 1,
@@ -260,8 +313,10 @@ def run_fig3(points: int = 100, realizations: int = 10, seed: int = 0,
     For each kappa, `realizations` shared-seed numerical/analytic pairs run
     on the complete graph; |r(t)| is averaged over every recorded sample of
     the 1-second run, transient included, then aggregated across
-    realizations. With out_csv given, finished kappa rows are flushed
-    immediately and an interrupted sweep resumes after the last complete row.
+    realizations. With out_csv given, the run's parameters go to a ".meta"
+    sidecar, finished kappa rows are flushed immediately, and an interrupted
+    sweep resumes after the last complete row if the parameters match.
+    With jobs > 1 the kappa rows are spread over a process pool.
     """
     if points < 1 or realizations < 1:
         raise ValueError("points and realizations must be positive")
@@ -271,8 +326,11 @@ def run_fig3(points: int = 100, realizations: int = 10, seed: int = 0,
     fh = None
     if out_csv is not None:
         out_csv = Path(out_csv)
+        config = {"n": int(n), "seed": int(seed), "realizations": int(realizations),
+                  "dt": float(dt), "t_end": float(t_end), "kappa_lo": float(kappa_lo),
+                  "kappa_hi": float(kappa_hi), "points": int(points)}
         if out_csv.exists():
-            rows = _read_sweep_rows(out_csv)
+            rows = _resume_sweep(out_csv, config)
             if len(rows) > points:
                 raise ValueError(f"existing sweep file has {len(rows)} rows for a "
                                  f"{points}-point grid")
@@ -281,18 +339,16 @@ def run_fig3(points: int = 100, realizations: int = 10, seed: int = 0,
                     raise ValueError(f"existing sweep row {i} has kappa {fmt(row[0])}, "
                                      f"expected {fmt(kappas[i])}")
         else:
+            # the sidecar goes first: a CSV without one is never resumed
+            out_csv.with_suffix(".meta").write_text(
+                json.dumps({"config": config}, indent=2, sort_keys=True) + "\n",
+                encoding="ascii")
             out_csv.write_text(SWEEP_HEADER + "\n", encoding="ascii")
         fh = out_csv.open("a", encoding="ascii")
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and len(rows) < points else None
+    tasks = [(n, float(kappas[i]), seeds, dt, t_end) for i in range(len(rows), points)]
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and len(tasks) > 1 else None
     try:
-        for i in range(len(rows), points):
-            tasks = [(n, float(kappas[i]), s, dt, t_end) for s in seeds]
-            pairs = list(pool.map(_sweep_task, tasks)) if pool else [
-                _sweep_task(t) for t in tasks]
-            r_num = np.array([p[0] for p in pairs])
-            r_ana = np.array([p[1] for p in pairs])
-            row = (float(kappas[i]), float(r_num.mean()), float(r_num.std()),
-                   float(r_ana.mean()), float(r_ana.std()))
+        for row in pool.map(_sweep_task, tasks) if pool else map(_sweep_task, tasks):
             rows.append(row)
             if fh is not None:
                 fh.write(",".join(fmt(v) for v in row) + "\n")

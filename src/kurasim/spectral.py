@@ -3,7 +3,8 @@
 Circulant matrices share one Fourier eigenbasis, so ring and complete graphs
 get their spectra in closed form; arbitrary symmetric adjacency matrices go
 through a numerical eigendecomposition. Both feed the stabilized
-matrix-exponential applicator.
+matrix-exponential applicator, which applies the Fourier basis with the FFT
+and any other basis with a matrix product.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "cdt_fourier_matrix",
     "cdt_eigensystem",
     "eigendecompose_symmetric",
+    "propagate",
     "apply_propagator",
     "write_spectrum_csv",
     "read_spectrum_csv",
@@ -151,6 +153,22 @@ def propagator_exponents(es: EigenSystem, gamma: float, times: np.ndarray,
     return expo
 
 
+def propagate(es: EigenSystem, x0: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Evaluate V diag(f) V^{-1} x0 for each column f of factors.
+
+    factors holds exp() of exponents from propagator_exponents, shaped (n,)
+    or (n, samples); the result has the same shape. A circulant (cdt)
+    eigensystem applies its Fourier basis with the FFT in O(n log n) per
+    sample: inverse_basis @ x is fft(x)/sqrt(n) and basis @ y is
+    ifft(y)*sqrt(n). Any other eigensystem uses its stored basis.
+    """
+    x0 = np.asarray(x0, dtype=complex)
+    fourier = es.source == "cdt"
+    w = np.fft.fft(x0, norm="ortho") if fourier else es.inverse_basis @ x0
+    y = factors * (w[:, None] if np.ndim(factors) == 2 else w)
+    return np.fft.ifft(y, axis=0, norm="ortho") if fourier else es.basis @ y
+
+
 def apply_propagator(es: EigenSystem, gamma: float, t: float, x0: np.ndarray,
                      guard: bool = True) -> np.ndarray:
     """Evaluate x(t) = V exp(gamma*t*D) V^{-1} x0 in the eigenbasis."""
@@ -161,9 +179,8 @@ def apply_propagator(es: EigenSystem, gamma: float, t: float, x0: np.ndarray,
     x0 = np.asarray(x0, dtype=complex)
     if x0.shape != (es.n,):
         raise ValueError(f"state shape {x0.shape} does not match dimension {es.n}")
-    w = es.inverse_basis @ x0
     expo = propagator_exponents(es, gamma, np.array([t]), guard)
-    return es.basis @ (np.exp(expo[:, 0]) * w)
+    return propagate(es, x0, np.exp(expo[:, 0]))
 
 
 def write_spectrum_csv(eigenvalues: np.ndarray, path: str | Path) -> None:

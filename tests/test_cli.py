@@ -121,6 +121,14 @@ def test_negative_seed_exits_2(tmp_path):
                  "--seed", -1, "--out", tmp_path]) == 2
 
 
+def test_out_below_regular_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    code = _run(["graph", "ring", "--n", 8, "--k", 1, "--out", blocker / "sub"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # ---------------------------------------------------------------- spectrum
 
 def test_spectrum_cdt_triangle(tmp_path, capsys):

@@ -12,15 +12,18 @@ from kurasim.dynamics import (
     Trajectory,
     analytic_amplitudes,
     analytic_trajectory,
+    coupling_kernel,
     initial_phases,
     integrate_numerical,
     km_rhs,
     order_parameter,
     read_trajectory_csv,
+    step_states,
     wrap_phase,
     write_trajectory_csv,
 )
-from kurasim.graphs import gen_complete, gen_ring, ring_generating_vector
+from kurasim.graphs import (gen_complete, gen_erdos_renyi, gen_ring,
+                            gen_watts_strogatz, ring_generating_vector)
 from kurasim.spectral import cdt_eigensystem, eigendecompose_symmetric
 
 K3 = gen_complete(3)
@@ -107,6 +110,43 @@ def test_rhs_splay_state_leaves_only_drift():
     cfg = _cfg(omega=0.3)
     d = km_rhs(2 * np.pi * np.arange(3) / 3, cfg)
     assert np.allclose(d, 0.3, atol=1e-14)
+
+
+FAMILIES = {
+    "ring": gen_ring(40, 3),
+    "complete": gen_complete(40),
+    "er": gen_erdos_renyi(40, 0.2, 3),
+    "ws": gen_watts_strogatz(40, 4, 0.2, 3),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_coupling_kernel_matches_complex_oracle(family):
+    graph = FAMILIES[family]
+    kernel = coupling_kernel(graph)
+    batch = np.array([initial_phases(graph.n, s) for s in range(4)])
+    for theta in (batch[0], batch):
+        z = np.exp(1j * theta)
+        # sum_j a_ij sin(theta_j - theta_i) = Im(conj(z_i) (A z)_i); A is symmetric
+        oracle = np.imag(np.conj(z) * (z @ graph.entries))
+        got = kernel(theta)
+        assert got.shape == theta.shape
+        assert np.abs(got - oracle).max() < 1e-12
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_phase_sum_conservation(family, integrator):
+    # the coupling is antisymmetric in (i, j), so sum_i theta_i' = n * omega
+    graph = FAMILIES[family]
+    omega = 2 * np.pi * 10
+    cfg = SimulationConfig(graph=graph, kappa=0.5, omega=omega, dt=1e-3, t_end=0.1,
+                           integrator=integrator)
+    theta0 = np.array([initial_phases(graph.n, s) for s in range(3)])
+    assert np.abs(km_rhs(theta0[0], cfg).sum() - graph.n * omega) < 1e-9
+    for step, state in step_states(cfg, theta0):
+        drift = state.sum(axis=-1) - theta0.sum(axis=-1) - graph.n * omega * step * cfg.dt
+        assert np.abs(drift).max() < 1e-9
 
 
 # -------------------------------------------------------------- integration

@@ -1,5 +1,7 @@
 """Comparison reports, figure drivers, the coupling sweep, and rasters."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,13 @@ from kurasim.dynamics import (
     analytic_trajectory,
     initial_phases,
     integrate_numerical,
+    order_parameter,
     wrap_phase,
 )
 from kurasim.experiments import (
     REPORT_HEADER,
     SWEEP_HEADER,
+    _sweep_task,
     compare_trajectories,
     read_sweep_csv,
     run_fig1,
@@ -152,6 +156,8 @@ def test_fig3_smoke_and_resume(tmp_path):
     part = tmp_path / "part.csv"
     lines = want.decode("ascii").splitlines(keepends=True)
     part.write_text("".join(lines[:4]), encoding="ascii")
+    # resuming needs the parameter sidecar of the run being continued
+    part.with_suffix(".meta").write_bytes(full_csv.with_suffix(".meta").read_bytes())
     run_fig3(points=5, realizations=2, seed=0, out_csv=part)
     assert part.read_bytes() == want
 
@@ -165,6 +171,65 @@ def test_fig3_rejects_foreign_grid(tmp_path):
     run_fig3(points=3, realizations=1, seed=0, out_csv=csv)
     with pytest.raises(ValueError):
         run_fig3(points=3, realizations=1, seed=0, kappa_hi=5.0, out_csv=csv)
+
+
+_SMALL_SWEEP = dict(points=3, realizations=1, seed=0, n=20, t_end=0.1)
+
+
+@pytest.mark.parametrize("change", [{"seed": 99}, {"realizations": 4}, {"n": 50},
+                                    {"t_end": 0.2}, {"dt": 5e-4}])
+def test_fig3_refuses_resume_with_other_parameters(tmp_path, change):
+    csv = tmp_path / "sweep.csv"
+    run_fig3(**_SMALL_SWEEP, out_csv=csv)
+    lines = csv.read_text(encoding="ascii").splitlines(keepends=True)
+    csv.write_text("".join(lines[:2]), encoding="ascii")  # interrupted after one row
+    before = csv.read_bytes()
+    with pytest.raises(ValueError, match="cannot resume"):
+        run_fig3(**{**_SMALL_SWEEP, **change}, out_csv=csv)
+    assert csv.read_bytes() == before
+    assert json.loads(csv.with_suffix(".meta").read_text())["config"]["seed"] == 0
+
+
+def test_fig3_refuses_resume_without_sidecar(tmp_path):
+    csv = tmp_path / "sweep.csv"
+    run_fig3(**_SMALL_SWEEP, out_csv=csv)
+    csv.with_suffix(".meta").unlink()
+    with pytest.raises(ValueError, match="sidecar"):
+        run_fig3(**_SMALL_SWEEP, out_csv=csv)
+
+
+@pytest.mark.parametrize("torn", ["cut", "short"])
+def test_fig3_recomputes_torn_last_row(tmp_path, torn):
+    csv = tmp_path / "sweep.csv"
+    run_fig3(**_SMALL_SWEEP, out_csv=csv)
+    want = csv.read_bytes()
+    lines = want.decode("ascii").splitlines(keepends=True)
+    last = lines[3].split(",")
+    # a write killed mid-row leaves no newline; a short row lacks fields
+    tail = ",".join(last[:2]) if torn == "cut" else ",".join(last[:2]) + "\n"
+    csv.write_text("".join(lines[:3]) + tail, encoding="ascii")
+    res = run_fig3(**_SMALL_SWEEP, out_csv=csv)
+    assert csv.read_bytes() == want
+    assert res.kappas.size == 3
+
+
+@pytest.mark.parametrize("kappa", [1e-3, 10.0])
+def test_sweep_row_matches_per_pair_path(kappa):
+    # kappa = 10 puts Euler at its stability edge on K200: dt * kappa * N = 2
+    n, seeds, dt, t_end = 200, [0, 1, 2], 1e-3, 1.0
+    graph = gen_complete(n)
+    es = cdt_eigensystem(ring_generating_vector(n, n // 2))
+    r_num, r_ana = [], []
+    for s in seeds:
+        cfg = SimulationConfig(graph=graph, kappa=kappa, dt=dt, t_end=t_end, seed=s)
+        theta0 = initial_phases(n, s)
+        num = integrate_numerical(cfg, theta0)
+        ana = analytic_trajectory(es, cfg, theta0)
+        r_num.append(np.abs(order_parameter(num.states)).mean())
+        r_ana.append(np.abs(order_parameter(ana.states)).mean())
+    want = (kappa, np.mean(r_num), np.std(r_num), np.mean(r_ana), np.std(r_ana))
+    row = _sweep_task((n, kappa, seeds, dt, t_end))
+    assert row == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 # ------------------------------------------------------------------- fig 4

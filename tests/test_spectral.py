@@ -18,6 +18,8 @@ from kurasim.spectral import (
     cdt_eigenvalues,
     cdt_fourier_matrix,
     eigendecompose_symmetric,
+    propagate,
+    propagator_exponents,
     read_spectrum_csv,
     write_spectrum_csv,
 )
@@ -165,6 +167,17 @@ def test_propagator_taylor_oracle():
             term = (gamma * t / k) * (m @ term)
             acc = acc + term
         assert np.abs(x - acc).max() < 1e-8
+
+
+@pytest.mark.parametrize("n, k", [(30, 4), (31, 15), (200, 100)])
+def test_fft_propagation_matches_basis_product(n, k):
+    # ring and complete (k = n // 2) circulants apply their basis through the FFT
+    es = cdt_eigensystem(ring_generating_vector(n, k))
+    x0 = np.exp(1j * np.linspace(-3.0, 3.0, n))
+    factors = np.exp(propagator_exponents(es, 0.4, np.linspace(0.0, 1.0, 7), guard=True))
+    want = es.basis @ (factors * (es.inverse_basis @ x0)[:, None])
+    assert np.abs(propagate(es, x0, factors) - want).max() < 1e-12
+    assert np.abs(propagate(es, x0, factors[:, 3]) - want[:, 3]).max() < 1e-12
 
 
 def test_propagator_semigroup():
