@@ -22,7 +22,8 @@ from .graphs import (AdjacencyMatrix, GeneratingVector, circulant,
 from .seeding import rng_for
 from .spectral import (EigenSystem, SpectralError, apply_propagator,
                        cdt_eigensystem, cdt_eigenvalues, cdt_fourier_matrix,
-                       eigendecompose_symmetric)
+                       eigendecompose_symmetric, eigensystem_for,
+                       eigenvalues_symmetric)
 
 __all__ = [
     "__version__",
@@ -31,6 +32,7 @@ __all__ = [
     "ring_generating_vector", "write_edge_list",
     "EigenSystem", "SpectralError", "apply_propagator", "cdt_eigensystem",
     "cdt_eigenvalues", "cdt_fourier_matrix", "eigendecompose_symmetric",
+    "eigensystem_for", "eigenvalues_symmetric",
     "AmplitudeResult", "IntegrationError", "SimulationConfig", "Trajectory",
     "analytic_amplitudes", "analytic_trajectory", "initial_phases",
     "integrate_numerical", "km_rhs", "order_parameter", "read_trajectory_csv",

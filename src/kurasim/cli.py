@@ -18,10 +18,8 @@ from .dynamics import (SimulationConfig, analytic_trajectory, initial_phases,
                        write_trajectory_csv)
 from .experiments import run_fig1, run_fig2, run_fig3, run_fig4, write_pgm
 from .graphs import (gen_complete, gen_erdos_renyi, gen_ring,
-                     gen_watts_strogatz, read_edge_list,
-                     ring_generating_vector, write_edge_list)
-from .spectral import (cdt_eigenvalues, eigendecompose_symmetric,
-                       write_spectrum_csv)
+                     gen_watts_strogatz, read_edge_list, write_edge_list)
+from .spectral import eigensystem_for, eigenvalues_symmetric, write_spectrum_csv
 
 GENERATORS = ("ring", "complete", "er", "ws")
 
@@ -115,11 +113,6 @@ def _graph_from_args(args):
     return gen_watts_strogatz(args.n, args.k, args.q, args.seed)
 
 
-def _ring_radius(graph) -> int:
-    # complete graphs are the k = floor(n/2) ring
-    return int(graph.params.get("k", graph.n // 2))
-
-
 def cmd_graph(args):
     setattr(args, "graph", args.kind)
     graph = _graph_from_args(args)
@@ -138,12 +131,8 @@ def cmd_simulate(args):
     if args.method == "numerical":
         traj = integrate_numerical(cfg, theta0)
     else:
-        if graph.kind in ("ring", "complete"):
-            from .spectral import cdt_eigensystem
-            es = cdt_eigensystem(ring_generating_vector(graph.n, _ring_radius(graph)))
-        else:
-            es = eigendecompose_symmetric(graph)
-        traj = analytic_trajectory(es, cfg, theta0, guard=not args.no_guard)
+        traj = analytic_trajectory(eigensystem_for(graph), cfg, theta0,
+                                   guard=not args.no_guard)
     path = args.out / "trajectory.csv"
     write_trajectory_csv(traj, cfg, path,
                          extra_meta={"method": args.method, "guard": not args.no_guard})
@@ -168,11 +157,10 @@ def cmd_spectrum(args):
         raise ValueError(f"cdt mode requires a circulant source (ring or complete), "
                          f"got {graph.kind!r}")
     cdt_vals = num_vals = None
-    if args.mode in ("cdt", "both"):
-        cdt_vals = _sorted_desc(
-            cdt_eigenvalues(ring_generating_vector(graph.n, _ring_radius(graph))))
+    if args.mode in ("cdt", "both"):  # a circulant source: the closed-form spectrum
+        cdt_vals = _sorted_desc(eigensystem_for(graph).eigenvalues)
     if args.mode in ("numerical", "both"):
-        num_vals = eigendecompose_symmetric(graph).eigenvalues
+        num_vals = eigenvalues_symmetric(graph)
     if args.mode == "both":
         artifacts.append(args.out / "spectrum_cdt.csv")
         write_spectrum_csv(cdt_vals, artifacts[-1])

@@ -270,7 +270,8 @@ def analytic_amplitudes(es: EigenSystem, cfg: SimulationConfig, theta0: np.ndarr
     """Imaginary phase components at one time, -ln|x_i(t)| per node.
 
     With the guard on, values are relative to the dominant mode (shifted by
-    gamma*lambda_max*t). A vanishing |x_i| reports positive infinity.
+    t * max_r Re(gamma*lambda_r), gamma*lambda_max*t for gamma >= 0). A
+    vanishing |x_i| reports positive infinity.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if es.n != cfg.graph.n or theta0.shape != (es.n,):

@@ -21,10 +21,8 @@ from ._text import fmt
 from .dynamics import (SimulationConfig, Trajectory, analytic_trajectory,
                        initial_phases, integrate_numerical, order_parameter,
                        step_states, wrap_phase, write_trajectory_csv)
-from .graphs import (gen_complete, gen_erdos_renyi, gen_watts_strogatz,
-                     ring_generating_vector)
-from .spectral import (cdt_eigensystem, eigendecompose_symmetric, propagate,
-                       propagator_exponents)
+from .graphs import gen_complete, gen_erdos_renyi, gen_watts_strogatz
+from .spectral import eigensystem_for, propagate, propagator_exponents
 
 __all__ = [
     "ComparisonReport",
@@ -156,7 +154,7 @@ def run_fig1(seed: int = 0, t_end: float = 1.0, dt: float = 1e-3,
     conditions; the headline metric is the maximum wrapped deviation.
     """
     graph = gen_complete(3)
-    es = cdt_eigensystem(ring_generating_vector(3, 1))
+    es = eigensystem_for(graph)
     cfg, num, ana = _comparison_pair(graph, es, kappa=1.0, omega=2.0 * math.pi * 10.0,
                                      dt=dt, t_end=t_end, seed=seed)
     report = compare_trajectories(num, ana)
@@ -175,7 +173,7 @@ def run_fig2(seed: int = 0, n: int = 200, kappa: float | None = None,
     if kappa is None:
         kappa = 6.0 / n
     graph = gen_complete(n)
-    es = cdt_eigensystem(ring_generating_vector(n, n // 2))
+    es = eigensystem_for(graph)
     cfg, num, ana = _comparison_pair(graph, es, kappa=kappa, omega=0.0,
                                      dt=dt, t_end=t_end, seed=seed)
     report = compare_trajectories(num, ana)
@@ -200,7 +198,7 @@ def run_fig4(variant: str, seed: int = 0, n: int = 200, kappa: float | None = No
         graph = gen_erdos_renyi(n, p, seed)
     else:
         graph = gen_watts_strogatz(n, k, q, seed)
-    es = eigendecompose_symmetric(graph)
+    es = eigensystem_for(graph)
     cfg, num, ana = _comparison_pair(graph, es, kappa=kappa, omega=0.0,
                                      dt=dt, t_end=t_end, seed=seed)
     report = compare_trajectories(num, ana)
@@ -223,7 +221,8 @@ def _sweep_task(task):
     """
     n, kappa, seeds, dt, t_end = task
     if n not in _SWEEP_CACHE:
-        _SWEEP_CACHE[n] = (gen_complete(n), cdt_eigensystem(ring_generating_vector(n, n // 2)))
+        graph = gen_complete(n)
+        _SWEEP_CACHE[n] = (graph, eigensystem_for(graph))
     graph, es = _SWEEP_CACHE[n]
     cfg = SimulationConfig(graph=graph, kappa=kappa, dt=dt, t_end=t_end)
     theta0 = np.array([initial_phases(n, s) for s in seeds])

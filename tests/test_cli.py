@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from kurasim import spectral
 from kurasim.cli import load_manifest, main
+from kurasim.dynamics import read_trajectory_csv
 
 
 def _run(argv):
@@ -109,6 +111,20 @@ def test_simulate_analytic_overflow_exits_3(tmp_path, capsys):
                  "--method", "analytic", "--out", tmp_path]) == 0
 
 
+def test_simulate_repulsive_coupling_guard(tmp_path, monkeypatch):
+    # kappa < 0: the dominant mode is lambda_min, and the guard must shift by it
+    argv = ["simulate", "--graph", "complete", "--n", 200, "--kappa", -5,
+            "--method", "analytic", "--t-end", 2]
+    assert _run(argv + ["--no-guard", "--out", tmp_path / "raw"]) == 0
+    # the ring/complete closed form never builds a dense Fourier matrix
+    monkeypatch.setattr(spectral, "cdt_fourier_matrix", _no_dense_fourier)
+    assert _run(argv + ["--out", tmp_path / "guarded"]) == 0
+    raw = read_trajectory_csv(tmp_path / "raw" / "trajectory.csv")[0].states
+    guarded = read_trajectory_csv(tmp_path / "guarded" / "trajectory.csv")[0].states
+    diff = np.remainder(guarded - raw + np.pi, 2 * np.pi) - np.pi
+    assert np.abs(diff).max() <= 1e-9
+
+
 def test_unknown_graph_source_exits_2(tmp_path, capsys):
     code = _run(["simulate", "--graph", "no_such_file.txt", "--kappa", 1,
                  "--out", tmp_path])
@@ -149,6 +165,30 @@ def test_spectrum_both_routes_agree_on_ring(tmp_path, capsys):
     line = [ln for ln in capsys.readouterr().out.splitlines()
             if ln.startswith("max elementwise gap")][0]
     assert float(line.split("=")[1]) <= 1e-9
+
+
+def _no_dense_fourier(n):
+    raise AssertionError("dense Fourier matrix built")
+
+
+def test_spectrum_both_is_basis_free(tmp_path, capsys, monkeypatch):
+    def no_eigenvectors(a):
+        raise AssertionError("eigenvectors computed")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigenvectors)
+    monkeypatch.setattr(spectral, "cdt_fourier_matrix", _no_dense_fourier)
+    n, k = 300, 10
+    assert _run(["spectrum", "--graph", "ring", "--n", n, "--k", k,
+                 "--mode", "both", "--out", tmp_path]) == 0
+    line = [ln for ln in capsys.readouterr().out.splitlines()
+            if ln.startswith("max elementwise gap")][0]
+    assert float(line.split("=")[1]) <= 1e-8
+    for name in ("spectrum_cdt.csv", "spectrum_numerical.csv"):
+        vals = spectral.read_spectrum_csv(tmp_path / name)
+        assert vals.size == n
+        assert np.all(np.diff(vals.real) <= 0.0), name
+        # a hollow adjacency matrix has zero trace
+        assert abs(vals.sum()) <= 1e-9 * n * vals.real.max(), name
 
 
 def test_spectrum_numerical_er_trace(tmp_path):

@@ -1,12 +1,15 @@
 """Graph generators, the circulant embedding, and edge-list I/O."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kurasim
 from kurasim.graphs import (
     AdjacencyMatrix,
     GeneratingVector,
@@ -223,7 +226,9 @@ def test_er_deterministic_across_processes():
               "g = gen_erdos_renyi(60, 0.25, 13)\n"
               "print(int(g.entries.sum()))\n"
               "print(hashlib.sha256(g.entries.tobytes()).hexdigest())\n")
-    runs = [subprocess.run([sys.executable, "-c", script],
+    # the child imports the same kurasim as this process, however it was found
+    env = {**os.environ, "PYTHONPATH": str(Path(kurasim.__file__).parents[1])}
+    runs = [subprocess.run([sys.executable, "-c", script], env=env,
                            capture_output=True, text=True, check=True).stdout
             for _ in range(2)]
     assert runs[0] == runs[1]

@@ -1,5 +1,7 @@
 """Closed-form circulant spectra, the numerical eigensolver, and the propagator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from kurasim.graphs import (
     gen_complete,
     gen_erdos_renyi,
     gen_ring,
+    gen_watts_strogatz,
     ring_generating_vector,
 )
 from kurasim.spectral import (
@@ -18,11 +21,32 @@ from kurasim.spectral import (
     cdt_eigenvalues,
     cdt_fourier_matrix,
     eigendecompose_symmetric,
+    eigensystem_for,
+    eigenvalues_symmetric,
     propagate,
     propagator_exponents,
     read_spectrum_csv,
     write_spectrum_csv,
 )
+
+
+def _dft_direct_sum(c):
+    """The defining O(n^2) sum E_r = sum_j c_j exp(-2pi*i*r*j/n), the FFT's oracle."""
+    c = np.asarray(c, dtype=float)
+    r = np.arange(c.size)
+    return np.exp(-2j * np.pi / c.size * np.outer(r, r)) @ c
+
+
+def _peak_and_kept_bytes(fn):
+    """Run fn under tracemalloc; return (its result, peak bytes, bytes still held)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - base, current - base
 
 
 # -------------------------------------------------------- closed-form values
@@ -48,7 +72,24 @@ def test_cdt_matches_dft_oracle():
     for n in (2, 5, 16, 31):
         c = (rng.random(n) < 0.5).astype(float)
         vals = cdt_eigenvalues(GeneratingVector(c=c))
-        assert np.allclose(vals, np.fft.fft(c), atol=1e-10), n
+        assert np.allclose(vals, _dft_direct_sum(c), atol=1e-10), n
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (64, 5), (1500, 10), (200, 100)])
+def test_fft_eigenvalues_match_direct_sum_on_graphs(n, k):
+    # rings n = 3, 64, 1500 and the complete graph on 200 nodes (k = n // 2)
+    c = ring_generating_vector(n, k).c
+    assert np.abs(cdt_eigenvalues(c) - _dft_direct_sum(c)).max() < 1e-9
+
+
+def test_cdt_eigensystem_stores_no_dense_matrix():
+    es, peak, _ = _peak_and_kept_bytes(lambda: cdt_eigensystem(ring_generating_vector(1500, 10)))
+    assert peak < 2**20
+    assert es.vectors is None
+    # the dense Fourier basis is still there on request
+    u = es.inverse_basis
+    assert u.shape == (1500, 1500)
+    assert np.array_equal(es.basis, u.conj().T)
 
 
 def test_fourier_matrix_small_cases():
@@ -124,6 +165,44 @@ def test_eigh_regular_graph_top_eigenvalue():
         assert abs(es.lambda_max - 2 * k) < 1e-10
 
 
+@pytest.mark.parametrize("graph", [gen_erdos_renyi(60, 0.3, 1),
+                                   gen_watts_strogatz(80, 4, 0.2, 2), gen_ring(50, 3)],
+                         ids=["er", "ws", "ring"])
+def test_eigenvalues_only_solver_matches_eigh(graph):
+    vals = eigenvalues_symmetric(graph)
+    assert vals.dtype == complex
+    assert np.all(vals.imag == 0.0)
+    assert np.all(np.diff(vals.real) <= 0.0)
+    assert np.abs(vals - eigendecompose_symmetric(graph).eigenvalues).max() < 1e-10
+
+
+def test_eigenvalues_only_solver_rejects_bad_input():
+    m = np.zeros((3, 3))
+    m[0, 1] = 1.0
+    with pytest.raises(ValueError):
+        eigenvalues_symmetric(m)
+    with pytest.raises(ValueError):
+        eigenvalues_symmetric(np.zeros((2, 3)))
+
+
+def test_eigh_keeps_one_real_matrix():
+    n = 600
+    graph = gen_watts_strogatz(n, 10, 0.1, 0)
+    es, _, kept = _peak_and_kept_bytes(lambda: eigendecompose_symmetric(graph))
+    assert es.basis.dtype == float
+    # the eigenvectors (8 n^2 bytes), the eigenvalues and small change
+    assert kept <= 8 * n * n + 64 * n
+
+
+def test_eigensystem_for_picks_the_route():
+    for graph in (gen_ring(12, 2), gen_complete(9)):
+        es = eigensystem_for(graph)
+        assert es.source == "cdt"
+        assert np.abs(es.basis @ np.diag(es.eigenvalues) @ es.inverse_basis
+                      - graph.entries).max() < 1e-12
+    assert eigensystem_for(gen_erdos_renyi(20, 0.3, 0)).source == "numerical"
+
+
 def test_cdt_and_eigh_agree_on_rings():
     for n, k in ((8, 2), (12, 5), (33, 16), (256, 17)):
         a = np.sort(cdt_eigenvalues(ring_generating_vector(n, k)).real)
@@ -180,6 +259,17 @@ def test_fft_propagation_matches_basis_product(n, k):
     assert np.abs(propagate(es, x0, factors[:, 3]) - want[:, 3]).max() < 1e-12
 
 
+@pytest.mark.parametrize("graph", [gen_erdos_renyi(40, 0.3, 5),
+                                   gen_watts_strogatz(60, 4, 0.2, 6)], ids=["er", "ws"])
+def test_real_basis_propagation_matches_complex_product(graph):
+    es = eigendecompose_symmetric(graph)
+    x0 = np.exp(1j * np.linspace(-3.0, 3.0, graph.n))
+    factors = np.exp(propagator_exponents(es, 0.4, np.linspace(0.0, 1.0, 7), guard=True))
+    want = es.basis.astype(complex) @ (factors * (es.inverse_basis @ x0)[:, None])
+    assert np.abs(propagate(es, x0, factors) - want).max() < 1e-12
+    assert np.abs(propagate(es, x0, factors[:, 3]) - want[:, 3]).max() < 1e-12
+
+
 def test_propagator_semigroup():
     es = cdt_eigensystem(ring_generating_vector(8, 3))
     x0 = np.exp(1j * np.linspace(0.0, 2.0, 8))
@@ -198,6 +288,19 @@ def test_guard_preserves_arguments():
     diff = np.angle(a) - np.angle(b)
     diff = np.abs(np.remainder(diff + np.pi, 2 * np.pi) - np.pi)
     assert diff.max() < 1e-10
+
+
+@pytest.mark.parametrize("gamma", [-3.2, -0.5, 0.0, 0.7, 3.2])
+def test_guarded_exponents_are_nonpositive(gamma):
+    times = np.linspace(0.0, 2.0, 5)
+    for es in (cdt_eigensystem(ring_generating_vector(200, 100)),
+               eigendecompose_symmetric(gen_erdos_renyi(50, 0.3, 3))):
+        expo = propagator_exponents(es, gamma, times, guard=True)
+        # gamma*(lambda*t) and (gamma*lambda)*t may round one ulp apart
+        assert expo.real.max() <= 1e-12
+        if gamma >= 0.0:  # the shift is gamma*lambda_max*t, bit for bit
+            raw = gamma * np.outer(es.eigenvalues, times)
+            assert np.array_equal(expo, raw - gamma * es.lambda_max * times[None, :])
 
 
 def test_guard_prevents_overflow():
