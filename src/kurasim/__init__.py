@@ -20,8 +20,9 @@ from .graphs import (AdjacencyMatrix, GeneratingVector, circulant,
                      gen_watts_strogatz, read_edge_list,
                      ring_generating_vector, write_edge_list)
 from .seeding import rng_for
-from .spectral import (EigenSystem, SpectralError, apply_propagator,
-                       cdt_eigensystem, cdt_eigenvalues, cdt_fourier_matrix,
+from .spectral import (ChebyshevOperator, EigenSystem, Propagator,
+                       SpectralError, apply_propagator, cdt_eigensystem,
+                       cdt_eigenvalues, cdt_fourier_matrix, chebyshev_operator,
                        eigendecompose_symmetric, eigensystem_for,
                        eigenvalues_symmetric)
 
@@ -30,8 +31,9 @@ __all__ = [
     "AdjacencyMatrix", "GeneratingVector", "circulant", "gen_complete",
     "gen_erdos_renyi", "gen_ring", "gen_watts_strogatz", "read_edge_list",
     "ring_generating_vector", "write_edge_list",
-    "EigenSystem", "SpectralError", "apply_propagator", "cdt_eigensystem",
-    "cdt_eigenvalues", "cdt_fourier_matrix", "eigendecompose_symmetric",
+    "ChebyshevOperator", "EigenSystem", "Propagator", "SpectralError",
+    "apply_propagator", "cdt_eigensystem", "cdt_eigenvalues",
+    "cdt_fourier_matrix", "chebyshev_operator", "eigendecompose_symmetric",
     "eigensystem_for", "eigenvalues_symmetric",
     "AmplitudeResult", "IntegrationError", "SimulationConfig", "Trajectory",
     "analytic_amplitudes", "analytic_trajectory", "initial_phases",

@@ -118,7 +118,7 @@ def cmd_graph(args):
     graph = _graph_from_args(args)
     path = args.out / "graph.edges"
     write_edge_list(graph, path)
-    return [path], [f"graph: {graph.n} nodes, {graph.edge_count} edges"]
+    return [path], [f"graph: {graph.n} nodes, {graph.edge_count} edges"], {}
 
 
 def cmd_simulate(args):
@@ -141,7 +141,8 @@ def cmd_simulate(args):
         artifacts.append(write_pgm(traj.states, args.out / "trajectory.pgm"))
     r_final = abs(order_parameter(traj.states[-1]))
     lines = [f"simulate: {traj.times.size} samples, final |r| = {fmt(r_final)}"]
-    return artifacts, lines
+    extra = {"diagnostics": traj.diagnostics} if args.method == "analytic" else {}
+    return artifacts, lines, extra
 
 
 def _sorted_desc(values: np.ndarray) -> np.ndarray:
@@ -173,7 +174,7 @@ def cmd_spectrum(args):
         artifacts.append(args.out / "spectrum.csv")
         write_spectrum_csv(vals, artifacts[-1])
         lines.append(f"spectrum: {graph.n} eigenvalues, largest = {fmt(vals[0].real)}")
-    return artifacts, lines
+    return artifacts, lines, {}
 
 
 def cmd_figure(args):
@@ -181,12 +182,12 @@ def cmd_figure(args):
         out = run_fig1(seed=args.seed, t_end=args.t_end if args.t_end else 1.0,
                        out_dir=args.out)
         lines = [f"max wrapped deviation = {fmt(out.report.max_wrapped_deviation)}"]
-        return out.artifacts, lines
+        return out.artifacts, lines, {}
     if args.id == 2:
         out = run_fig2(seed=args.seed, out_dir=args.out)
         lines = [f"max wrapped deviation = {fmt(out.report.max_wrapped_deviation)}",
                  f"mean |r| gap = {fmt(out.report.mean_abs_order_gap)}"]
-        return out.artifacts, lines
+        return out.artifacts, lines, {}
     if args.id == 3:
         points = 1000 if args.full else args.points
         path = args.out / "sweep.csv"
@@ -195,12 +196,12 @@ def cmd_figure(args):
         gap = float(np.abs(result.mean_abs_r_numerical - result.mean_abs_r_analytic).mean())
         lines = [f"sweep: {points} kappa points x {args.realizations} realizations, "
                  f"mean |r| gap = {fmt(gap)}"]
-        return [path], lines
+        return [path], lines, {}
     out = run_fig4(args.variant, seed=args.seed, kappa=args.kappa, out_dir=args.out)
     r_final = float(out.report.order_param_series_numerical[-1])
     lines = [f"final numerical |r| = {fmt(r_final)}",
              f"max wrapped deviation = {fmt(out.report.max_wrapped_deviation)}"]
-    return out.artifacts, lines
+    return out.artifacts, lines, {}
 
 
 _DISPATCH = {"graph": cmd_graph, "simulate": cmd_simulate,
@@ -226,7 +227,8 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         args.out.mkdir(parents=True, exist_ok=True)
-        artifacts, lines = _DISPATCH[args.command](args)
+        # a command returns its artifacts, its summary lines and extra manifest keys
+        artifacts, lines, extra = _DISPATCH[args.command](args)
     except (ValueError, OSError) as exc:  # invalid input, or a path that cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -241,6 +243,7 @@ def main(argv=None) -> int:
         "artifacts": [p.name for p in artifacts],
         "version": __version__,
         "duration_s": time.perf_counter() - start,
+        **extra,
     }
     manifest_path = args.out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",

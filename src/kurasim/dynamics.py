@@ -3,9 +3,10 @@
 The numerical side integrates theta_i' = omega + kappa * sum_j a_ij *
 sin(theta_j - theta_i) with fixed-step Euler or RK4, one state row or a
 batch of rows at a time, through a coupling kernel chosen once per graph.
-The analytic side exponentiates x = e^{i*theta} through the adjacency
-eigensystem with the rescaled coupling gamma = 2*kappa/pi, takes
-arguments, and restores the omega*t drift that the rotating frame removed.
+The analytic side evaluates x(t) = exp(gamma*t*A) e^{i*theta0} with the
+rescaled coupling gamma = 2*kappa/pi on the route spectral picks for the
+graph, takes arguments, and restores the omega*t drift that the rotating
+frame removed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from ._text import fmt
 from .graphs import AdjacencyMatrix
 from .seeding import rng_for
-from .spectral import EigenSystem, propagate, propagator_exponents
+from .spectral import ChebyshevOperator, EigenSystem, Propagator
 
 __all__ = [
     "IntegrationError",
@@ -133,11 +134,16 @@ class SimulationConfig:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Sampled phase history: times (s) and one wrapped phase row per sample."""
+    """Sampled phase history: times (s) and one wrapped phase row per sample.
+
+    An analytic trajectory also carries the closed form's numerical
+    diagnostics (see analytic_trajectory).
+    """
 
     times: np.ndarray
     states: np.ndarray
     source: str
+    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -234,53 +240,71 @@ def integrate_numerical(cfg: SimulationConfig, theta0: np.ndarray) -> Trajectory
     return Trajectory(times=record * cfg.dt, states=wrap_phase(out), source="numerical")
 
 
-def analytic_trajectory(es: EigenSystem, cfg: SimulationConfig, theta0: np.ndarray,
-                        guard: bool = True) -> Trajectory:
-    """Closed-form phases arg(V exp(gamma*t*D) V^{-1} e^{i*theta0}) + omega*t.
+def analytic_trajectory(es: EigenSystem | ChebyshevOperator, cfg: SimulationConfig,
+                        theta0: np.ndarray, guard: bool = True) -> Trajectory:
+    """Closed-form phases arg(exp(gamma*t*A) e^{i*theta0}) + omega*t.
 
-    Every sample is evaluated directly from t=0, so there is no accumulation
-    of stepping error and the sample grid is arbitrary. The overflow guard
-    rescales moduli per sample and never changes an argument.
+    es is the route from spectral.eigensystem_for, or any EigenSystem. Every
+    sample is evaluated without stepping error, so the sample grid is
+    arbitrary. The overflow guard rescales moduli per sample and never
+    changes an argument. The diagnostics record the route, the Chebyshev
+    terms and interval on that route, the guard shift at the last sample,
+    and the smallest min_i |x_i| / max_j |x_j| over the samples, where the
+    phase readout loses meaning as it nears 0.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if es.n != cfg.graph.n or theta0.shape != (es.n,):
         raise ValueError("eigensystem, graph and theta0 sizes must agree")
     times = cfg.sample_times()
-    factors = np.exp(propagator_exponents(es, cfg.gamma, times, guard))
-    states = propagate(es, np.exp(1j * theta0), factors)
-    del factors  # one (n, samples) array fewer while the phases are read out
+    prop = Propagator(es, cfg.gamma, times, guard)
+    states, shift = prop(np.exp(1j * theta0))
+    diagnostics = {"route": es.source}
+    if prop.terms is not None:
+        diagnostics.update(chebyshev_terms=prop.terms, interval=[es.lo, es.hi])
+    del prop  # its factors: one (n, samples) array fewer while the phases are read out
+    modulus = np.abs(states)
+    top = modulus.max(axis=0)
+    relative = np.divide(modulus.min(axis=0), top, out=np.zeros_like(top), where=top > 0.0)
+    del modulus
+    diagnostics.update(guard_shift=float(shift[-1]), min_relative_modulus=float(relative.min()))
     # np.angle lands in [-pi, pi]; the add-back then re-wraps to (-pi, pi]
     phases = wrap_phase(np.angle(states).T + cfg.omega * times[:, None])
     if times[0] == 0.0:  # exp(i*theta) -> arg round-trip is not bit-exact
         phases[0] = wrap_phase(theta0)
-    return Trajectory(times=times, states=phases, source="analytic")
+    return Trajectory(times=times, states=phases, source="analytic", diagnostics=diagnostics)
 
 
 @dataclass(eq=False)
 class AmplitudeResult:
-    """Log-amplitudes -ln|x_i(t)| with the guard convention that produced them."""
+    """Log-amplitudes -ln|x_i(t)| with the guard convention that produced them.
+
+    shift is what the guard subtracted from every log-modulus (0 without
+    it), so -ln|x_i(t)| = values_i - shift.
+    """
 
     values: np.ndarray
     t: float
     guard: bool
+    shift: float = 0.0
 
 
-def analytic_amplitudes(es: EigenSystem, cfg: SimulationConfig, theta0: np.ndarray,
-                        t: float, guard: bool = True) -> AmplitudeResult:
+def analytic_amplitudes(es: EigenSystem | ChebyshevOperator, cfg: SimulationConfig,
+                        theta0: np.ndarray, t: float, guard: bool = True) -> AmplitudeResult:
     """Imaginary phase components at one time, -ln|x_i(t)| per node.
 
-    With the guard on, values are relative to the dominant mode (shifted by
-    t * max_r Re(gamma*lambda_r), gamma*lambda_max*t for gamma >= 0). A
-    vanishing |x_i| reports positive infinity.
+    With the guard on, values are relative to the guard's uniform rescaling
+    of moduli, returned as shift: t * max_r Re(gamma*lambda_r) on an
+    eigensystem (gamma*lambda_max*t for gamma >= 0), and on the Chebyshev
+    route t * max(gamma*hi, gamma*lo) plus any slice rescaling (see
+    spectral.Propagator). A vanishing |x_i| reports positive infinity.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if es.n != cfg.graph.n or theta0.shape != (es.n,):
         raise ValueError("eigensystem, graph and theta0 sizes must agree")
-    expo = propagator_exponents(es, cfg.gamma, np.array([float(t)]), guard)
-    x = propagate(es, np.exp(1j * theta0), np.exp(expo[:, 0]))
+    states, shift = Propagator(es, cfg.gamma, [float(t)], guard)(np.exp(1j * theta0))
     with np.errstate(divide="ignore"):
-        values = -np.log(np.abs(x))
-    return AmplitudeResult(values=values, t=float(t), guard=guard)
+        values = -np.log(np.abs(states[:, 0]))
+    return AmplitudeResult(values=values, t=float(t), guard=guard, shift=float(shift[0]))
 
 
 def order_parameter(theta: np.ndarray):

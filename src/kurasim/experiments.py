@@ -22,7 +22,7 @@ from .dynamics import (SimulationConfig, Trajectory, analytic_trajectory,
                        initial_phases, integrate_numerical, order_parameter,
                        step_states, wrap_phase, write_trajectory_csv)
 from .graphs import gen_complete, gen_erdos_renyi, gen_watts_strogatz
-from .spectral import eigensystem_for, propagate, propagator_exponents
+from .spectral import Propagator, eigensystem_for
 
 __all__ = [
     "ComparisonReport",
@@ -34,7 +34,6 @@ __all__ = [
     "run_fig3",
     "run_fig4",
     "write_report_csv",
-    "write_sweep_csv",
     "read_sweep_csv",
     "write_pgm",
 ]
@@ -187,8 +186,8 @@ def run_fig4(variant: str, seed: int = 0, n: int = 200, kappa: float | None = No
              t_end: float = 1.0, dt: float = 1e-3, out_dir=None) -> FigureOutput:
     """Random-graph pipeline: Erdos-Renyi or Watts-Strogatz at kappa = 50/N.
 
-    The adjacency spectrum is always estimated numerically here, since
-    neither random family is circulant.
+    Neither random family is circulant, so the closed form takes the
+    Chebyshev route, which needs no eigendecomposition.
     """
     if variant not in ("er", "ws"):
         raise ValueError(f"unknown variant {variant!r}, expected 'er' or 'ws'")
@@ -216,8 +215,8 @@ def _sweep_task(task):
     the time-averaged |r|, numerical and analytic.
 
     All seeds step together as one (seeds, n) state, and |r| is summed as
-    the run goes, so no trajectory is stored. The analytic route computes
-    the propagator factors once and then evaluates one seed at a time.
+    the run goes, so no trajectory is stored. The analytic route builds one
+    propagator per row and then evaluates one seed at a time.
     """
     n, kappa, seeds, dt, t_end = task
     if n not in _SWEEP_CACHE:
@@ -230,9 +229,8 @@ def _sweep_task(task):
     for _, state in step_states(cfg, theta0):
         r_num += np.abs(order_parameter(state))
     r_num /= cfg.n_steps + 1
-    factors = np.exp(propagator_exponents(es, cfg.gamma, cfg.sample_times(), guard=True))
-    r_ana = np.array([_mean_abs_r_of(propagate(es, np.exp(1j * th), factors))
-                      for th in theta0])
+    prop = Propagator(es, cfg.gamma, cfg.sample_times())
+    r_ana = np.array([_mean_abs_r_of(prop(np.exp(1j * th))[0]) for th in theta0])
     return (kappa, float(r_num.mean()), float(r_num.std()),
             float(r_ana.mean()), float(r_ana.std()))
 
@@ -266,17 +264,6 @@ def read_sweep_csv(path: str | Path) -> SweepResult:
     return SweepResult(kappas=arr[:, 0], mean_abs_r_numerical=arr[:, 1],
                        std_numerical=arr[:, 2], mean_abs_r_analytic=arr[:, 3],
                        std_analytic=arr[:, 4], realizations=0)
-
-
-def write_sweep_csv(result: SweepResult, path: str | Path) -> Path:
-    path = Path(path)
-    lines = [SWEEP_HEADER]
-    for i in range(result.kappas.size):
-        lines.append(",".join(fmt(v) for v in (
-            result.kappas[i], result.mean_abs_r_numerical[i], result.std_numerical[i],
-            result.mean_abs_r_analytic[i], result.std_analytic[i])))
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    return path
 
 
 def _resume_sweep(path: Path, config: dict) -> list:

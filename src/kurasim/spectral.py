@@ -1,15 +1,18 @@
-"""Eigen-machinery for the closed-form solution.
+"""Spectral machinery for the closed-form solution x(t) = exp(gamma*t*A) x0.
 
 Circulant matrices share one Fourier eigenbasis, so ring and complete graphs
 get their spectra in closed form, one FFT of the generating vector, and store
-no basis at all; arbitrary symmetric adjacency matrices go through a numerical
-eigendecomposition that keeps its real eigenvectors. Both feed the stabilized
-matrix-exponential applicator, which applies the Fourier basis with the FFT
-and a real basis with real matrix products.
+no basis at all. Any other symmetric adjacency matrix needs no eigenvectors:
+its exponential is applied as a Chebyshev expansion over an interval that
+holds the spectrum, bounded by Gershgorin discs and tightened by a few
+Lanczos steps. The numerical eigendecomposition, which keeps its real
+eigenvectors, remains the reference the tests compare against. Propagator is
+the one evaluator for all three, with the overflow guard built in.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,6 +20,7 @@ import numpy as np
 
 from ._text import fmt
 from .graphs import AdjacencyMatrix, GeneratingVector, ring_generating_vector
+from .seeding import rng_for
 
 __all__ = [
     "SpectralError",
@@ -26,8 +30,11 @@ __all__ = [
     "cdt_eigensystem",
     "eigendecompose_symmetric",
     "eigenvalues_symmetric",
+    "ChebyshevOperator",
+    "chebyshev_operator",
     "eigensystem_for",
     "propagate",
+    "Propagator",
     "apply_propagator",
     "write_spectrum_csv",
     "read_spectrum_csv",
@@ -35,6 +42,14 @@ __all__ = [
 
 # log(float64 max); exponents beyond this overflow exp() to inf
 _EXP_LIMIT = float(np.log(np.finfo(float).max))
+# Lanczos steps that tighten the Gershgorin interval of a Chebyshev operator
+_LANCZOS_STEPS = 20
+# Per time slice of the Chebyshev route: at most this z = |gamma|*t*radius,
+# which bounds the number of terms (51 at z = 32), and at most this
+# |gamma|*t*(distance from the interval end to the spectrum), the log of the
+# factor by which rounding errors grow relative to the dominant mode.
+_SLICE_Z = 32.0
+_SLICE_LOSS = 4.0
 
 
 class SpectralError(RuntimeError):
@@ -135,9 +150,10 @@ def eigendecompose_symmetric(a: AdjacencyMatrix | np.ndarray) -> EigenSystem:
         vals, vecs = np.linalg.eigh(entries)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"symmetric eigendecomposition failed: {exc}") from exc
-    order = slice(None, None, -1)  # eigh sorts ascending; reverse, do not re-sort
-    return EigenSystem(n=entries.shape[0], eigenvalues=vals[order].astype(complex),
-                       source="numerical", vectors=vecs[:, order])
+    # eigh sorts ascending; reverse, do not re-sort. The copy is contiguous:
+    # real products on the negative-stride view run about half as fast.
+    return EigenSystem(n=entries.shape[0], eigenvalues=vals[::-1].astype(complex),
+                       source="numerical", vectors=vecs[:, ::-1].copy())
 
 
 def eigenvalues_symmetric(a: AdjacencyMatrix | np.ndarray) -> np.ndarray:
@@ -154,20 +170,86 @@ def eigenvalues_symmetric(a: AdjacencyMatrix | np.ndarray) -> np.ndarray:
     return vals[::-1].astype(complex)
 
 
+@dataclass(eq=False)
+class ChebyshevOperator:
+    """A real symmetric matrix and an interval [lo, hi] that holds its spectrum.
+
+    Propagator applies exp(gamma*t*A) to it as a Chebyshev expansion in
+    (A - c*I)/r, c and r the interval's centre and half-width, with matrix
+    products only. ritz_lo and ritz_hi are the extreme Lanczos Ritz values,
+    which lie inside the spectrum; hi - ritz_hi and ritz_lo - lo bound how
+    far each interval end overshoots it.
+    """
+
+    n: int
+    entries: np.ndarray
+    lo: float
+    hi: float
+    ritz_lo: float
+    ritz_hi: float
+    source = "chebyshev"
+
+
+def _lanczos_extremes(entries: np.ndarray, steps: int) -> tuple[float, float, float]:
+    """(smallest Ritz value, largest Ritz value, last beta) after Lanczos steps.
+
+    The start vector is a fixed pseudo-random one, which meets every
+    eigenspace; beta reaches 0 once the Krylov space is invariant, and then
+    the Ritz values are exact.
+    """
+    n = entries.shape[0]
+    v = rng_for(0, "lanczos").standard_normal(n)
+    v /= np.linalg.norm(v)
+    v_prev = np.zeros(n)
+    alphas, betas = [], []
+    beta = 0.0
+    for _ in range(min(steps, n)):
+        w = entries @ v - beta * v_prev
+        alpha = float(v @ w)
+        w -= alpha * v
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        betas.append(beta)
+        if beta <= 1e-12 * max(1.0, abs(alpha)):
+            break
+        v_prev, v = v, w / beta
+    tri = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
+    ritz = np.linalg.eigvalsh(tri)
+    return float(ritz[0]), float(ritz[-1]), beta
+
+
+def chebyshev_operator(a: AdjacencyMatrix | np.ndarray) -> ChebyshevOperator:
+    """The Chebyshev route for a real symmetric matrix, with no eigendecomposition.
+
+    The interval starts from the Gershgorin discs and is tightened to the
+    extreme Ritz values of a few Lanczos steps widened by the last |beta|
+    (the Zhou-Li estimate), never beyond the Gershgorin bounds.
+    """
+    entries = _symmetric_entries(a)
+    diag = np.diag(entries)
+    radii = np.abs(entries).sum(axis=1) - np.abs(diag)
+    ritz_lo, ritz_hi, beta = _lanczos_extremes(entries, _LANCZOS_STEPS)
+    return ChebyshevOperator(n=entries.shape[0], entries=entries,
+                             lo=max(ritz_lo - beta, float((diag - radii).min())),
+                             hi=min(ritz_hi + beta, float((diag + radii).max())),
+                             ritz_lo=ritz_lo, ritz_hi=ritz_hi)
+
+
 def _ring_radius(graph: AdjacencyMatrix) -> int:
     # complete graphs are the k = floor(n/2) ring
     return int(graph.params.get("k", graph.n // 2))
 
 
-def eigensystem_for(graph: AdjacencyMatrix) -> EigenSystem:
-    """The eigensystem the closed form uses for graph.
+def eigensystem_for(graph: AdjacencyMatrix) -> EigenSystem | ChebyshevOperator:
+    """The route the closed form takes for graph.
 
-    Ring and complete graphs get the circulant (cdt) eigensystem, any other
-    graph the numerical one.
+    Ring and complete graphs get the circulant (cdt) eigensystem, applied
+    with the FFT; any other graph the Chebyshev operator, which needs no
+    eigenvectors.
     """
     if graph.kind in ("ring", "complete"):
         return cdt_eigensystem(ring_generating_vector(graph.n, _ring_radius(graph)))
-    return eigendecompose_symmetric(graph)
+    return chebyshev_operator(graph)
 
 
 def propagator_exponents(es: EigenSystem, gamma: float, times: np.ndarray,
@@ -221,18 +303,130 @@ def propagate(es: EigenSystem, x0: np.ndarray, factors: np.ndarray) -> np.ndarra
     return np.fft.ifft(y, axis=0, norm="ortho") if fourier else _real_matmul(es.basis, y)
 
 
-def apply_propagator(es: EigenSystem, gamma: float, t: float, x0: np.ndarray,
-                     guard: bool = True) -> np.ndarray:
-    """Evaluate x(t) = V exp(gamma*t*D) V^{-1} x0 in the eigenbasis."""
-    if not np.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma}")
-    if not (np.isfinite(t) and t >= 0.0):
-        raise ValueError(f"time must be finite and >= 0, got {t}")
-    x0 = np.asarray(x0, dtype=complex)
-    if x0.shape != (es.n,):
-        raise ValueError(f"state shape {x0.shape} does not match dimension {es.n}")
-    expo = propagator_exponents(es, gamma, np.array([t]), guard)
-    return propagate(es, x0, np.exp(expo[:, 0]))
+def _scaled_bessel(z: np.ndarray) -> np.ndarray:
+    """e^{-z} I_k(z) for k = 0, 1, ..., shaped (orders, z.size), for z >= 0.
+
+    Miller's backward recurrence, in its ratio form r_k = I_k / I_{k-1} =
+    z / (2k + z r_{k+1}), started at r = 0 well above the orders that reach
+    rounding level; the generating-function identity e^z = I_0(z) + 2 sum_k
+    I_k(z) then normalises the terms. Every term is positive, so neither step
+    cancels, and z = 0 gives exactly 1, 0, 0, ...
+    """
+    zmax = float(z.max())
+    orders = int(zmax + 8.0 * math.sqrt(zmax)) + 32
+    ratios = np.empty((orders - 1, z.size))
+    r = np.zeros(z.size)
+    for k in range(orders - 1, 0, -1):
+        r = z / (2.0 * k + z * r)
+        ratios[k - 1] = r
+    rel = np.cumprod(ratios, axis=0)  # I_k / I_0 for k >= 1
+    i0 = 1.0 / (1.0 + 2.0 * rel.sum(axis=0))
+    return np.vstack([i0, rel * i0])
+
+
+class Propagator:
+    """x(t) = exp(gamma*t*A) x0 at fixed sample times, for any initial state x0.
+
+    What does not depend on x0 is computed once, when the propagator is
+    built: the exp() factors of an eigensystem, or the Bessel coefficients of
+    a Chebyshev operator. Calling it with x0 returns (states, shift): states
+    shaped (n, samples) and, per sample, what the overflow guard subtracted
+    from every log-modulus, so x(t) = exp(shift) * states; without the guard
+    shift is 0. The guard never changes an argument.
+
+    On an eigensystem the guard subtracts t * max_r Re(gamma*lambda_r). On a
+    Chebyshev operator with interval [lo, hi], centre c and half-width r,
+    exp(gamma*t*A) = e^{gamma*t*c + z} sum_k a_k T_k((A - c*I)/r) with
+    z = |gamma|*t*r, a_0 = e^{-z} I_0(z) and a_k = 2 sign(gamma)^k e^{-z} I_k(z),
+    summed until the coefficient tail is below rounding level. The guard
+    drops the leading factor, t * max(gamma*hi, gamma*lo). The vectors
+    T_k(...) x0 are computed once per call, and each sample combines them.
+    Rounding errors grow like e^{|gamma|*t*d}, d the distance from the
+    interval end to the spectrum, and the number of terms like z, so a long
+    horizon is cut into equal slices, each restarting from the last state
+    rescaled to a largest modulus of 1; the log of that scale joins the shift.
+    """
+
+    def __init__(self, system: EigenSystem | ChebyshevOperator, gamma: float,
+                 times: np.ndarray, guard: bool = True):
+        if not np.isfinite(gamma):
+            raise ValueError(f"gamma must be finite, got {gamma}")
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        if not np.all(np.isfinite(times) & (times >= 0.0)):
+            raise ValueError(f"times must be finite and >= 0, got {times}")
+        self.system = system
+        self.guard = guard
+        self.terms = None  # Chebyshev terms per slice; None on an eigensystem
+        if system.source != "chebyshev":
+            self._factors = np.exp(propagator_exponents(system, gamma, times, guard))
+            rate = float((gamma * system.eigenvalues).real.max()) if guard else 0.0
+            self._shift = rate * times
+            return
+        self._center = 0.5 * (system.hi + system.lo)
+        self._radius = 0.5 * (system.hi - system.lo)
+        self._rate = max(gamma * system.hi, gamma * system.lo)
+        overshoot = system.hi - system.ritz_hi if gamma >= 0.0 else system.ritz_lo - system.lo
+        end = float(times.max())
+        self._slices = max(1, math.ceil(abs(gamma) * end * max(self._radius / _SLICE_Z,
+                                                               overshoot / _SLICE_LOSS)))
+        self._tau = end / self._slices
+        index = np.minimum(times // self._tau, self._slices - 1) if end > 0.0 else 0.0 * times
+        self._index = index.astype(int)
+        self._offsets = np.maximum(times - self._index * self._tau, 0.0)
+        # one column per sample, then one for the end of a slice
+        z = abs(gamma) * self._radius * np.append(self._offsets, self._tau)
+        coeffs = _scaled_bessel(z)
+        coeffs[1:] *= 2.0
+        tail = np.cumsum(coeffs[::-1, np.argmax(z)])[::-1]  # the largest z needs most terms
+        self.terms = int(np.count_nonzero(tail > np.finfo(float).eps / 2))
+        self._coeffs = coeffs[:self.terms]
+        if gamma < 0.0:
+            self._coeffs[1::2] *= -1.0
+
+    def __call__(self, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x0 = np.asarray(x0, dtype=complex)
+        if x0.shape != (self.system.n,):
+            raise ValueError(f"state shape {x0.shape} does not match dimension {self.system.n}")
+        if self.terms is None:
+            return propagate(self.system, x0, self._factors), self._shift
+        coeffs = self._coeffs
+        states = np.empty((self._offsets.size, self.system.n), dtype=complex)
+        shift = self._rate * self._offsets
+        state, base = x0, 0.0
+        for j in range(self._slices):
+            vecs = self._chebyshev_vectors(state).view(float)
+            rows = np.flatnonzero(self._index == j)
+            states[rows] = (coeffs[:, rows].T @ vecs).view(complex)
+            shift[rows] += base
+            if j + 1 < self._slices:
+                state = (coeffs[:, -1] @ vecs).view(complex)
+                scale = float(np.abs(state).max())
+                state /= scale
+                base += self._rate * self._tau + math.log(scale)
+        if not self.guard:
+            peak = float(shift.max())
+            if peak > _EXP_LIMIT:
+                raise SpectralError(f"propagator overflow: exponent {peak:.1f} exceeds "
+                                    f"the floating-point range; enable the overflow guard")
+            states *= np.exp(shift)[:, None]
+            shift = np.zeros_like(shift)
+        return states.T, shift
+
+    def _chebyshev_vectors(self, x: np.ndarray) -> np.ndarray:
+        """T_k(B) x for k < terms as the rows of a complex array, B = (A - c*I)/r."""
+        entries, center, radius = self.system.entries, self._center, self._radius
+        vecs = np.empty((self.terms, x.size), dtype=complex)
+        vecs[0] = x
+        for k in range(1, self.terms):
+            bx = (_real_matmul(entries, vecs[k - 1]) - center * vecs[k - 1]) / radius
+            vecs[k] = bx if k == 1 else 2.0 * bx - vecs[k - 2]
+        return vecs
+
+
+def apply_propagator(system: EigenSystem | ChebyshevOperator, gamma: float, t: float,
+                     x0: np.ndarray, guard: bool = True) -> np.ndarray:
+    """Evaluate x(t) = exp(gamma*t*A) x0 on either route, guarded as Propagator is."""
+    return Propagator(system, gamma, [t], guard)(x0)[0][:, 0]
 
 
 def write_spectrum_csv(eigenvalues: np.ndarray, path: str | Path) -> None:

@@ -252,6 +252,31 @@ def test_manifest_contents(tmp_path):
     assert isinstance(manifest["version"], str)
 
 
+def test_simulate_analytic_manifest_diagnostics(tmp_path):
+    ws = ["--graph", "ws", "--n", 80, "--k", 4, "--q", 0.2, "--kappa-over-n", 50]
+    assert _run(["simulate", *ws, "--method", "analytic", "--out", tmp_path / "ws"]) == 0
+    manifest = load_manifest(tmp_path / "ws" / "manifest.json")
+    diag = manifest["diagnostics"]
+    assert diag["route"] == "chebyshev"
+    lo, hi = diag["interval"]
+    assert lo < 0.0 < hi and diag["chebyshev_terms"] >= 1
+    # one slice: the guard shift at t_end = 1 s is max(gamma*hi, gamma*lo)
+    assert abs(diag["guard_shift"] - 2 * (50 / 80) / np.pi * hi) < 1e-12
+    assert 0.0 < diag["min_relative_modulus"] <= 1.0
+    assert manifest["artifacts"] == ["trajectory.csv", "trajectory.meta"]
+    meta = json.loads((tmp_path / "ws" / "trajectory.meta").read_text())
+    assert "diagnostics" not in meta
+    assert _run(["simulate", *ws, "--method", "analytic", "--no-guard",
+                 "--out", tmp_path / "raw"]) == 0
+    assert load_manifest(tmp_path / "raw" / "manifest.json")["diagnostics"]["guard_shift"] == 0.0
+    assert _run(["simulate", "--graph", "ring", "--n", 40, "--k", 3, "--kappa", 1,
+                 "--method", "analytic", "--out", tmp_path / "ring"]) == 0
+    diag = load_manifest(tmp_path / "ring" / "manifest.json")["diagnostics"]
+    assert diag["route"] == "cdt" and "interval" not in diag
+    assert _run(["simulate", *ws, "--out", tmp_path / "num"]) == 0
+    assert "diagnostics" not in load_manifest(tmp_path / "num" / "manifest.json")
+
+
 def test_manifest_replays_to_identical_artifacts(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

@@ -23,8 +23,11 @@ from kurasim.dynamics import (
     write_trajectory_csv,
 )
 from kurasim.graphs import (gen_complete, gen_erdos_renyi, gen_ring,
-                            gen_watts_strogatz, ring_generating_vector)
-from kurasim.spectral import cdt_eigensystem, eigendecompose_symmetric
+                            gen_watts_strogatz, read_edge_list,
+                            ring_generating_vector, write_edge_list)
+from kurasim.spectral import (cdt_eigensystem, chebyshev_operator,
+                              eigendecompose_symmetric, eigensystem_for,
+                              eigenvalues_symmetric)
 
 K3 = gen_complete(3)
 ES3 = cdt_eigensystem(ring_generating_vector(3, 1))
@@ -243,6 +246,41 @@ def test_analytic_sampling_is_step_free():
     assert np.abs(coarse.states[2] - fine.states[4]).max() < 1e-10
 
 
+def _linear_regime_graph(family, tmp_path):
+    if family == "edge_list":
+        path = tmp_path / "graph.edges"
+        write_edge_list(gen_watts_strogatz(50, 3, 0.3, 5), path)
+        return read_edge_list(path)
+    return {"er": lambda: gen_erdos_renyi(60, 0.3, 1),
+            "ws": lambda: gen_watts_strogatz(60, 4, 0.2, 2),
+            "ring": lambda: gen_ring(40, 3),
+            "complete": lambda: gen_complete(30)}[family]()
+
+
+@pytest.mark.parametrize("family", ["er", "ws", "ring", "complete", "edge_list"])
+def test_routes_agree_in_the_linear_regime(family, tmp_path):
+    """Integrator and closed form track each other while gamma*t*max|lambda| <= 0.1.
+
+    To first order in t the two differ only in the coupling rate, kappa
+    against gamma = 2*kappa/pi, so node i deviates by (kappa - gamma)*t*|c_i|
+    with c_i = sum_j a_ij sin(theta0_j - theta0_i); 25 % covers the next order.
+    """
+    graph = _linear_regime_graph(family, tmp_path)
+    kappa = 1.0
+    gamma = 2 * kappa / np.pi
+    t_linear = 0.1 / (gamma * float(np.abs(eigenvalues_symmetric(graph).real).max()))
+    route = eigensystem_for(graph)
+    for seed in range(3):
+        theta0 = initial_phases(graph.n, seed)
+        cfg = SimulationConfig(graph=graph, kappa=kappa, dt=t_linear / 100,
+                               t_end=t_linear, seed=seed)
+        dev = np.abs(wrap_phase(integrate_numerical(cfg, theta0).states
+                                - analytic_trajectory(route, cfg, theta0).states)).max()
+        c = np.abs((graph.entries * np.sin(theta0[None, :] - theta0[:, None])).sum(axis=1))
+        assert dev <= 1.25 * (kappa - gamma) * t_linear * c.max(), (seed, dev)
+        assert dev < np.pi / 16
+
+
 def test_numerical_phase_shift_equivariance():
     th0 = initial_phases(3, 8)
     for c in (-3.0, -1.0, 0.5, 3.0):
@@ -283,6 +321,17 @@ def test_amplitudes_late_time_mean_projection():
     assert np.abs(amp.values - expect).max() < 1e-8
     assert amp.guard is True
     assert amp.t == 20.0
+
+
+def test_amplitudes_report_the_guard_shift():
+    # Chebyshev route, guard on: values - shift are the unguarded -ln|x_i(t)|
+    g = gen_watts_strogatz(80, 4, 0.2, 3)
+    th0 = initial_phases(80, 2)
+    cfg = SimulationConfig(graph=g, kappa=1.0, dt=1e-3, t_end=1.0, seed=2)
+    amp = analytic_amplitudes(chebyshev_operator(g), cfg, th0, t=2.5)
+    ref = analytic_amplitudes(eigendecompose_symmetric(g), cfg, th0, t=2.5, guard=False)
+    assert amp.shift > 0.0 and ref.shift == 0.0
+    assert np.abs(amp.values - amp.shift - ref.values).max() < 1e-9
 
 
 # ----------------------------------------------------------- order parameter

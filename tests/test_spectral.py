@@ -5,21 +5,29 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kurasim.dynamics import SimulationConfig, analytic_trajectory, initial_phases
 from kurasim.graphs import (
+    AdjacencyMatrix,
     GeneratingVector,
     circulant,
     gen_complete,
     gen_erdos_renyi,
     gen_ring,
     gen_watts_strogatz,
+    read_edge_list,
     ring_generating_vector,
+    write_edge_list,
 )
 from kurasim.spectral import (
+    ChebyshevOperator,
+    Propagator,
     SpectralError,
+    _scaled_bessel,
     apply_propagator,
     cdt_eigensystem,
     cdt_eigenvalues,
     cdt_fourier_matrix,
+    chebyshev_operator,
     eigendecompose_symmetric,
     eigensystem_for,
     eigenvalues_symmetric,
@@ -145,6 +153,15 @@ def test_eigh_descending_and_inverse():
     assert es.lambda_max == es.eigenvalues.real[0]
 
 
+def test_eigh_vectors_are_contiguous_and_descending():
+    graph = gen_watts_strogatz(80, 4, 0.2, 1)
+    es = eigendecompose_symmetric(graph)
+    assert es.vectors.flags.c_contiguous
+    # column k still belongs to the k-th eigenvalue in descending order
+    lam = es.eigenvalues.real
+    assert np.abs(graph.entries @ es.vectors - es.vectors * lam).max() < 1e-10
+
+
 def test_eigh_rejects_asymmetric_input():
     m = np.zeros((3, 3))
     m[0, 1] = 1.0
@@ -200,7 +217,9 @@ def test_eigensystem_for_picks_the_route():
         assert es.source == "cdt"
         assert np.abs(es.basis @ np.diag(es.eigenvalues) @ es.inverse_basis
                       - graph.entries).max() < 1e-12
-    assert eigensystem_for(gen_erdos_renyi(20, 0.3, 0)).source == "numerical"
+    for graph in (gen_erdos_renyi(20, 0.3, 0), gen_watts_strogatz(20, 2, 0.3, 0)):
+        op = eigensystem_for(graph)
+        assert isinstance(op, ChebyshevOperator) and op.source == "chebyshev"
 
 
 def test_cdt_and_eigh_agree_on_rings():
@@ -321,6 +340,115 @@ def test_propagator_rejects_bad_arguments():
         apply_propagator(es, 1.0, -1.0, x0)
     with pytest.raises(ValueError):
         apply_propagator(es, 1.0, 1.0, np.ones(5, dtype=complex))
+
+
+# ------------------------------------------------------------ Chebyshev route
+
+def _star(n):
+    entries = np.zeros((n, n))
+    entries[0, 1:] = entries[1:, 0] = 1.0
+    return AdjacencyMatrix(n, entries)
+
+
+def _from_disk(tmp_path, graph):
+    path = tmp_path / "graph.edges"
+    write_edge_list(graph, path)
+    return read_edge_list(path)
+
+
+def _wrapped_gap(a, b):
+    return float(np.abs(np.remainder(a - b + np.pi, 2 * np.pi) - np.pi).max())
+
+
+def test_scaled_bessel_matches_integral_oracle():
+    # e^{-z} I_k(z) = (1/pi) int_0^pi e^{z (cos u - 1)} cos(k u) du; the
+    # trapezoid rule converges geometrically on this smooth periodic integrand
+    z = np.array([0.0, 1e-9, 0.3, 4.3, 32.0, 100.0])
+    got = _scaled_bessel(z)
+    u = np.linspace(0.0, np.pi, 4097)
+    weights = np.ones(u.size)
+    weights[[0, -1]] = 0.5
+    k = np.arange(got.shape[0])
+    want = (np.cos(np.outer(k, u)) * weights) @ np.exp(np.outer(np.cos(u) - 1.0, z)) / (u.size - 1)
+    assert np.abs(got - want).max() < 1e-15
+    assert np.array_equal(got[:, 0], np.eye(got.shape[0])[0])  # z = 0: exactly 1, 0, 0, ...
+
+
+# name: (graph, kappa, t_end, dt, record_every); kappa = 50/N as in figure 4
+CHEBYSHEV_CASES = {
+    "er200": (lambda tmp: gen_erdos_renyi(200, 0.2, 0), 50 / 200, 1.0, 1e-3, 1),
+    "ws200": (lambda tmp: gen_watts_strogatz(200, 10, 0.1, 0), 50 / 200, 1.0, 1e-3, 1),
+    "er1500": (lambda tmp: gen_erdos_renyi(1500, 0.02, 1), 50 / 1500, 1.0, 1e-3, 100),
+    "ws1500": (lambda tmp: gen_watts_strogatz(1500, 10, 0.1, 2), 50 / 1500, 1.0, 1e-3, 100),
+    "edge_list": (lambda tmp: _from_disk(tmp, gen_watts_strogatz(300, 5, 0.2, 4)),
+                  50 / 300, 1.0, 1e-3, 10),
+    "repulsive": (lambda tmp: gen_erdos_renyi(200, 0.2, 2), -50 / 200, 1.0, 1e-3, 1),
+    # Gershgorin puts hi at n - 1 = 399, lambda_max is sqrt(399) = 19.97
+    "star": (lambda tmp: _star(400), 1.0, 2.0, 1e-2, 1),
+    # |gamma| * t_end * radius is in the thousands: only time slices keep it accurate
+    "long": (lambda tmp: gen_watts_strogatz(200, 10, 0.1, 0), np.pi / 2, 100.0, 0.1, 1),
+    "long_repulsive": (lambda tmp: gen_erdos_renyi(200, 0.2, 0), -np.pi / 2, 20.0, 0.1, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHEBYSHEV_CASES))
+def test_chebyshev_phases_match_eigh_oracle(case, tmp_path):
+    make, kappa, t_end, dt, every = CHEBYSHEV_CASES[case]
+    graph = make(tmp_path)
+    cfg = SimulationConfig(graph=graph, kappa=kappa, dt=dt, t_end=t_end, seed=3,
+                           record_every=every)
+    theta0 = initial_phases(graph.n, 3)
+    op = chebyshev_operator(graph)
+    cheb = analytic_trajectory(op, cfg, theta0)
+    oracle = analytic_trajectory(eigendecompose_symmetric(graph), cfg, theta0)
+    assert _wrapped_gap(cheb.states, oracle.states) <= 1e-10
+    diag = cheb.diagnostics
+    assert diag["route"] == "chebyshev" and diag["interval"] == [op.lo, op.hi]
+    # each slice needs few terms, however long the horizon
+    assert diag["chebyshev_terms"] <= 64
+    if case == "star":
+        assert op.hi - np.sqrt(399.0) < 1e-9 and np.sqrt(399.0) + op.lo < 1e-9
+
+
+@pytest.mark.parametrize("graph", [
+    *(gen_erdos_renyi(100, 0.1, s) for s in range(5)),
+    *(gen_watts_strogatz(100, 3, 0.3, s) for s in range(5)),
+    gen_ring(50, 4), _star(50), gen_erdos_renyi(30, 0.0, 0)])
+def test_chebyshev_interval_holds_the_spectrum(graph):
+    op = chebyshev_operator(graph)
+    lam = eigenvalues_symmetric(graph).real
+    degree = graph.degrees().max()
+    assert -degree <= op.lo <= lam.min() <= op.ritz_lo + 1e-9
+    assert op.ritz_hi - 1e-9 <= lam.max() <= op.hi <= degree
+
+
+def test_chebyshev_guard_shift_and_unguarded_values():
+    graph = gen_watts_strogatz(60, 4, 0.2, 6)
+    op = chebyshev_operator(graph)
+    es = eigendecompose_symmetric(graph)
+    x0 = np.exp(1j * initial_phases(60, 1))
+    times = np.linspace(0.0, 1.0, 6)
+    for gamma in (0.5, -0.5):
+        states, shift = Propagator(op, gamma, times)(x0)
+        # one slice: the guard drops exactly t * max(gamma*hi, gamma*lo)
+        assert np.array_equal(shift, max(gamma * op.hi, gamma * op.lo) * times)
+        assert np.all(shift >= (gamma * es.eigenvalues.real).max() * times)
+        want = Propagator(es, gamma, times, guard=False)(x0)[0]
+        raw, no_shift = Propagator(op, gamma, times, guard=False)(x0)
+        assert not no_shift.any()
+        assert np.abs(raw - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(np.exp(shift) * states - want).max() <= 1e-12 * np.abs(want).max()
+    with pytest.raises(SpectralError):
+        apply_propagator(op, 50.0, 10.0, x0, guard=False)
+    assert np.all(np.isfinite(apply_propagator(op, 50.0, 10.0, x0)))
+
+
+def test_chebyshev_on_an_empty_graph_is_the_identity():
+    op = chebyshev_operator(gen_erdos_renyi(10, 0.0, 0))
+    assert (op.lo, op.hi) == (0.0, 0.0)
+    x0 = np.exp(1j * np.arange(10.0))
+    states, shift = Propagator(op, 2.0, [0.0, 1.5])(x0)
+    assert np.array_equal(states, np.column_stack([x0, x0])) and not shift.any()
 
 
 # ---------------------------------------------------------------------- I/O
