@@ -247,8 +247,10 @@ def analytic_trajectory(es: EigenSystem | ChebyshevOperator, cfg: SimulationConf
     es is the route from spectral.eigensystem_for, or any EigenSystem. Every
     sample is evaluated without stepping error, so the sample grid is
     arbitrary. The overflow guard rescales moduli per sample and never
-    changes an argument. The diagnostics record the route, the Chebyshev
-    terms and interval on that route, the guard shift at the last sample,
+    changes an argument. The diagnostics record the route Propagator took
+    (cdt, chebyshev, or numerical where a Chebyshev operator fell back to its
+    eigensystem), the Chebyshev terms per time slice and the interval on that
+    route, the guard shift at the last sample,
     and the smallest min_i |x_i| / max_j |x_j| over the samples, where the
     phase readout loses meaning as it nears 0.
     """
@@ -258,7 +260,7 @@ def analytic_trajectory(es: EigenSystem | ChebyshevOperator, cfg: SimulationConf
     times = cfg.sample_times()
     prop = Propagator(es, cfg.gamma, times, guard)
     states, shift = prop(np.exp(1j * theta0))
-    diagnostics = {"route": es.source}
+    diagnostics = {"route": prop.system.source}
     if prop.terms is not None:
         diagnostics.update(chebyshev_terms=prop.terms, interval=[es.lo, es.hi])
     del prop  # its factors: one (n, samples) array fewer while the phases are read out
@@ -295,8 +297,9 @@ def analytic_amplitudes(es: EigenSystem | ChebyshevOperator, cfg: SimulationConf
     With the guard on, values are relative to the guard's uniform rescaling
     of moduli, returned as shift: t * max_r Re(gamma*lambda_r) on an
     eigensystem (gamma*lambda_max*t for gamma >= 0), and on the Chebyshev
-    route t * max(gamma*hi, gamma*lo) plus any slice rescaling (see
-    spectral.Propagator). A vanishing |x_i| reports positive infinity.
+    route t * max(gamma*hi, gamma*lo) plus any slice rescaling, whichever
+    route spectral.Propagator takes. A vanishing |x_i| reports positive
+    infinity.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if es.n != cfg.graph.n or theta0.shape != (es.n,):

@@ -6,14 +6,16 @@ no basis at all. Any other symmetric adjacency matrix needs no eigenvectors:
 its exponential is applied as a Chebyshev expansion over an interval that
 holds the spectrum, bounded by Gershgorin discs and tightened by a few
 Lanczos steps. The numerical eigendecomposition, which keeps its real
-eigenvectors, remains the reference the tests compare against. Propagator is
-the one evaluator for all three, with the overflow guard built in.
+eigenvectors, is the reference the tests compare against, and the route a
+Chebyshev operator falls back to when a long horizon would need more matrix
+products than it costs. Propagator is the one evaluator for all of them,
+with the overflow guard built in.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +52,17 @@ _LANCZOS_STEPS = 20
 # factor by which rounding errors grow relative to the dominant mode.
 _SLICE_Z = 32.0
 _SLICE_LOSS = 4.0
+# The Chebyshev route costs (slices * terms) products with the n x n matrix,
+# the eigendecomposition about as much as this many products per node; past
+# that count the numerical eigensystem is the cheaper route. Measured with
+# OpenBLAS on 2 cores for n = 800..2500, where one eigh cost 0.21 to 0.28
+# products per node (0.45 s against 1.4 ms per product at n = 1500); for
+# n <= 400 the ratio is nearer 0.9, but there eigh takes milliseconds.
+_PRODUCTS_PER_NODE = 0.25
+# On the Chebyshev route no ||T_k(B) x|| may exceed ||x|| by more than this
+# relative amount: a larger one means x excites part of the spectrum outside
+# the interval, where the truncated expansion is not accurate.
+_INTERVAL_TOLERANCE = 1e-8
 
 
 class SpectralError(RuntimeError):
@@ -178,7 +191,8 @@ class ChebyshevOperator:
     (A - c*I)/r, c and r the interval's centre and half-width, with matrix
     products only. ritz_lo and ritz_hi are the extreme Lanczos Ritz values,
     which lie inside the spectrum; hi - ritz_hi and ritz_lo - lo bound how
-    far each interval end overshoots it.
+    far each interval end overshoots it. Where Propagator finds the
+    eigendecomposition cheaper, or the interval wrong, it uses eigensystem().
     """
 
     n: int
@@ -187,7 +201,14 @@ class ChebyshevOperator:
     hi: float
     ritz_lo: float
     ritz_hi: float
+    _eigensystem: EigenSystem | None = field(default=None, init=False, repr=False)
     source = "chebyshev"
+
+    def eigensystem(self) -> EigenSystem:
+        """eigendecompose_symmetric of entries, computed on first use and kept."""
+        if self._eigensystem is None:
+            self._eigensystem = eigendecompose_symmetric(self.entries)
+        return self._eigensystem
 
 
 def _lanczos_extremes(entries: np.ndarray, steps: int) -> tuple[float, float, float]:
@@ -245,11 +266,23 @@ def eigensystem_for(graph: AdjacencyMatrix) -> EigenSystem | ChebyshevOperator:
 
     Ring and complete graphs get the circulant (cdt) eigensystem, applied
     with the FFT; any other graph the Chebyshev operator, which needs no
-    eigenvectors.
+    eigenvectors until Propagator finds a horizon long enough to make the
+    eigendecomposition the cheaper route.
     """
     if graph.kind in ("ring", "complete"):
         return cdt_eigensystem(ring_generating_vector(graph.n, _ring_radius(graph)))
     return chebyshev_operator(graph)
+
+
+def _guard_rate(system: EigenSystem | ChebyshevOperator, gamma: float) -> float:
+    """What the overflow guard subtracts from every log-modulus per unit time.
+
+    The largest Re(gamma*lambda) over the spectrum of an eigensystem, or
+    over the interval of a Chebyshev operator, which holds the spectrum.
+    """
+    if system.source == "chebyshev":
+        return max(gamma * system.hi, gamma * system.lo)
+    return float((gamma * system.eigenvalues).real.max())
 
 
 def propagator_exponents(es: EigenSystem, gamma: float, times: np.ndarray,
@@ -266,8 +299,7 @@ def propagator_exponents(es: EigenSystem, gamma: float, times: np.ndarray,
     times = np.atleast_1d(np.asarray(times, dtype=float))
     expo = gamma * np.outer(es.eigenvalues, times)
     if guard:
-        dominant = float((gamma * es.eigenvalues).real.max())
-        expo = expo - dominant * times[None, :]
+        expo = expo - _guard_rate(es, gamma) * times[None, :]
     peak = expo.real.max() if expo.size else 0.0
     if peak > _EXP_LIMIT:
         hint = "" if guard else "; enable the overflow guard"
@@ -345,6 +377,12 @@ class Propagator:
     interval end to the spectrum, and the number of terms like z, so a long
     horizon is cut into equal slices, each restarting from the last state
     rescaled to a largest modulus of 1; the log of that scale joins the shift.
+
+    A Chebyshev operator is evaluated through its eigensystem() instead when
+    the slices need more matrix products than the eigendecomposition costs,
+    and when some ||T_k(...) x|| exceeds ||x||, which means x excites part of
+    the spectrum outside the interval. system is the route taken, and terms
+    (per slice) is None on an eigensystem.
     """
 
     def __init__(self, system: EigenSystem | ChebyshevOperator, gamma: float,
@@ -354,18 +392,28 @@ class Propagator:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         if not np.all(np.isfinite(times) & (times >= 0.0)):
             raise ValueError(f"times must be finite and >= 0, got {times}")
-        self.system = system
         self.guard = guard
-        self.terms = None  # Chebyshev terms per slice; None on an eigensystem
-        if system.source != "chebyshev":
-            self._factors = np.exp(propagator_exponents(system, gamma, times, guard))
-            rate = float((gamma * system.eigenvalues).real.max()) if guard else 0.0
-            self._shift = rate * times
-            return
-        self._center = 0.5 * (system.hi + system.lo)
-        self._radius = 0.5 * (system.hi - system.lo)
-        self._rate = max(gamma * system.hi, gamma * system.lo)
-        overshoot = system.hi - system.ritz_hi if gamma >= 0.0 else system.ritz_lo - system.lo
+        self._gamma = gamma
+        self._times = times
+        if system.source == "chebyshev":
+            self._expand(system)
+            if self._slices * self.terms <= _PRODUCTS_PER_NODE * system.n:
+                return
+            system = system.eigensystem()
+        self._decompose(system)
+
+    def _decompose(self, es: EigenSystem) -> None:
+        self.system, self.terms = es, None
+        self._factors = np.exp(propagator_exponents(es, self._gamma, self._times, self.guard))
+        self._shift = (_guard_rate(es, self._gamma) if self.guard else 0.0) * self._times
+
+    def _expand(self, op: ChebyshevOperator) -> None:
+        gamma, times = self._gamma, self._times
+        self.system = op
+        self._center = 0.5 * (op.hi + op.lo)
+        self._radius = 0.5 * (op.hi - op.lo)
+        self._rate = _guard_rate(op, gamma)
+        overshoot = op.hi - op.ritz_hi if gamma >= 0.0 else op.ritz_lo - op.lo
         end = float(times.max())
         self._slices = max(1, math.ceil(abs(gamma) * end * max(self._radius / _SLICE_Z,
                                                                overshoot / _SLICE_LOSS)))
@@ -394,15 +442,22 @@ class Propagator:
         shift = self._rate * self._offsets
         state, base = x0, 0.0
         for j in range(self._slices):
-            vecs = self._chebyshev_vectors(state).view(float)
+            vecs = self._chebyshev_vectors(state)
+            norms = np.linalg.norm(vecs, axis=1)
+            if norms.max() > (1.0 + _INTERVAL_TOLERANCE) * norms[0]:
+                self._decompose(self.system.eigensystem())
+                return self(x0)
+            vecs = vecs.view(float)
             rows = np.flatnonzero(self._index == j)
             states[rows] = (coeffs[:, rows].T @ vecs).view(complex)
             shift[rows] += base
             if j + 1 < self._slices:
                 state = (coeffs[:, -1] @ vecs).view(complex)
                 scale = float(np.abs(state).max())
-                state /= scale
-                base += self._rate * self._tau + math.log(scale)
+                if scale > 0.0:  # a zero state stays zero
+                    state /= scale
+                    base += math.log(scale)
+                base += self._rate * self._tau
         if not self.guard:
             peak = float(shift.max())
             if peak > _EXP_LIMIT:

@@ -253,7 +253,7 @@ def test_manifest_contents(tmp_path):
 
 
 def test_simulate_analytic_manifest_diagnostics(tmp_path):
-    ws = ["--graph", "ws", "--n", 80, "--k", 4, "--q", 0.2, "--kappa-over-n", 50]
+    ws = ["--graph", "ws", "--n", 200, "--k", 4, "--q", 0.2, "--kappa-over-n", 50]
     assert _run(["simulate", *ws, "--method", "analytic", "--out", tmp_path / "ws"]) == 0
     manifest = load_manifest(tmp_path / "ws" / "manifest.json")
     diag = manifest["diagnostics"]
@@ -261,7 +261,7 @@ def test_simulate_analytic_manifest_diagnostics(tmp_path):
     lo, hi = diag["interval"]
     assert lo < 0.0 < hi and diag["chebyshev_terms"] >= 1
     # one slice: the guard shift at t_end = 1 s is max(gamma*hi, gamma*lo)
-    assert abs(diag["guard_shift"] - 2 * (50 / 80) / np.pi * hi) < 1e-12
+    assert abs(diag["guard_shift"] - 2 * (50 / 200) / np.pi * hi) < 1e-12
     assert 0.0 < diag["min_relative_modulus"] <= 1.0
     assert manifest["artifacts"] == ["trajectory.csv", "trajectory.meta"]
     meta = json.loads((tmp_path / "ws" / "trajectory.meta").read_text())
@@ -273,6 +273,11 @@ def test_simulate_analytic_manifest_diagnostics(tmp_path):
                  "--method", "analytic", "--out", tmp_path / "ring"]) == 0
     diag = load_manifest(tmp_path / "ring" / "manifest.json")["diagnostics"]
     assert diag["route"] == "cdt" and "interval" not in diag
+    # strong coupling over 10 s: the eigendecomposition is the cheaper route
+    assert _run(["simulate", "--graph", "ws", "--n", 200, "--k", 4, "--q", 0.2, "--kappa", 10,
+                 "--t-end", 10, "--method", "analytic", "--out", tmp_path / "strong"]) == 0
+    diag = load_manifest(tmp_path / "strong" / "manifest.json")["diagnostics"]
+    assert diag["route"] == "numerical" and "interval" not in diag
     assert _run(["simulate", *ws, "--out", tmp_path / "num"]) == 0
     assert "diagnostics" not in load_manifest(tmp_path / "num" / "manifest.json")
 

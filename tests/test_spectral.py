@@ -1,5 +1,7 @@
 """Closed-form circulant spectra, the numerical eigensolver, and the propagator."""
 
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,6 +20,7 @@ from kurasim.graphs import (
     ring_generating_vector,
     write_edge_list,
 )
+from kurasim import spectral
 from kurasim.spectral import (
     ChebyshevOperator,
     Propagator,
@@ -391,8 +394,14 @@ CHEBYSHEV_CASES = {
 }
 
 
+@pytest.fixture
+def expansion_only(monkeypatch):
+    """Keep Propagator on the Chebyshev route however many products it needs."""
+    monkeypatch.setattr(spectral, "_PRODUCTS_PER_NODE", math.inf)
+
+
 @pytest.mark.parametrize("case", sorted(CHEBYSHEV_CASES))
-def test_chebyshev_phases_match_eigh_oracle(case, tmp_path):
+def test_chebyshev_phases_match_eigh_oracle(case, tmp_path, expansion_only):
     make, kappa, t_end, dt, every = CHEBYSHEV_CASES[case]
     graph = make(tmp_path)
     cfg = SimulationConfig(graph=graph, kappa=kappa, dt=dt, t_end=t_end, seed=3,
@@ -422,7 +431,7 @@ def test_chebyshev_interval_holds_the_spectrum(graph):
     assert op.ritz_hi - 1e-9 <= lam.max() <= op.hi <= degree
 
 
-def test_chebyshev_guard_shift_and_unguarded_values():
+def test_chebyshev_guard_shift_and_unguarded_values(expansion_only):
     graph = gen_watts_strogatz(60, 4, 0.2, 6)
     op = chebyshev_operator(graph)
     es = eigendecompose_symmetric(graph)
@@ -441,6 +450,59 @@ def test_chebyshev_guard_shift_and_unguarded_values():
     with pytest.raises(SpectralError):
         apply_propagator(op, 50.0, 10.0, x0, guard=False)
     assert np.all(np.isfinite(apply_propagator(op, 50.0, 10.0, x0)))
+
+
+def test_propagator_takes_the_cheaper_route():
+    graph = gen_watts_strogatz(200, 10, 0.1, 0)
+    op = chebyshev_operator(graph)
+    x0 = np.exp(1j * initial_phases(200, 5))
+    short = Propagator(op, 0.2, np.linspace(0.0, 1.0, 11))
+    assert short.system is op and short._slices * short.terms <= spectral._PRODUCTS_PER_NODE * 200
+    # |gamma| * t_end = 50 needs hundreds of matrix products, more than one eigh costs
+    times = np.linspace(0.0, 25.0, 11)
+    long = Propagator(op, 2.0, times)
+    assert long.system is op.eigensystem() and long.terms is None
+    oracle = Propagator(eigendecompose_symmetric(graph), 2.0, times)(x0)
+    states, shift = long(x0)
+    assert np.array_equal(shift, oracle[1])
+    assert np.abs(states - oracle[0]).max() <= 1e-12
+    # the eigendecomposition is made once per operator
+    assert Propagator(op, -2.0, times).system is long.system
+
+
+@pytest.mark.parametrize("expand", [False, True])
+def test_zero_state_stays_zero(expand, monkeypatch):
+    if expand:
+        monkeypatch.setattr(spectral, "_PRODUCTS_PER_NODE", math.inf)
+    op = chebyshev_operator(gen_erdos_renyi(40, 0.3, 1))
+    prop = Propagator(op, 50.0, [10.0])
+    assert (prop.terms is not None) == expand and (prop._slices > 1 if expand else True)
+    states, shift = prop(np.zeros(40))
+    assert not states.any() and np.all(np.isfinite(shift))
+    assert not apply_propagator(op.eigensystem(), 50.0, 10.0, np.zeros(40)).any()
+
+
+@pytest.mark.parametrize("gamma", [0.5, -0.5])
+def test_interval_that_misses_the_spectrum_falls_back_to_eigh(gamma, expansion_only):
+    graph = gen_erdos_renyi(150, 0.2, 3)
+    op = chebyshev_operator(graph)
+    # cut a quarter of the spectrum off the end the guard uses
+    cut = 0.25 * (op.hi - op.lo)
+    bad = dataclasses.replace(op, hi=op.hi - cut) if gamma > 0 else \
+        dataclasses.replace(op, lo=op.lo + cut)
+    times = np.linspace(0.0, 4.0, 9)
+    x0 = np.exp(1j * initial_phases(150, 2))
+    prop = Propagator(bad, gamma, times)
+    assert prop.terms is not None
+    states, shift = prop(x0)
+    assert prop.system.source == "numerical" and prop.terms is None
+    want, want_shift = Propagator(eigendecompose_symmetric(graph), gamma, times)(x0)
+    assert np.array_equal(shift, want_shift)
+    assert _wrapped_gap(np.angle(states), np.angle(want)) <= 1e-10
+    # the true interval passes the same check
+    good = Propagator(op, gamma, times)
+    good(x0)
+    assert good.system is op
 
 
 def test_chebyshev_on_an_empty_graph_is_the_identity():

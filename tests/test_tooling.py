@@ -17,9 +17,10 @@ for mod in pkgutil.iter_modules(kurasim.__path__):
     importlib.import_module("kurasim." + mod.name)
 from kurasim.graphs import gen_watts_strogatz
 from kurasim.spectral import Propagator, eigensystem_for
-op = eigensystem_for(gen_watts_strogatz(30, 2, 0.3, 0))
-states, _ = Propagator(op, 0.5, np.linspace(0.0, 1.0, 5))(np.ones(30, dtype=complex))
-assert op.source == "chebyshev" and np.all(np.isfinite(states))
+op = eigensystem_for(gen_watts_strogatz(200, 2, 0.3, 0))
+prop = Propagator(op, 0.5, np.linspace(0.0, 1.0, 5))
+states, _ = prop(np.ones(200, dtype=complex))
+assert prop.system.source == "chebyshev" and np.all(np.isfinite(states))
 print("scipy" in sys.modules)
 """
 
