@@ -178,8 +178,12 @@ def cmd_spectrum(args):
 
 
 def cmd_figure(args):
+    if args.t_end is not None and args.id != 1:
+        raise ValueError(f"--t-end applies to figure 1 only, not figure {args.id}")
+    if args.kappa is not None and args.id != 4:
+        raise ValueError(f"--kappa applies to figure 4 only, not figure {args.id}")
     if args.id == 1:
-        out = run_fig1(seed=args.seed, t_end=args.t_end if args.t_end else 1.0,
+        out = run_fig1(seed=args.seed, t_end=1.0 if args.t_end is None else args.t_end,
                        out_dir=args.out)
         lines = [f"max wrapped deviation = {fmt(out.report.max_wrapped_deviation)}"]
         return out.artifacts, lines, {}

@@ -1,8 +1,9 @@
-"""Undirected graph generators producing dense 0/1 adjacency matrices.
+"""Undirected graph generators producing edge-list adjacency matrices.
 
 Four families: the ring graph (each node tied to its k nearest neighbours
 per direction), the complete graph as its k = floor(n/2) special case,
-Erdos-Renyi, and Watts-Strogatz rewiring of the ring.
+Erdos-Renyi, and Watts-Strogatz rewiring of the ring. Every graph is stored
+as its i < j edge arrays; the dense n x n matrix is built only when read.
 """
 
 from __future__ import annotations
@@ -30,34 +31,81 @@ __all__ = [
 
 @dataclass(eq=False)
 class AdjacencyMatrix:
-    """Symmetric 0/1 matrix with provenance metadata.
+    """Simple undirected graph on nodes 0..n-1 with provenance metadata.
 
-    entries is an n x n float array holding exactly 0.0 or 1.0; params echoes
-    the generator parameters (k, p, q, seed as applicable).
+    The edges are stored as int arrays, edge e joining rows[e] < cols[e], in
+    lexicographic order; the constructor sorts them and raises ValueError
+    naming the first edge, in the order given, that is outside
+    0 <= i < j < n or repeats an earlier one. entries, the symmetric n x n
+    float matrix of exact 0.0 and 1.0, is built from the arrays on first
+    read and kept, read-only. from_dense builds a graph from such a matrix.
+    params echoes the generator parameters (k, p, q, seed as applicable).
     """
 
     n: int
-    entries: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     kind: str = "custom"
     params: dict = field(default_factory=dict)
+    _entries: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=float)
-        if self.entries.shape != (self.n, self.n):
-            raise ValueError(f"entries shape {self.entries.shape} does not match n={self.n}")
-        if not np.array_equal(self.entries, self.entries.T):
+        self.n = int(self.n)
+        rows, cols = np.asarray(self.rows), np.asarray(self.cols)
+        if (rows.ndim != 1 or rows.shape != cols.shape
+                or rows.size and not (np.issubdtype(rows.dtype, np.integer)
+                                      and np.issubdtype(cols.dtype, np.integer))):
+            raise ValueError("edges must be two 1-d integer arrays of equal length")
+        rows, cols = rows.astype(np.intp), cols.astype(np.intp)
+        bad = np.flatnonzero((rows < 0) | (rows >= cols) | (cols >= self.n))
+        stop = bad[0] if bad.size else rows.size
+        key = rows[:stop] * self.n + cols[:stop]
+        order = slice(None)  # sorted without repeats, as generated or written
+        if np.any(key[1:] <= key[:-1]):
+            order = np.argsort(key, kind="stable")  # equal keys keep the order given
+            repeats = order[1:][np.diff(key[order]) == 0]
+            if repeats.size:
+                e = repeats.min()
+                raise ValueError(f"duplicate edge ({rows[e]}, {cols[e]})")
+        if bad.size:
+            e = bad[0]
+            raise ValueError(f"edge ({rows[e]}, {cols[e]}) violates 0 <= i < j < n={self.n}")
+        self.rows, self.cols = rows[order], cols[order]
+
+    @classmethod
+    def from_dense(cls, n: int, entries: np.ndarray, kind: str = "custom",
+                   params: dict | None = None) -> AdjacencyMatrix:
+        """The graph of a symmetric n x n matrix of exact 0.0 and 1.0 with a zero diagonal."""
+        entries = np.array(entries, dtype=float)
+        if entries.shape != (n, n):
+            raise ValueError(f"entries shape {entries.shape} does not match n={n}")
+        if not np.array_equal(entries, entries.T):
             raise ValueError("adjacency matrix must be symmetric")
-        if np.any(np.diag(self.entries) != 0.0):
+        if np.any(np.diag(entries) != 0.0):
             raise ValueError("adjacency matrix must have a zero diagonal")
-        if not np.all((self.entries == 0.0) | (self.entries == 1.0)):
+        if not np.all((entries == 0.0) | (entries == 1.0)):
             raise ValueError("adjacency entries must be exactly 0 or 1")
+        rows, cols = np.nonzero(np.triu(entries, k=1))
+        graph = cls(n, rows, cols, kind=kind, params=dict(params or {}))
+        entries.flags.writeable = False
+        graph._entries = entries
+        return graph
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            entries = np.zeros((self.n, self.n))
+            entries[self.rows, self.cols] = entries[self.cols, self.rows] = 1.0
+            entries.flags.writeable = False
+            self._entries = entries
+        return self._entries
 
     @property
     def edge_count(self) -> int:
-        return int(self.entries.sum()) // 2
+        return self.rows.size
 
     def degrees(self) -> np.ndarray:
-        return self.entries.sum(axis=1)
+        return np.bincount(np.concatenate((self.rows, self.cols)), minlength=self.n)
 
 
 @dataclass(eq=False)
@@ -91,19 +139,20 @@ def gen_ring(n: int, k: int) -> AdjacencyMatrix:
     neighbour is shared between the two directions and the degree is n - 1.
     """
     _check_ring_params(n, k)
-    idx = np.arange(n)
-    d = np.abs(idx[:, None] - idx[None, :])
-    d = np.minimum(d, n - d)
-    entries = ((d >= 1) & (d <= k)).astype(float)
-    return AdjacencyMatrix(n, entries, kind="ring", params={"k": int(k)})
+    # node i meets i + d (mod n) for d = 1..k; the antipodal d = n/2 once
+    i = np.repeat(np.arange(n), k)
+    d = np.tile(np.arange(1, k + 1), n)
+    keep = (2 * d != n) | (i < n // 2)
+    i, j = i[keep], (i[keep] + d[keep]) % n
+    return AdjacencyMatrix(n, np.minimum(i, j), np.maximum(i, j), kind="ring",
+                           params={"k": int(k)})
 
 
 def gen_complete(n: int) -> AdjacencyMatrix:
     """Complete graph K_n, identical to gen_ring(n, floor(n/2))."""
     if int(n) != n or n < 2:
         raise ValueError(f"node count must be an integer >= 2, got {n}")
-    a = gen_ring(n, n // 2)
-    return AdjacencyMatrix(n, a.entries, kind="complete", params={})
+    return AdjacencyMatrix(n, *np.triu_indices(n, k=1), kind="complete", params={})
 
 
 def gen_erdos_renyi(n: int, p: float, seed: int) -> AdjacencyMatrix:
@@ -117,13 +166,9 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> AdjacencyMatrix:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     rng = rng_for(seed, "erdos_renyi")
-    iu, ju = np.triu_indices(n, k=1)
-    draws = rng.random(iu.size)
-    entries = np.zeros((n, n))
-    hit = draws < p
-    entries[iu[hit], ju[hit]] = 1.0
-    entries[ju[hit], iu[hit]] = 1.0
-    return AdjacencyMatrix(n, entries, kind="erdos_renyi",
+    rows, cols = np.triu_indices(n, k=1)
+    hit = rng.random(rows.size) < p
+    return AdjacencyMatrix(n, rows[hit], cols[hit], kind="erdos_renyi",
                            params={"p": float(p), "seed": int(seed)})
 
 
@@ -131,31 +176,34 @@ def gen_watts_strogatz(n: int, k: int, q: float, seed: int) -> AdjacencyMatrix:
     """Ring graph with each edge rewired with probability q.
 
     Visits the original ring edges once, in lexicographic (node, offset)
-    order. A rewired edge keeps its near endpoint i and reattaches the far
-    endpoint to a node drawn uniformly among those that create neither a
-    self-loop nor a duplicate edge; if no such node exists the edge is kept.
-    Edge count n*k is conserved exactly.
+    order. A rewired edge (i, j) keeps its near endpoint i and reattaches the
+    far endpoint to a node drawn uniformly, in ascending order, among those
+    that create neither a self-loop nor a duplicate edge; j is one of them,
+    so the edge may stay. Edge count n*k is conserved exactly.
     """
     # k < n/2 strictly, so every node has non-neighbours to rewire to
     _check_ring_params(n, k, strict_k=True)
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"rewiring probability must lie in [0, 1], got {q}")
     rng = rng_for(seed, "watts_strogatz")
-    entries = gen_ring(n, k).entries
+    neighbours = [{(i + d) % n for d in range(-k, k + 1) if d} for i in range(n)]
     for i in range(n):
         for off in range(1, k + 1):
-            j = (i + off) % n
             if rng.random() >= q:
                 continue
-            entries[i, j] = entries[j, i] = 0.0
-            candidates = np.flatnonzero(entries[i] == 0.0)
-            candidates = candidates[candidates != i]
-            if candidates.size == 0:
-                entries[i, j] = entries[j, i] = 1.0
-                continue
-            m = candidates[rng.integers(candidates.size)]
-            entries[i, m] = entries[m, i] = 1.0
-    return AdjacencyMatrix(n, entries, kind="watts_strogatz",
+            j = (i + off) % n
+            neighbours[i].remove(j)
+            neighbours[j].remove(i)
+            # the m-th node, counted from 0, that is neither i nor a neighbour
+            m = int(rng.integers(n - 1 - len(neighbours[i])))
+            for skip in sorted(neighbours[i] | {i}):
+                if skip > m:
+                    break
+                m += 1
+            neighbours[i].add(m)
+            neighbours[m].add(i)
+    rows, cols = np.array([(i, j) for i in range(n) for j in neighbours[i] if i < j]).T
+    return AdjacencyMatrix(n, rows, cols, kind="watts_strogatz",
                            params={"k": int(k), "q": float(q), "seed": int(seed)})
 
 
@@ -182,16 +230,28 @@ def circulant(c: GeneratingVector | np.ndarray) -> np.ndarray:
 
 
 def write_edge_list(a: AdjacencyMatrix, path: str | Path) -> None:
-    """Plain-text edge list: first line "n m", then m lines "i j" with i < j."""
-    iu, ju = np.nonzero(np.triu(a.entries, k=1))
-    lines = [f"{a.n} {iu.size}"]
-    lines.extend(f"{i} {j}" for i, j in zip(iu, ju))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    """Plain-text edge list: first line "n m", then m lines "i j" with i < j, sorted."""
+    pairs = np.column_stack((a.rows, a.cols)).ravel().tolist()
+    text = f"{a.n} {a.edge_count}\n" + "%d %d\n" * a.edge_count % tuple(pairs)
+    Path(path).write_text(text, encoding="ascii")
+
+
+def _is_int_pair(tokens: list[str]) -> bool:
+    try:
+        return np.array(tokens, dtype=np.int64).shape == (2,)
+    except (ValueError, OverflowError):
+        return False
 
 
 def read_edge_list(path: str | Path) -> AdjacencyMatrix:
+    """Read an edge list in the format of write_edge_list, edges in any order.
+
+    Blank lines are skipped. A malformed file raises ValueError: for a wrong
+    header or edge count, or naming the first line, in file order, that is
+    not two integers, lies outside 0 <= i < j < n, or repeats an earlier edge.
+    """
     text = Path(path).read_text(encoding="ascii")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = list(filter(str.strip, text.splitlines()))
     if not lines:
         raise ValueError(f"empty edge-list file: {path}")
     try:
@@ -200,15 +260,14 @@ def read_edge_list(path: str | Path) -> AdjacencyMatrix:
         raise ValueError(f"malformed edge-list header {lines[0]!r}") from exc
     if n < 1 or m < 0 or len(lines) - 1 != m:
         raise ValueError(f"edge-list header promises {m} edges, file has {len(lines) - 1}")
-    entries = np.zeros((n, n))
-    for ln in lines[1:]:
-        try:
-            i, j = (int(tok) for tok in ln.split())
-        except ValueError as exc:
-            raise ValueError(f"malformed edge line {ln!r}") from exc
-        if not (0 <= i < j < n):
-            raise ValueError(f"edge ({i}, {j}) violates 0 <= i < j < n={n}")
-        if entries[i, j] == 1.0:
-            raise ValueError(f"duplicate edge ({i}, {j})")
-        entries[i, j] = entries[j, i] = 1.0
-    return AdjacencyMatrix(n, entries, kind="custom", params={"source": str(path)})
+    fields = list(map(str.split, lines[1:]))
+    try:  # every line two integers
+        stop, pairs = m, np.array(fields, dtype=np.int64).reshape(m, 2)
+    except (ValueError, OverflowError):
+        stop = next(e for e, f in enumerate(fields) if not _is_int_pair(f))
+        pairs = np.array(fields[:stop], dtype=np.int64).reshape(stop, 2)
+    graph = AdjacencyMatrix(n, pairs[:, 0], pairs[:, 1], kind="custom",
+                            params={"source": str(path)})
+    if stop < m:  # no earlier line was at fault
+        raise ValueError(f"malformed edge line {lines[1 + stop]!r}")
+    return graph

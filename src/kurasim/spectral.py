@@ -141,8 +141,13 @@ def cdt_eigensystem(c: GeneratingVector | np.ndarray) -> EigenSystem:
 
 
 def _symmetric_entries(a: AdjacencyMatrix | np.ndarray) -> np.ndarray:
-    """The entries of a as a float array, checked to be square and symmetric."""
-    entries = np.asarray(getattr(a, "entries", a), dtype=float)
+    """The entries of a as a float array, checked to be square and symmetric.
+
+    An AdjacencyMatrix is symmetric by construction and is not checked again.
+    """
+    if isinstance(a, AdjacencyMatrix):
+        return a.entries
+    entries = np.asarray(a, dtype=float)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {entries.shape}")
     asym = np.abs(entries - entries.T).max() if entries.size else 0.0
@@ -247,8 +252,11 @@ def chebyshev_operator(a: AdjacencyMatrix | np.ndarray) -> ChebyshevOperator:
     (the Zhou-Li estimate), never beyond the Gershgorin bounds.
     """
     entries = _symmetric_entries(a)
-    diag = np.diag(entries)
-    radii = np.abs(entries).sum(axis=1) - np.abs(diag)
+    if isinstance(a, AdjacencyMatrix):  # a 0/1 matrix with a zero diagonal
+        diag, radii = np.zeros(a.n), a.degrees()
+    else:
+        diag = np.diag(entries)
+        radii = np.abs(entries).sum(axis=1) - np.abs(diag)
     ritz_lo, ritz_hi, beta = _lanczos_extremes(entries, _LANCZOS_STEPS)
     return ChebyshevOperator(n=entries.shape[0], entries=entries,
                              lo=max(ritz_lo - beta, float((diag - radii).min())),

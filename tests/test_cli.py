@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: artifacts, exit codes, manifests, reproducibility."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,22 @@ def test_figure1_late_time_wander_is_deterministic(tmp_path, capsys):
     assert float(line.split("=")[1]) == pytest.approx(0.571942040061515, rel=1e-9)
 
 
+def test_figure1_honours_zero_t_end(tmp_path):
+    assert _run(["figure", "1", "--t-end", 0, "--out", tmp_path]) == 0
+    for name in ("trajectory_numerical.csv", "trajectory_analytic.csv"):
+        rows = _read_csv_rows(tmp_path / name)
+        assert len(rows) == 2 and rows[1].startswith("0.0,"), name
+
+
+@pytest.mark.parametrize("fig, flag", [(2, "--t-end"), (3, "--t-end"), (4, "--t-end"),
+                                       (1, "--kappa"), (2, "--kappa"), (3, "--kappa")])
+def test_figure_rejects_flags_of_other_figures(tmp_path, capsys, fig, flag):
+    assert _run(["figure", fig, flag, 5, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_figure3_smoke(tmp_path, capsys):
     assert _run(["figure", "3", "--points", 5, "--realizations", 2,
                  "--jobs", 1, "--out", tmp_path]) == 0
@@ -237,6 +254,26 @@ def test_figure3_smoke(tmp_path, capsys):
         assert 0.0 <= vals[3] <= 1.0
     manifest = load_manifest(tmp_path / "manifest.json")
     assert manifest["artifacts"] == ["sweep.csv"]
+
+
+# ------------------------------------------------------------ memory
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "ring", "--n", 200000, "--k", 2],
+    ["spectrum", "--graph", "ring", "--n", 20000, "--k", 3, "--mode", "cdt"],
+    ["simulate", "--graph", "ring", "--n", 20000, "--k", 3, "--kappa", 1,
+     "--method", "analytic", "--t-end", 0.01],
+], ids=["graph", "spectrum", "simulate"])
+def test_ring_commands_allocate_no_dense_matrix(tmp_path, argv):
+    n = argv[argv.index("--n") + 1]
+    tracemalloc.start()
+    try:
+        assert _run([*argv, "--out", tmp_path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # O(n) bytes, where one n x n float array takes 8 n^2
+    assert peak < 2048 * n
 
 
 # --------------------------------------------------------------- manifests

@@ -1,5 +1,6 @@
 """Graph generators, the circulant embedding, and edge-list I/O."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from kurasim.graphs import (
     ring_generating_vector,
     write_edge_list,
 )
+from kurasim.seeding import rng_for
 
 
 # ---------------------------------------------------------------- validation
@@ -30,25 +32,101 @@ def test_adjacency_rejects_asymmetric():
     m = np.zeros((3, 3))
     m[0, 1] = 1.0
     with pytest.raises(ValueError):
-        AdjacencyMatrix(n=3, entries=m, kind="custom", params={})
+        AdjacencyMatrix.from_dense(n=3, entries=m, kind="custom", params={})
 
 
 def test_adjacency_rejects_self_loops():
     m = np.eye(3)
     with pytest.raises(ValueError):
-        AdjacencyMatrix(n=3, entries=m, kind="custom", params={})
+        AdjacencyMatrix.from_dense(n=3, entries=m, kind="custom", params={})
 
 
 def test_adjacency_rejects_non_binary():
     m = np.zeros((2, 2))
     m[0, 1] = m[1, 0] = 0.5
     with pytest.raises(ValueError):
-        AdjacencyMatrix(n=2, entries=m, kind="custom", params={})
+        AdjacencyMatrix.from_dense(n=2, entries=m, kind="custom", params={})
 
 
 def test_adjacency_rejects_shape_mismatch():
     with pytest.raises(ValueError):
-        AdjacencyMatrix(n=3, entries=np.zeros((2, 2)), kind="custom", params={})
+        AdjacencyMatrix.from_dense(n=3, entries=np.zeros((2, 2)), kind="custom", params={})
+
+
+def test_edges_are_stored_sorted_and_checked():
+    g = AdjacencyMatrix(4, [2, 0, 1], [3, 3, 2])
+    assert g.rows.tolist() == [0, 1, 2] and g.cols.tolist() == [3, 2, 3]
+    assert g.edge_count == 3 and g.degrees().tolist() == [1, 1, 2, 2]
+    assert g.entries is g.entries and not g.entries.flags.writeable
+    for rows, cols, match in (([0, 1, 0], [1, 2, 1], r"duplicate edge \(0, 1\)"),
+                              ([1], [1], r"edge \(1, 1\) violates"),
+                              ([0], [4], r"edge \(0, 4\) violates"),
+                              ([0.0], [1.0], "integer"),
+                              ([0, 1], [1], "equal length")):
+        with pytest.raises(ValueError, match=match):
+            AdjacencyMatrix(4, rows, cols)
+
+
+def _dense_ring(n, k):
+    idx = np.arange(n)
+    d = np.abs(idx[:, None] - idx[None, :])
+    d = np.minimum(d, n - d)
+    return ((d >= 1) & (d <= k)).astype(float)
+
+
+def _dense_erdos_renyi(n, p, seed):
+    iu, ju = np.triu_indices(n, k=1)
+    hit = rng_for(seed, "erdos_renyi").random(iu.size) < p
+    m = np.zeros((n, n))
+    m[iu[hit], ju[hit]] = m[ju[hit], iu[hit]] = 1.0
+    return m
+
+
+def _dense_watts_strogatz(n, k, q, seed):
+    # the reference rewiring loop on a dense matrix: the neighbour-set
+    # generator must make the same draws and pick the same nodes
+    rng = rng_for(seed, "watts_strogatz")
+    m = _dense_ring(n, k)
+    for i in range(n):
+        for off in range(1, k + 1):
+            j = (i + off) % n
+            if rng.random() >= q:
+                continue
+            m[i, j] = m[j, i] = 0.0
+            candidates = np.flatnonzero(m[i] == 0.0)
+            candidates = candidates[candidates != i]
+            t = candidates[rng.integers(candidates.size)]
+            m[i, t] = m[t, i] = 1.0
+    return m
+
+
+_SEEDS = st.integers(min_value=0, max_value=2**32)
+_FAMILIES = st.one_of(
+    st.integers(min_value=2, max_value=40).flatmap(lambda n: st.tuples(
+        st.just(gen_ring), st.just(_dense_ring),
+        st.tuples(st.just(n), st.integers(min_value=1, max_value=n // 2)))),
+    st.tuples(st.just(gen_complete), st.just(lambda n: 1.0 - np.eye(n)),
+              st.tuples(st.integers(min_value=2, max_value=40))),
+    st.tuples(st.just(gen_erdos_renyi), st.just(_dense_erdos_renyi),
+              st.tuples(st.integers(min_value=2, max_value=40),
+                        st.floats(min_value=0.0, max_value=1.0), _SEEDS)),
+    st.integers(min_value=6, max_value=40).flatmap(lambda n: st.tuples(
+        st.just(gen_watts_strogatz), st.just(_dense_watts_strogatz),
+        st.tuples(st.just(n), st.integers(min_value=1, max_value=n // 2 - 1),
+                  st.floats(min_value=0.0, max_value=1.0), _SEEDS))),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_FAMILIES)
+def test_edge_arrays_match_dense_construction(case):
+    gen, dense_gen, args = case
+    g, dense = gen(*args), dense_gen(*args)
+    assert np.array_equal(g.entries, dense)
+    assert g.edge_count == int(dense.sum()) // 2
+    assert np.array_equal(g.degrees(), dense.sum(axis=1))
+    h = AdjacencyMatrix.from_dense(g.n, dense)
+    assert np.array_equal(h.rows, g.rows) and np.array_equal(h.cols, g.cols)
 
 
 # ---------------------------------------------------------------------- ring
@@ -208,16 +286,110 @@ def test_edge_list_round_trip(tmp_path):
 
 
 def test_edge_list_rejects_malformed(tmp_path):
-    for body in ("3 1\n0 1\n1 2\n",      # count mismatch
-                 "3 2\n0 1\n0 1\n",      # duplicate edge
-                 "3 1\n1 0\n",           # not i < j
-                 "3 1\n0 3\n",           # node out of range
-                 "3 1\n0 0\n",           # self loop
-                 "junk\n"):
+    for body, match in (
+            ("3 1\n0 1\n1 2\n", "header promises 1 edges, file has 2"),  # count mismatch
+            ("3 2\n0 1\n0 1\n", r"duplicate edge \(0, 1\)"),
+            ("3 1\n1 0\n", r"edge \(1, 0\) violates 0 <= i < j < n=3"),  # not i < j
+            ("3 1\n0 3\n", r"edge \(0, 3\) violates"),  # node out of range
+            ("3 1\n0 -1\n", r"edge \(0, -1\) violates"),
+            ("3 1\n0 0\n", r"edge \(0, 0\) violates"),  # self loop
+            ("junk\n", "malformed edge-list header 'junk'"),
+            ("3 1 1\n0 1\n", "malformed edge-list header '3 1 1'"),
+            ("3 1\n0 1 2\n", "malformed edge line '0 1 2'"),  # three tokens
+            ("3 2\n0 1\n2\n", "malformed edge line '2'"),
+            ("3 1\n0 x\n", "malformed edge line '0 x'"),
+            ("3 1\n0 99999999999999999999\n", "malformed edge line"),
+            ("\n  \n", "empty edge-list file")):
         path = tmp_path / "bad.txt"
         path.write_text(body)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             read_edge_list(path)
+
+
+@pytest.mark.parametrize("body, match", [
+    ("5 4\n0 1\n2 9\n0 1\n1 x\n", r"edge \(2, 9\) violates"),
+    ("5 4\n0 1\n1 x\n0 1\n2 9\n", "malformed edge line '1 x'"),
+    ("5 4\n0 1\n0 1\n1 x\n2 9\n", r"duplicate edge \(0, 1\)"),
+    ("5 4\n3 4\n0 1\n3 4\n4 2\n", r"duplicate edge \(3, 4\)"),
+    ("5 4\n1 2\n0 1\n1 2\n0 1\n", r"duplicate edge \(1, 2\)"),
+    ("5 3\n4 2\n0 1\n0 1\n", r"edge \(4, 2\) violates"),
+], ids=["range", "malformed", "duplicate", "unsorted-duplicate", "first-repeat", "range-first"])
+def test_edge_list_reports_first_bad_line(tmp_path, body, match):
+    path = tmp_path / "bad.txt"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=match):
+        read_edge_list(path)
+
+
+def test_edge_list_skips_blank_lines(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("\n4 2\n\n2 3\n   \n0 1\n\n")
+    g = read_edge_list(path)
+    assert (g.n, g.edge_count) == (4, 2)
+    assert g.rows.tolist() == [0, 2] and g.cols.tolist() == [1, 3]
+
+
+def test_shuffled_edge_list_reads_back_canonical(tmp_path):
+    path = tmp_path / "g.txt"
+    write_edge_list(gen_watts_strogatz(60, 3, 0.4, 2), path)
+    sorted_bytes = path.read_bytes()
+    header, *body = sorted_bytes.decode().splitlines()
+    np.random.default_rng(0).shuffle(body)
+    path.write_text("\n".join([header, *body]) + "\n")
+    write_edge_list(read_edge_list(path), path)
+    assert path.read_bytes() == sorted_bytes
+
+
+# sha256 of write_edge_list output, recorded from the dense-matrix generators
+# that the edge-array generators replaced
+GOLDEN_EDGE_LISTS = [
+    (gen_ring, (5, 1), "4a66125c2bb3dbfab3c668b7aee22324e038a384bd5d7dec2ba209e998a2b73d"),
+    (gen_ring, (8, 4), "1e2ecc1e89815835b832f4fc8a274b799d7931ac93e5aaed4b80773ced878bec"),
+    (gen_ring, (7, 3), "51ac8588af7eae34e8cc91650d0b3eb8146ae2ecb8f5218311140fa1ac6b711d"),
+    (gen_ring, (64, 3), "dfa2c70a79a0c798d2b7a8e7ed8216a6d45ccf14d8a0672a0606ecda40ce845a"),
+    (gen_ring, (1500, 10), "58abcd13fb4ac6dd543221c96d664b0a141a8f19a8c306b636159567ef0ff403"),
+    (gen_complete, (2,), "4a6ae7226283a4b6277ce3e77a91585c0cad93929046f3c7bd9105d7ed101834"),
+    (gen_complete, (3,), "7c0343f77a3c54a7b291511fde0fd472255dbdfd45e57dc93771a4b4e021c6ad"),
+    (gen_complete, (200,), "c5d83e6c367a65e23777557f98e53686d222478055c25ebfca8e57c3a9446764"),
+    (gen_erdos_renyi, (10, 0.0, 1),
+     "88401cdce0f0466b01d2dbdde250d17cab1a783cd5a7d82bba6da2a3cb8c3338"),
+    (gen_erdos_renyi, (10, 1.0, 1),
+     "1df85460ce06d8c58223cfd1f4578b56f4ca71b66182291bfa1732f3659ee352"),
+    (gen_erdos_renyi, (60, 0.25, 13),
+     "a45fa01dcb1ea8a7dc9a1cca64c21dceeb4ba509a6e056cbb7c7a962cc0fefa0"),
+    (gen_erdos_renyi, (200, 0.2, 0),
+     "b214820c741448b8ef42a556747357fee086dcacd44813f7adf855926eacdedd"),
+    (gen_erdos_renyi, (1500, 0.01, 4),
+     "a882624cfd072b4ca01533734a0f38774b67c60afda5adc0cc74769c00894422"),
+    (gen_watts_strogatz, (6, 2, 1.0, 0),
+     "4626cf6e6068c372f3c64b163f57349595c2303c4a3eda81dffcc6a37d585ab5"),
+    (gen_watts_strogatz, (7, 2, 0.9, 2),
+     "0086b6f92d1f493e376f6e4bbd359d59175e09574f1fc40546fe64713dfa9fa0"),
+    (gen_watts_strogatz, (9, 3, 1.0, 1),
+     "55aca84688dafbcf43b387e677bb157e821d2f6c8fcec436e654954237dd30a9"),
+    (gen_watts_strogatz, (20, 2, 1.0, 5),
+     "dca7308b6fe6c2a11c6741982740a28fd752fc7ca170aa3146c047ebbb8d79e3"),
+    (gen_watts_strogatz, (40, 4, 0.3, 9),
+     "3ac1720509ccb7dfcb2579f1c6222bff4dc2a557ad88dec52bcc94a17090493f"),
+    (gen_watts_strogatz, (200, 5, 0.1, 0),
+     "2469f02b6736a706db1c5b415f3d92e94ce50520fb8a953d2906565efa2b90ae"),
+    (gen_watts_strogatz, (200, 3, 0.5, 2**32 - 1),
+     "475e7b55f8cd2555eeb4e8ea8e82dcd0d27157044f19d26807bbbf2a9e398788"),
+    (gen_watts_strogatz, (1500, 10, 0.1, 0),
+     "c3c56f76f6bead7468466e97ebcc718c92d5ee353023b958d73595a292ecb8e0"),
+    (gen_watts_strogatz, (1500, 10, 0.1, 3),
+     "6a70f5e0e846ca74bbd1244e871aec671194685f82338d511a82b101015aaede"),
+    (gen_watts_strogatz, (1500, 10, 0.1, 7),
+     "6bfaaab91942618eea508f95e91b837e234d71de0941d84629da8365a1237379"),
+]
+
+
+@pytest.mark.parametrize("gen, args, digest", GOLDEN_EDGE_LISTS,
+                         ids=[f"{g.__name__}{a}" for g, a, _ in GOLDEN_EDGE_LISTS])
+def test_edge_list_golden_bytes(tmp_path, gen, args, digest):
+    path = tmp_path / "g.txt"
+    write_edge_list(gen(*args), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_er_deterministic_across_processes():
