@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -12,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._text import fmt
+from ._text import fmt, read_json, write_json
 from .dynamics import (SimulationConfig, analytic_trajectory, initial_phases,
                        integrate_numerical, order_parameter,
                        write_trajectory_csv)
@@ -36,8 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     common.add_argument("--out", type=Path, default=Path("."),
                         help="output directory (default: current directory)")
-    common.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker pool size for the sweep (default: all cores)")
 
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--graph", required=True, metavar="KIND_OR_FILE",
@@ -78,15 +75,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = sub.add_parser("figure", parents=[common],
                            help="reproduce one of the four experiments")
     p_fig.add_argument("id", type=int, choices=[1, 2, 3, 4])
+    p_fig.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                       help="worker pool size for the sweep (default: all cores)")
+    # figure-only flags default to None, see _FIGURE_FLAGS
     p_fig.add_argument("--t-end", type=float, help="duration for figure 1 (default 1 s)")
-    p_fig.add_argument("--points", type=int, default=100, help="kappa grid size (figure 3)")
-    p_fig.add_argument("--realizations", type=int, default=10)
-    p_fig.add_argument("--full", action="store_true",
+    p_fig.add_argument("--points", type=int, help="kappa grid size (figure 3, default 100)")
+    p_fig.add_argument("--realizations", type=int, help="seeds per kappa (figure 3, default 10)")
+    p_fig.add_argument("--full", action="store_true", default=None,
                        help="figure 3 long mode: 1000 kappa points")
-    p_fig.add_argument("--variant", choices=["er", "ws"], default="er")
+    p_fig.add_argument("--variant", choices=["er", "ws"],
+                       help="random graph family for figure 4 (default er)")
     p_fig.add_argument("--kappa", type=float,
                        help="coupling override for figure 4 (default 50/N)")
     return parser
+
+
+# figure-only flag -> (the figure that reads it, its value when absent; run_fig4
+# derives kappa = 50/N)
+_FIGURE_FLAGS = {"t_end": (1, 1.0), "kappa": (4, None), "points": (3, 100),
+                 "realizations": (3, 10), "full": (3, False), "variant": (4, "er")}
 
 
 def _graph_from_args(args):
@@ -152,59 +159,55 @@ def _sorted_desc(values: np.ndarray) -> np.ndarray:
 
 def cmd_spectrum(args):
     graph = _graph_from_args(args)
-    lines = []
-    artifacts = []
-    if args.mode in ("cdt", "both") and graph.kind not in ("ring", "complete"):
-        raise ValueError(f"cdt mode requires a circulant source (ring or complete), "
-                         f"got {graph.kind!r}")
-    cdt_vals = num_vals = None
-    if args.mode in ("cdt", "both"):  # a circulant source: the closed-form spectrum
-        cdt_vals = _sorted_desc(eigensystem_for(graph).eigenvalues)
+    spectra = {}  # file name -> eigenvalues in descending order
+    if args.mode in ("cdt", "both"):
+        if graph.kind not in ("ring", "complete"):
+            raise ValueError(f"cdt mode requires a circulant source (ring or complete), "
+                             f"got {graph.kind!r}")
+        spectra["spectrum_cdt.csv"] = _sorted_desc(eigensystem_for(graph).eigenvalues)
     if args.mode in ("numerical", "both"):
-        num_vals = eigenvalues_symmetric(graph)
+        spectra["spectrum_numerical.csv"] = eigenvalues_symmetric(graph)
     if args.mode == "both":
-        artifacts.append(args.out / "spectrum_cdt.csv")
-        write_spectrum_csv(cdt_vals, artifacts[-1])
-        artifacts.append(args.out / "spectrum_numerical.csv")
-        write_spectrum_csv(num_vals, artifacts[-1])
-        gap = float(np.abs(cdt_vals - num_vals).max())
-        lines.append(f"max elementwise gap = {fmt(gap)}")
+        cdt_vals, num_vals = spectra.values()
+        lines = [f"max elementwise gap = {fmt(np.abs(cdt_vals - num_vals).max())}"]
     else:
-        vals = cdt_vals if args.mode == "cdt" else num_vals
-        artifacts.append(args.out / "spectrum.csv")
-        write_spectrum_csv(vals, artifacts[-1])
-        lines.append(f"spectrum: {graph.n} eigenvalues, largest = {fmt(vals[0].real)}")
-    return artifacts, lines, {}
+        (vals,) = spectra.values()
+        spectra = {"spectrum.csv": vals}
+        lines = [f"spectrum: {graph.n} eigenvalues, largest = {fmt(vals[0].real)}"]
+    for name, vals in spectra.items():
+        write_spectrum_csv(vals, args.out / name)
+    return [args.out / name for name in spectra], lines, {}
 
 
 def cmd_figure(args):
-    if args.t_end is not None and args.id != 1:
-        raise ValueError(f"--t-end applies to figure 1 only, not figure {args.id}")
-    if args.kappa is not None and args.id != 4:
-        raise ValueError(f"--kappa applies to figure 4 only, not figure {args.id}")
-    if args.id == 1:
-        out = run_fig1(seed=args.seed, t_end=1.0 if args.t_end is None else args.t_end,
-                       out_dir=args.out)
-        lines = [f"max wrapped deviation = {fmt(out.report.max_wrapped_deviation)}"]
-        return out.artifacts, lines, {}
-    if args.id == 2:
-        out = run_fig2(seed=args.seed, out_dir=args.out)
-        lines = [f"max wrapped deviation = {fmt(out.report.max_wrapped_deviation)}",
-                 f"mean |r| gap = {fmt(out.report.mean_abs_order_gap)}"]
-        return out.artifacts, lines, {}
+    for dest, (figure, default) in _FIGURE_FLAGS.items():
+        if getattr(args, dest) is None:
+            if args.id == figure:
+                setattr(args, dest, default)  # so the manifest records the value used
+        elif args.id != figure:
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"{flag} applies to figure {figure} only, not figure {args.id}")
     if args.id == 3:
-        points = 1000 if args.full else args.points
+        args.points = 1000 if args.full else args.points
         path = args.out / "sweep.csv"
-        result = run_fig3(points=points, realizations=args.realizations,
+        result = run_fig3(points=args.points, realizations=args.realizations,
                           seed=args.seed, jobs=args.jobs, out_csv=path)
         gap = float(np.abs(result.mean_abs_r_numerical - result.mean_abs_r_analytic).mean())
-        lines = [f"sweep: {points} kappa points x {args.realizations} realizations, "
+        lines = [f"sweep: {args.points} kappa points x {args.realizations} realizations, "
                  f"mean |r| gap = {fmt(gap)}"]
         return [path], lines, {}
-    out = run_fig4(args.variant, seed=args.seed, kappa=args.kappa, out_dir=args.out)
-    r_final = float(out.report.order_param_series_numerical[-1])
-    lines = [f"final numerical |r| = {fmt(r_final)}",
-             f"max wrapped deviation = {fmt(out.report.max_wrapped_deviation)}"]
+    if args.id == 1:
+        out = run_fig1(seed=args.seed, t_end=args.t_end, out_dir=args.out)
+    elif args.id == 2:
+        out = run_fig2(seed=args.seed, out_dir=args.out)
+    else:
+        out = run_fig4(args.variant, seed=args.seed, kappa=args.kappa, out_dir=args.out)
+    report = out.report
+    lines = [f"max wrapped deviation = {fmt(report.max_wrapped_deviation)}"]
+    if args.id == 2:
+        lines.append(f"mean |r| gap = {fmt(report.mean_abs_order_gap)}")
+    if args.id == 4:
+        lines.insert(0, f"final numerical |r| = {fmt(report.order_param_series_numerical[-1])}")
     return out.artifacts, lines, {}
 
 
@@ -221,8 +224,7 @@ def _manifest_params(args) -> dict:
     return params
 
 
-def load_manifest(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="ascii"))
+load_manifest = read_json
 
 
 def main(argv=None) -> int:
@@ -249,9 +251,7 @@ def main(argv=None) -> int:
         "duration_s": time.perf_counter() - start,
         **extra,
     }
-    manifest_path = args.out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                             encoding="ascii")
+    manifest_path = write_json(args.out / "manifest.json", manifest)
     for line in lines:
         print(line)
     for p in artifacts + [manifest_path]:

@@ -11,7 +11,6 @@ frame removed.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._text import fmt
+from ._text import read_json, read_table, write_json, write_table
 from .graphs import AdjacencyMatrix
 from .seeding import rng_for
 from .spectral import ChebyshevOperator, EigenSystem, Propagator
@@ -57,8 +56,8 @@ def wrap_phase(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("wrap_phase requires finite input")
-    w = np.remainder(arr, TWO_PI)
-    w = np.where(w > np.pi, w - TWO_PI, w)
+    w = np.remainder(arr, TWO_PI, out=np.empty_like(arr))
+    np.subtract(w, TWO_PI, out=w, where=w > np.pi)
     return float(w) if np.isscalar(x) or arr.ndim == 0 else w
 
 
@@ -312,10 +311,10 @@ def analytic_amplitudes(es: EigenSystem | ChebyshevOperator, cfg: SimulationConf
 
 def order_parameter(theta: np.ndarray):
     """Complex mean of unit phasors over the last axis; |r| = 1 is full synchrony."""
-    arr = np.asarray(theta, dtype=float)
-    if arr.shape[-1] < 1:
+    z = np.asarray(theta, dtype=float) * 1j
+    if z.shape[-1] < 1:
         raise ValueError("order parameter needs at least one phase")
-    return np.exp(1j * arr).mean(axis=-1)
+    return np.exp(z, out=z).mean(axis=-1)
 
 
 def write_trajectory_csv(traj: Trajectory, cfg: SimulationConfig, path: str | Path,
@@ -325,37 +324,20 @@ def write_trajectory_csv(traj: Trajectory, cfg: SimulationConfig, path: str | Pa
     The sidecar (same basename, ".meta" suffix) records the full
     SimulationConfig so a run can be identified and reproduced later.
     """
-    path = Path(path)
     header = "t," + ",".join(f"theta_{i}" for i in range(traj.n))
-    lines = [header]
-    for t, row in zip(traj.times, traj.states):
-        lines.append(",".join([fmt(t)] + [fmt(v) for v in row]))
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    meta = {"source": traj.source, "config": cfg.to_dict()}
-    if extra_meta:
-        meta.update(extra_meta)
-    path.with_suffix(".meta").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="ascii")
+    path = write_table(path, header, np.column_stack((traj.times, traj.states)))
+    write_json(path.with_suffix(".meta"),
+               {"source": traj.source, "config": cfg.to_dict(), **(extra_meta or {})})
     return path
 
 
 def read_trajectory_csv(path: str | Path):
     """Read a trajectory CSV back; returns (Trajectory, meta dict or None)."""
     path = Path(path)
-    lines = path.read_text(encoding="ascii").splitlines()
-    if not lines or not lines[0].startswith("t,theta_0"):
+    header, table = read_table(path)
+    if not header.startswith("t,theta_0"):
         raise ValueError(f"not a trajectory CSV: {path}")
-    n = len(lines[0].split(",")) - 1
-    times, states = [], []
-    for ln in lines[1:]:
-        cells = [float(tok) for tok in ln.split(",")]
-        if len(cells) != n + 1:
-            raise ValueError(f"row with {len(cells) - 1} phases, expected {n}")
-        times.append(cells[0])
-        states.append(cells[1:])
-    meta = None
     meta_path = path.with_suffix(".meta")
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text(encoding="ascii"))
+    meta = read_json(meta_path) if meta_path.exists() else None
     source = meta.get("source", "numerical") if meta else "numerical"
-    return Trajectory(np.asarray(times), np.asarray(states), source), meta
+    return Trajectory(table[:, 0], table[:, 1:], source), meta

@@ -9,7 +9,6 @@ logarithmic kappa grid.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._text import fmt
+from ._text import fmt, parse_table, read_json, read_table, write_json, write_table
 from .dynamics import (SimulationConfig, Trajectory, analytic_trajectory,
                        initial_phases, integrate_numerical, order_parameter,
                        step_states, wrap_phase, write_trajectory_csv)
@@ -66,6 +65,12 @@ class SweepResult:
     realizations: int
     seeds: list = field(default_factory=list)
 
+    @classmethod
+    def from_rows(cls, rows, realizations: int = 0, seeds=()) -> SweepResult:
+        """From rows of the five SWEEP_HEADER columns."""
+        cols = np.asarray(rows, dtype=float).reshape(-1, 5).T
+        return cls(*cols, realizations=realizations, seeds=list(seeds))
+
 
 @dataclass(eq=False)
 class FigureOutput:
@@ -81,8 +86,8 @@ def compare_trajectories(a: Trajectory, b: Trajectory) -> ComparisonReport:
         raise ValueError(f"trajectory shapes differ: {a.states.shape} vs {b.states.shape}")
     if not np.array_equal(a.times, b.times):
         raise ValueError("trajectories must share identical sample times")
-    dev = np.abs(wrap_phase(a.states - b.states))
-    per_time = dev.max(axis=1)
+    dev = wrap_phase(a.states - b.states)
+    per_time = np.abs(dev, out=dev).max(axis=1)
     r_a = np.abs(order_parameter(a.states))
     r_b = np.abs(order_parameter(b.states))
     return ComparisonReport(
@@ -96,14 +101,9 @@ def compare_trajectories(a: Trajectory, b: Trajectory) -> ComparisonReport:
 
 
 def write_report_csv(report: ComparisonReport, path: str | Path) -> Path:
-    path = Path(path)
-    lines = [REPORT_HEADER]
-    for t, d, rn, ra in zip(report.times, report.per_time_deviation,
-                            report.order_param_series_numerical,
-                            report.order_param_series_analytic):
-        lines.append(f"{fmt(t)},{fmt(d)},{fmt(rn)},{fmt(ra)}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    return path
+    return write_table(path, REPORT_HEADER, np.column_stack((
+        report.times, report.per_time_deviation,
+        report.order_param_series_numerical, report.order_param_series_analytic)))
 
 
 def write_pgm(states: np.ndarray, path: str | Path) -> Path:
@@ -122,27 +122,31 @@ def write_pgm(states: np.ndarray, path: str | Path) -> Path:
     return path
 
 
-def _comparison_pair(graph, es, kappa, omega, dt, t_end, seed, guard=True):
+def _run_comparison(graph, kappa, omega, seed, t_end, dt, out_dir, rasters) -> FigureOutput:
+    """Euler integration against the closed form from shared initial phases.
+
+    With out_dir given, writes the report, both trajectories with their
+    sidecars and, with rasters, a PGM of each.
+    """
     theta0 = initial_phases(graph.n, seed)
     cfg = SimulationConfig(graph=graph, kappa=kappa, omega=omega, dt=dt,
                            t_end=t_end, seed=seed, integrator="euler")
     num = integrate_numerical(cfg, theta0)
-    ana = analytic_trajectory(es, cfg, theta0, guard=guard)
-    return cfg, num, ana
-
-
-def _emit_comparison(out_dir, report, num, ana, cfg, rasters):
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = [write_report_csv(report, out_dir / "report.csv")]
-    for traj, name in ((num, "trajectory_numerical"), (ana, "trajectory_analytic")):
-        p = write_trajectory_csv(traj, cfg, out_dir / f"{name}.csv",
-                                 extra_meta={"method": traj.source})
-        artifacts.extend([p, p.with_suffix(".meta")])
-    if rasters:
-        artifacts.append(write_pgm(num.states, out_dir / "raster_numerical.pgm"))
-        artifacts.append(write_pgm(ana.states, out_dir / "raster_analytic.pgm"))
-    return artifacts
+    ana = analytic_trajectory(eigensystem_for(graph), cfg, theta0)
+    report = compare_trajectories(num, ana)
+    artifacts = []
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        artifacts.append(write_report_csv(report, out_dir / "report.csv"))
+        for traj in (num, ana):
+            p = write_trajectory_csv(traj, cfg, out_dir / f"trajectory_{traj.source}.csv",
+                                     extra_meta={"method": traj.source})
+            artifacts.extend([p, p.with_suffix(".meta")])
+        if rasters:
+            artifacts.extend(write_pgm(traj.states, out_dir / f"raster_{traj.source}.pgm")
+                             for traj in (num, ana))
+    return FigureOutput(report, num, ana, artifacts)
 
 
 def run_fig1(seed: int = 0, t_end: float = 1.0, dt: float = 1e-3,
@@ -152,14 +156,8 @@ def run_fig1(seed: int = 0, t_end: float = 1.0, dt: float = 1e-3,
     Euler integration against the closed form from shared uniform initial
     conditions; the headline metric is the maximum wrapped deviation.
     """
-    graph = gen_complete(3)
-    es = eigensystem_for(graph)
-    cfg, num, ana = _comparison_pair(graph, es, kappa=1.0, omega=2.0 * math.pi * 10.0,
-                                     dt=dt, t_end=t_end, seed=seed)
-    report = compare_trajectories(num, ana)
-    artifacts = _emit_comparison(out_dir, report, num, ana, cfg, rasters=False) \
-        if out_dir is not None else []
-    return FigureOutput(report, num, ana, artifacts)
+    return _run_comparison(gen_complete(3), 1.0, 2.0 * math.pi * 10.0, seed, t_end, dt,
+                           out_dir, rasters=False)
 
 
 def run_fig2(seed: int = 0, n: int = 200, kappa: float | None = None,
@@ -169,16 +167,9 @@ def run_fig2(seed: int = 0, n: int = 200, kappa: float | None = None,
     The analytic path uses the closed-form circulant spectrum of the
     complete graph rather than a numerical decomposition.
     """
-    if kappa is None:
-        kappa = 6.0 / n
-    graph = gen_complete(n)
-    es = eigensystem_for(graph)
-    cfg, num, ana = _comparison_pair(graph, es, kappa=kappa, omega=0.0,
-                                     dt=dt, t_end=t_end, seed=seed)
-    report = compare_trajectories(num, ana)
-    artifacts = _emit_comparison(out_dir, report, num, ana, cfg, rasters=True) \
-        if out_dir is not None else []
-    return FigureOutput(report, num, ana, artifacts)
+    kappa = 6.0 / n if kappa is None else kappa
+    return _run_comparison(gen_complete(n), kappa, 0.0, seed, t_end, dt, out_dir,
+                           rasters=True)
 
 
 def run_fig4(variant: str, seed: int = 0, n: int = 200, kappa: float | None = None,
@@ -191,19 +182,9 @@ def run_fig4(variant: str, seed: int = 0, n: int = 200, kappa: float | None = No
     """
     if variant not in ("er", "ws"):
         raise ValueError(f"unknown variant {variant!r}, expected 'er' or 'ws'")
-    if kappa is None:
-        kappa = 50.0 / n
-    if variant == "er":
-        graph = gen_erdos_renyi(n, p, seed)
-    else:
-        graph = gen_watts_strogatz(n, k, q, seed)
-    es = eigensystem_for(graph)
-    cfg, num, ana = _comparison_pair(graph, es, kappa=kappa, omega=0.0,
-                                     dt=dt, t_end=t_end, seed=seed)
-    report = compare_trajectories(num, ana)
-    artifacts = _emit_comparison(out_dir, report, num, ana, cfg, rasters=True) \
-        if out_dir is not None else []
-    return FigureOutput(report, num, ana, artifacts)
+    graph = gen_erdos_renyi(n, p, seed) if variant == "er" else gen_watts_strogatz(n, k, q, seed)
+    kappa = 50.0 / n if kappa is None else kappa
+    return _run_comparison(graph, kappa, 0.0, seed, t_end, dt, out_dir, rasters=True)
 
 
 # one cache per worker process: the sweep reuses the same complete graph
@@ -247,23 +228,11 @@ def _mean_abs_r_of(x):
     return np.abs(x.mean(axis=0)).mean()
 
 
-def _parse_sweep_lines(lines, path):
-    if not lines or lines[0] != SWEEP_HEADER:
-        raise ValueError(f"not a sweep CSV: {path}")
-    rows = [tuple(float(tok) for tok in ln.split(",")) for ln in lines[1:]]
-    for i, row in enumerate(rows):
-        if len(row) != 5:
-            raise ValueError(f"sweep row {i} of {path} has {len(row)} fields, expected 5")
-    return rows
-
-
 def read_sweep_csv(path: str | Path) -> SweepResult:
-    path = Path(path)
-    rows = _parse_sweep_lines(path.read_text(encoding="ascii").splitlines(), path)
-    arr = np.asarray(rows, dtype=float).reshape(len(rows), 5)
-    return SweepResult(kappas=arr[:, 0], mean_abs_r_numerical=arr[:, 1],
-                       std_numerical=arr[:, 2], mean_abs_r_analytic=arr[:, 3],
-                       std_analytic=arr[:, 4], realizations=0)
+    header, table = read_table(path)
+    if header != SWEEP_HEADER:
+        raise ValueError(f"not a sweep CSV: {path}")
+    return SweepResult.from_rows(table)
 
 
 def _resume_sweep(path: Path, config: dict) -> list:
@@ -275,7 +244,7 @@ def _resume_sweep(path: Path, config: dict) -> list:
     meta_path = path.with_suffix(".meta")
     if not meta_path.exists():
         raise ValueError(f"cannot resume {path}: parameter sidecar {meta_path.name} is missing")
-    stored = json.loads(meta_path.read_text(encoding="ascii")).get("config")
+    stored = read_json(meta_path).get("config")
     if stored != config:
         raise ValueError(f"cannot resume {path}: it was written with {stored}, "
                          f"this run has {config}")
@@ -287,7 +256,10 @@ def _resume_sweep(path: Path, config: dict) -> list:
     if keep != data:
         with path.open("r+b") as fh:
             fh.truncate(len(keep))
-    return _parse_sweep_lines(lines, path)
+    header, table = parse_table(lines, path)
+    if header != SWEEP_HEADER:
+        raise ValueError(f"not a sweep CSV: {path}")
+    return table.tolist()
 
 
 def run_fig3(points: int = 100, realizations: int = 10, seed: int = 0,
@@ -309,7 +281,6 @@ def run_fig3(points: int = 100, realizations: int = 10, seed: int = 0,
     kappas = np.logspace(math.log10(kappa_lo), math.log10(kappa_hi), points)
     seeds = [seed + r for r in range(realizations)]
     rows = []
-    fh = None
     if out_csv is not None:
         out_csv = Path(out_csv)
         config = {"n": int(n), "seed": int(seed), "realizations": int(realizations),
@@ -326,26 +297,16 @@ def run_fig3(points: int = 100, realizations: int = 10, seed: int = 0,
                                      f"expected {fmt(kappas[i])}")
         else:
             # the sidecar goes first: a CSV without one is never resumed
-            out_csv.with_suffix(".meta").write_text(
-                json.dumps({"config": config}, indent=2, sort_keys=True) + "\n",
-                encoding="ascii")
-            out_csv.write_text(SWEEP_HEADER + "\n", encoding="ascii")
-        fh = out_csv.open("a", encoding="ascii")
+            write_json(out_csv.with_suffix(".meta"), {"config": config})
+            write_table(out_csv, SWEEP_HEADER, np.empty((0, 5)))
     tasks = [(n, float(kappas[i]), seeds, dt, t_end) for i in range(len(rows), points)]
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and len(tasks) > 1 else None
     try:
         for row in pool.map(_sweep_task, tasks) if pool else map(_sweep_task, tasks):
             rows.append(row)
-            if fh is not None:
-                fh.write(",".join(fmt(v) for v in row) + "\n")
-                fh.flush()
+            if out_csv is not None:  # appended row by row, so an interrupted sweep resumes
+                write_table(out_csv, None, [row])
     finally:
         if pool is not None:
             pool.shutdown()
-        if fh is not None:
-            fh.close()
-    arr = np.asarray(rows, dtype=float)
-    return SweepResult(kappas=arr[:, 0], mean_abs_r_numerical=arr[:, 1],
-                       std_numerical=arr[:, 2], mean_abs_r_analytic=arr[:, 3],
-                       std_analytic=arr[:, 4], realizations=realizations,
-                       seeds=seeds)
+    return SweepResult.from_rows(rows, realizations, seeds)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._text import write_table
 from .seeding import rng_for
 
 __all__ = [
@@ -231,9 +232,7 @@ def circulant(c: GeneratingVector | np.ndarray) -> np.ndarray:
 
 def write_edge_list(a: AdjacencyMatrix, path: str | Path) -> None:
     """Plain-text edge list: first line "n m", then m lines "i j" with i < j, sorted."""
-    pairs = np.column_stack((a.rows, a.cols)).ravel().tolist()
-    text = f"{a.n} {a.edge_count}\n" + "%d %d\n" * a.edge_count % tuple(pairs)
-    Path(path).write_text(text, encoding="ascii")
+    write_table(path, f"{a.n} {a.edge_count}", np.column_stack((a.rows, a.cols)), sep=" ")
 
 
 def _is_int_pair(tokens: list[str]) -> bool:

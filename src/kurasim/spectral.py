@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._text import fmt
+from ._text import read_table, write_table
 from .graphs import AdjacencyMatrix, GeneratingVector, ring_generating_vector
 from .seeding import rng_for
 
@@ -41,6 +41,8 @@ __all__ = [
     "write_spectrum_csv",
     "read_spectrum_csv",
 ]
+
+SPECTRUM_HEADER = "lambda_re,lambda_im"
 
 # log(float64 max); exponents beyond this overflow exp() to inf
 _EXP_LIMIT = float(np.log(np.finfo(float).max))
@@ -495,17 +497,11 @@ def apply_propagator(system: EigenSystem | ChebyshevOperator, gamma: float, t: f
 def write_spectrum_csv(eigenvalues: np.ndarray, path: str | Path) -> None:
     """One header line, then one "lambda_re,lambda_im" row per eigenvalue."""
     vals = np.asarray(eigenvalues, dtype=complex)
-    lines = ["lambda_re,lambda_im"]
-    lines.extend(f"{fmt(v.real)},{fmt(v.imag)}" for v in vals)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_table(path, SPECTRUM_HEADER, np.column_stack((vals.real, vals.imag)))
 
 
 def read_spectrum_csv(path: str | Path) -> np.ndarray:
-    lines = Path(path).read_text(encoding="ascii").splitlines()
-    if not lines or lines[0] != "lambda_re,lambda_im":
+    header, table = read_table(path)
+    if header != SPECTRUM_HEADER:
         raise ValueError(f"not a spectrum CSV: {path}")
-    out = []
-    for ln in lines[1:]:
-        re_s, im_s = ln.split(",")
-        out.append(complex(float(re_s), float(im_s)))
-    return np.asarray(out, dtype=complex)
+    return table.view(complex)[:, 0]  # each (re, im) row read as one complex

@@ -1,13 +1,14 @@
 """End-to-end CLI behavior: artifacts, exit codes, manifests, reproducibility."""
 
 import json
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from kurasim import spectral
-from kurasim.cli import load_manifest, main
+from kurasim.cli import build_parser, load_manifest, main
 from kurasim.dynamics import read_trajectory_csv
 
 
@@ -233,12 +234,39 @@ def test_figure1_honours_zero_t_end(tmp_path):
         assert len(rows) == 2 and rows[1].startswith("0.0,"), name
 
 
+# the value each figure-only flag is given, where 5 would not parse
+_FLAG_VALUES = {"--full": [], "--variant": ["ws"]}
+
+
 @pytest.mark.parametrize("fig, flag", [(2, "--t-end"), (3, "--t-end"), (4, "--t-end"),
-                                       (1, "--kappa"), (2, "--kappa"), (3, "--kappa")])
+                                       (1, "--kappa"), (2, "--kappa"), (3, "--kappa"),
+                                       (1, "--points"), (4, "--points"),
+                                       (2, "--realizations"), (2, "--full"),
+                                       (1, "--variant"), (3, "--variant")])
 def test_figure_rejects_flags_of_other_figures(tmp_path, capsys, fig, flag):
-    assert _run(["figure", fig, flag, 5, "--out", tmp_path]) == 2
+    assert _run(["figure", fig, flag, *_FLAG_VALUES.get(flag, [5]), "--out", tmp_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and flag in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_figure_manifest_records_the_values_used(tmp_path):
+    assert _run(["figure", "1", "--out", tmp_path / "f1"]) == 0
+    params = load_manifest(tmp_path / "f1" / "manifest.json")["params"]
+    assert params["t_end"] == 1.0
+    assert params["points"] is params["full"] is params["variant"] is None
+    assert _run(["figure", "3", "--points", 2, "--realizations", 1, "--jobs", 1,
+                 "--out", tmp_path / "f3"]) == 0
+    params = load_manifest(tmp_path / "f3" / "manifest.json")["params"]
+    assert (params["points"], params["full"], params["jobs"]) == (2, False, 1)
+    assert params["t_end"] is params["kappa"] is params["variant"] is None
+
+
+def test_only_figure_takes_jobs(tmp_path):
+    assert build_parser().parse_args(["figure", "3"]).jobs == (os.cpu_count() or 1)
+    with pytest.raises(SystemExit) as exc:
+        _run(["graph", "ring", "--n", 5, "--k", 1, "--jobs", 7, "--out", tmp_path])
+    assert exc.value.code == 2
     assert not (tmp_path / "manifest.json").exists()
 
 

@@ -1,10 +1,14 @@
 """Packaging constraints that no single module's tests can see."""
 
+import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 import kurasim
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Imports every kurasim module, runs the Chebyshev route once, and reports
 # whether scipy was loaded along the way: it is installed next to numpy on
@@ -30,3 +34,16 @@ def test_no_module_imports_scipy():
     out = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True, text=True,
                          env={"PYTHONPATH": src}, timeout=120, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_benchmark_hooks_resolve():
+    # bench/tracing.py wraps these by module attribute, and bench/workloads.py
+    # calls the second list; a refactor that moves one breaks only the benchmark
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)  # stdlib only
+    called = [("dynamics", "read_trajectory_csv"), ("dynamics", "wrap_phase"),
+              ("spectral", "read_spectrum_csv"), ("experiments", "read_sweep_csv"),
+              ("experiments", "REPORT_HEADER"), ("graphs", "read_edge_list")]
+    for module, name in [*tracing.LAYER_METRIC, *called]:
+        assert hasattr(importlib.import_module(f"kurasim.{module}"), name), (module, name)
