@@ -48,15 +48,16 @@ class IntegrationError(RuntimeError):
     pass
 
 
-def wrap_phase(x):
+def wrap_phase(x, out=None):
     """Wrap angles to (-pi, pi]; the boundary -pi maps to +pi.
 
     Idempotent, works elementwise on arrays, rejects non-finite input.
+    out, a float array shaped like x (x itself is allowed), takes the result.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("wrap_phase requires finite input")
-    w = np.remainder(arr, TWO_PI, out=np.empty_like(arr))
+    w = np.remainder(arr, TWO_PI, out=np.empty_like(arr) if out is None else out)
     np.subtract(w, TWO_PI, out=w, where=w > np.pi)
     return float(w) if np.isscalar(x) or arr.ndim == 0 else w
 
@@ -157,6 +158,28 @@ class Trajectory:
         return self.states.shape[1]
 
 
+def _kernel(graph: AdjacencyMatrix) -> Callable[[np.ndarray], tuple]:
+    """theta -> (coupling, sums); see coupling_kernel.
+
+    sums is (sum cos theta, sum sin theta) over the last axis, with the axis
+    kept, where the mean-field form computes them, and None otherwise.
+    """
+    n = graph.n
+    if graph.edge_count == n * (n - 1) // 2:  # every pair coupled
+        def kernel(theta):
+            c, s = np.cos(theta), np.sin(theta)
+            sum_c, sum_s = c.sum(axis=-1, keepdims=True), s.sum(axis=-1, keepdims=True)
+            return c * sum_s - s * sum_c, (sum_c, sum_s)
+    else:
+        entries = graph.entries
+
+        def kernel(theta):
+            c, s = np.cos(theta), np.sin(theta)
+            # A is symmetric, so x @ A applies it to every row of a batch
+            return c * (s @ entries) - s * (c @ entries), None
+    return kernel
+
+
 def coupling_kernel(graph: AdjacencyMatrix) -> Callable[[np.ndarray], np.ndarray]:
     """The coupling sum_j a_ij sin(theta_j - theta_i), chosen once per graph.
 
@@ -167,20 +190,8 @@ def coupling_kernel(graph: AdjacencyMatrix) -> Callable[[np.ndarray], np.ndarray
     Kuramoto's mean-field form at O(n) per row. Any other graph takes two real
     matrix products.
     """
-    n = graph.n
-    if graph.edge_count == n * (n - 1) // 2:  # every pair coupled
-        def kernel(theta):
-            c, s = np.cos(theta), np.sin(theta)
-            return (c * s.sum(axis=-1, keepdims=True)
-                    - s * c.sum(axis=-1, keepdims=True))
-    else:
-        entries = graph.entries
-
-        def kernel(theta):
-            c, s = np.cos(theta), np.sin(theta)
-            # A is symmetric, so x @ A applies it to every row of a batch
-            return c * (s @ entries) - s * (c @ entries)
-    return kernel
+    kernel = _kernel(graph)
+    return lambda theta: kernel(theta)[0]
 
 
 def km_rhs(theta: np.ndarray, cfg: SimulationConfig) -> np.ndarray:
@@ -188,34 +199,54 @@ def km_rhs(theta: np.ndarray, cfg: SimulationConfig) -> np.ndarray:
     return cfg.omega + cfg.kappa * coupling_kernel(cfg.graph)(np.asarray(theta, dtype=float))
 
 
-def step_states(cfg: SimulationConfig, theta0: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+def step_states(cfg: SimulationConfig, theta0: np.ndarray,
+                order: bool = False) -> Iterator[tuple]:
     """Yield (step, state) after each fixed step from theta0, shaped (n,) or (batch, n).
 
+    With order, yield (step, state, r) instead, from step 0 (theta0 itself)
+    on, r the order parameter of state per row. On the complete graph r is
+    (sum cos + i sum sin) / n from the sums of the mean-field kernel, which
+    evaluates each state at the start of the next step, so only the last
+    state needs cos/sin of its own; on other graphs r is order_parameter.
     States stay unwrapped. Raises IntegrationError with the step index as
     soon as the state turns non-finite.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape[-1:] != (cfg.graph.n,) or theta0.ndim > 2:
         raise ValueError(f"theta0 shape {theta0.shape} does not match graph size {cfg.graph.n}")
-    kernel = coupling_kernel(cfg.graph)
-    kappa, omega, dt = cfg.kappa, cfg.omega, cfg.dt
+    kernel = _kernel(cfg.graph)
+    kappa, omega, dt, n_steps = cfg.kappa, cfg.omega, cfg.dt, cfg.n_steps
+
+    def stage(theta):
+        coupling, sums = kernel(theta)
+        return omega + kappa * coupling, sums
 
     def rhs(theta):
-        return omega + kappa * kernel(theta)
+        return stage(theta)[0]
+
+    def order_of(theta, sums):
+        if sums is None:
+            return order_parameter(theta)
+        return (sums[0] + 1j * sums[1])[..., 0] / cfg.graph.n
 
     state = theta0.copy()
-    for step in range(1, cfg.n_steps + 1):
+    # the first stage of each step is evaluated as soon as its state exists
+    slope, sums = stage(state) if n_steps else (None, None)
+    if order:
+        yield 0, state, order_of(state, sums)
+    for step in range(1, n_steps + 1):
         if cfg.integrator == "euler":
-            state = state + dt * rhs(state)
+            state = state + dt * slope
         else:
-            k1 = rhs(state)
+            k1 = slope
             k2 = rhs(state + 0.5 * dt * k1)
             k3 = rhs(state + 0.5 * dt * k2)
             k4 = rhs(state + dt * k3)
             state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(state)):
             raise IntegrationError(f"non-finite state at step {step}")
-        yield step, state
+        slope, sums = stage(state) if step < n_steps else (None, None)
+        yield (step, state, order_of(state, sums)) if order else (step, state)
 
 
 def integrate_numerical(cfg: SimulationConfig, theta0: np.ndarray) -> Trajectory:
@@ -263,13 +294,16 @@ def analytic_trajectory(es: EigenSystem | ChebyshevOperator, cfg: SimulationConf
     if prop.terms is not None:
         diagnostics.update(chebyshev_terms=prop.terms, interval=[es.lo, es.hi])
     del prop  # its factors: one (n, samples) array fewer while the phases are read out
-    modulus = np.abs(states)
-    top = modulus.max(axis=0)
-    relative = np.divide(modulus.min(axis=0), top, out=np.zeros_like(top), where=top > 0.0)
-    del modulus
+    # one (samples, n) array holds the moduli, then the phases, in place
+    phases = np.abs(states.T, out=np.empty((times.size, es.n)))
+    top = phases.max(axis=1)
+    relative = np.divide(phases.min(axis=1), top, out=np.zeros_like(top), where=top > 0.0)
     diagnostics.update(guard_shift=float(shift[-1]), min_relative_modulus=float(relative.min()))
-    # np.angle lands in [-pi, pi]; the add-back then re-wraps to (-pi, pi]
-    phases = wrap_phase(np.angle(states).T + cfg.omega * times[:, None])
+    # np.angle's arctan2 lands in [-pi, pi]; the add-back then re-wraps to (-pi, pi]
+    np.arctan2(states.imag.T, states.real.T, out=phases)
+    del states
+    phases += cfg.omega * times[:, None]
+    wrap_phase(phases, out=phases)
     if times[0] == 0.0:  # exp(i*theta) -> arg round-trip is not bit-exact
         phases[0] = wrap_phase(theta0)
     return Trajectory(times=times, states=phases, source="analytic", diagnostics=diagnostics)

@@ -196,8 +196,9 @@ def _sweep_task(task):
     the time-averaged |r|, numerical and analytic.
 
     All seeds step together as one (seeds, n) state, and |r| is summed as
-    the run goes, so no trajectory is stored. The analytic route builds one
-    propagator per row and then evaluates one seed at a time.
+    the run goes from the order parameters step_states hands over, so no
+    trajectory is stored. The analytic route builds one propagator per row
+    and then evaluates one seed at a time.
     """
     n, kappa, seeds, dt, t_end = task
     if n not in _SWEEP_CACHE:
@@ -206,9 +207,9 @@ def _sweep_task(task):
     graph, es = _SWEEP_CACHE[n]
     cfg = SimulationConfig(graph=graph, kappa=kappa, dt=dt, t_end=t_end)
     theta0 = np.array([initial_phases(n, s) for s in seeds])
-    r_num = np.abs(order_parameter(theta0))
-    for _, state in step_states(cfg, theta0):
-        r_num += np.abs(order_parameter(state))
+    r_num = np.zeros(len(seeds))
+    for _, _, r in step_states(cfg, theta0, order=True):
+        r_num += np.abs(r)
     r_num /= cfg.n_steps + 1
     prop = Propagator(es, cfg.gamma, cfg.sample_times())
     r_ana = np.array([_mean_abs_r_of(prop(np.exp(1j * th))[0]) for th in theta0])

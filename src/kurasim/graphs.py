@@ -37,9 +37,11 @@ class AdjacencyMatrix:
     The edges are stored as int arrays, edge e joining rows[e] < cols[e], in
     lexicographic order; the constructor sorts them and raises ValueError
     naming the first edge, in the order given, that is outside
-    0 <= i < j < n or repeats an earlier one. entries, the symmetric n x n
-    float matrix of exact 0.0 and 1.0, is built from the arrays on first
-    read and kept, read-only. from_dense builds a graph from such a matrix.
+    0 <= i < j < n or repeats an earlier one. Sorted intp arrays are kept as
+    given, not copied, so they must not be changed. entries, the symmetric
+    n x n float matrix of exact 0.0 and 1.0, is built from the arrays on
+    first read and kept, read-only. from_dense builds a graph from such a
+    matrix.
     params echoes the generator parameters (k, p, q, seed as applicable).
     """
 
@@ -57,10 +59,11 @@ class AdjacencyMatrix:
                 or rows.size and not (np.issubdtype(rows.dtype, np.integer)
                                       and np.issubdtype(cols.dtype, np.integer))):
             raise ValueError("edges must be two 1-d integer arrays of equal length")
-        rows, cols = rows.astype(np.intp), cols.astype(np.intp)
+        rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
         bad = np.flatnonzero((rows < 0) | (rows >= cols) | (cols >= self.n))
         stop = bad[0] if bad.size else rows.size
-        key = rows[:stop] * self.n + cols[:stop]
+        key = rows[:stop] * self.n
+        key += cols[:stop]
         order = slice(None)  # sorted without repeats, as generated or written
         if np.any(key[1:] <= key[:-1]):
             order = np.argsort(key, kind="stable")  # equal keys keep the order given
@@ -140,13 +143,27 @@ def gen_ring(n: int, k: int) -> AdjacencyMatrix:
     neighbour is shared between the two directions and the degree is n - 1.
     """
     _check_ring_params(n, k)
-    # node i meets i + d (mod n) for d = 1..k; the antipodal d = n/2 once
-    i = np.repeat(np.arange(n), k)
-    d = np.tile(np.arange(1, k + 1), n)
-    keep = (2 * d != n) | (i < n // 2)
-    i, j = i[keep], (i[keep] + d[keep]) % n
-    return AdjacencyMatrix(n, np.minimum(i, j), np.maximum(i, j), kind="ring",
-                           params={"k": int(k)})
+    return AdjacencyMatrix(n, *_ring_edges(n, k), kind="ring", params={"k": int(k)})
+
+
+def _ring_edges(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The i < j edge arrays of gen_ring(n, k), in lexicographic order.
+
+    i < j are neighbours iff j - i is at most k or at least n - k, so node i
+    meets i + o for the offsets o < n - i, ascending. Nodes k..n-k-1 keep
+    exactly the offsets 1..k and are filled as one block.
+    """
+    offsets = np.concatenate((np.arange(1, k + 1), np.arange(max(k + 1, n - k), n)))
+    counts = np.searchsorted(offsets, n - np.arange(n))
+    rows = np.repeat(np.arange(n), counts)
+    ends = np.cumsum(counts)
+    cols = rows.copy()
+    if k < n - k:
+        block = cols[ends[k - 1]:ends[n - k - 1]].reshape(n - 2 * k, k)
+        block += offsets[:k]
+    for i in [*range(min(k, n - k)), *range(max(k, n - k), n)]:
+        cols[ends[i] - counts[i]:ends[i]] += offsets[:counts[i]]
+    return rows, cols
 
 
 def gen_complete(n: int) -> AdjacencyMatrix:

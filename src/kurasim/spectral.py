@@ -2,14 +2,15 @@
 
 Circulant matrices share one Fourier eigenbasis, so ring and complete graphs
 get their spectra in closed form, one FFT of the generating vector, and store
-no basis at all. Any other symmetric adjacency matrix needs no eigenvectors:
-its exponential is applied as a Chebyshev expansion over an interval that
-holds the spectrum, bounded by Gershgorin discs and tightened by a few
-Lanczos steps. The numerical eigendecomposition, which keeps its real
-eigenvectors, is the reference the tests compare against, and the route a
-Chebyshev operator falls back to when a long horizon would need more matrix
-products than it costs. Propagator is the one evaluator for all of them,
-with the overflow guard built in.
+no basis at all; where every pair is coupled, A = J - I has two eigenspaces
+and its exponential needs no transform either. Any other symmetric adjacency
+matrix needs no eigenvectors: its exponential is applied as a Chebyshev
+expansion over an interval that holds the spectrum, bounded by Gershgorin
+discs and tightened by a few Lanczos steps. The numerical
+eigendecomposition, which keeps its real eigenvectors, is the reference the
+tests compare against, and the route a Chebyshev operator falls back to when
+a long horizon would need more matrix products than it costs. Propagator is
+the one evaluator for all of them, with the overflow guard built in.
 """
 
 from __future__ import annotations
@@ -81,13 +82,15 @@ class EigenSystem:
     conjugate Fourier matrix, which propagate applies with the FFT, and
     basis/inverse_basis build the dense matrices only when read. eigenvalues
     is complex-typed even when the values are real, so both sources expose
-    one interface.
+    one interface. complete marks the cdt eigensystem of a graph where every
+    pair is coupled, which Propagator applies through its two eigenspaces.
     """
 
     n: int
     eigenvalues: np.ndarray
     source: str
     vectors: np.ndarray | None = None
+    complete: bool = False
 
     @property
     def lambda_max(self) -> float:
@@ -274,13 +277,20 @@ def _ring_radius(graph: AdjacencyMatrix) -> int:
 def eigensystem_for(graph: AdjacencyMatrix) -> EigenSystem | ChebyshevOperator:
     """The route the closed form takes for graph.
 
-    Ring and complete graphs get the circulant (cdt) eigensystem, applied
-    with the FFT; any other graph the Chebyshev operator, which needs no
-    eigenvectors until Propagator finds a horizon long enough to make the
-    eigendecomposition the cheaper route.
+    A graph where every pair is coupled, whatever its kind, gets the
+    circulant (cdt) eigensystem of K_n marked complete, which Propagator
+    applies through its two eigenspaces; any other ring graph the cdt
+    eigensystem, applied with the FFT; any other graph the Chebyshev
+    operator, which needs no eigenvectors until Propagator finds a horizon
+    long enough to make the eigendecomposition the cheaper route.
     """
+    n = graph.n
+    if graph.edge_count == n * (n - 1) // 2:  # every pair coupled
+        es = cdt_eigensystem(np.append(0.0, np.ones(n - 1)))
+        es.complete = True
+        return es
     if graph.kind in ("ring", "complete"):
-        return cdt_eigensystem(ring_generating_vector(graph.n, _ring_radius(graph)))
+        return cdt_eigensystem(ring_generating_vector(n, _ring_radius(graph)))
     return chebyshev_operator(graph)
 
 
@@ -310,12 +320,16 @@ def propagator_exponents(es: EigenSystem, gamma: float, times: np.ndarray,
     expo = gamma * np.outer(es.eigenvalues, times)
     if guard:
         expo = expo - _guard_rate(es, gamma) * times[None, :]
-    peak = expo.real.max() if expo.size else 0.0
+    _check_exponent(expo.real.max() if expo.size else 0.0, guard)
+    return expo
+
+
+def _check_exponent(peak: float, guard: bool) -> None:
+    """Raise SpectralError when exp(peak) would overflow."""
     if peak > _EXP_LIMIT:
         hint = "" if guard else "; enable the overflow guard"
         raise SpectralError(f"propagator overflow: exponent {peak:.1f} exceeds "
                             f"the floating-point range{hint}")
-    return expo
 
 
 def _real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -376,7 +390,10 @@ class Propagator:
     from every log-modulus, so x(t) = exp(shift) * states; without the guard
     shift is 0. The guard never changes an argument.
 
-    On an eigensystem the guard subtracts t * max_r Re(gamma*lambda_r). On a
+    On an eigensystem the guard subtracts t * max_r Re(gamma*lambda_r). The
+    eigensystem of a complete graph is applied through its two eigenspaces,
+    in O(n) per sample, and its guard takes the exact eigenvalues n - 1 and
+    -1: t * max(gamma*(n - 1), -gamma). On a
     Chebyshev operator with interval [lo, hi], centre c and half-width r,
     exp(gamma*t*A) = e^{gamma*t*c + z} sum_k a_k T_k((A - c*I)/r) with
     z = |gamma|*t*r, a_0 = e^{-z} I_0(z) and a_k = 2 sign(gamma)^k e^{-z} I_k(z),
@@ -414,8 +431,28 @@ class Propagator:
 
     def _decompose(self, es: EigenSystem) -> None:
         self.system, self.terms = es, None
+        if es.complete:
+            self._two_eigenspaces(es.n)
+            return
         self._factors = np.exp(propagator_exponents(es, self._gamma, self._times, self.guard))
         self._shift = (_guard_rate(es, self._gamma) if self.guard else 0.0) * self._times
+
+    def _two_eigenspaces(self, n: int) -> None:
+        """Factors a, b with exp(gamma*t*(J - I)) x0 = a x0 + b mean(x0) 1 per sample.
+
+        The mean spans the eigenspace of n - 1 and the rest that of -1, so
+        a = e^{-gamma*t} and b = e^{gamma*(n-1)*t} - e^{-gamma*t}, each
+        divided by the guard's e^{shift}; b is taken through expm1 of the
+        gap gamma*n*t, from the larger of its two exponentials.
+        """
+        gamma, times = self._gamma, self._times
+        top, low = gamma * (n - 1) * times, -gamma * times
+        peak = np.maximum(top, low)
+        self._shift = peak if self.guard else np.zeros_like(times)
+        _check_exponent(float((peak - self._shift).max()), self.guard)
+        gap = gamma * n * times
+        self._a = np.exp(low - self._shift)
+        self._b = np.exp(peak - self._shift) * -np.expm1(-np.abs(gap)) * np.sign(gap)
 
     def _expand(self, op: ChebyshevOperator) -> None:
         gamma, times = self._gamma, self._times
@@ -446,7 +483,11 @@ class Propagator:
         if x0.shape != (self.system.n,):
             raise ValueError(f"state shape {x0.shape} does not match dimension {self.system.n}")
         if self.terms is None:
-            return propagate(self.system, x0, self._factors), self._shift
+            if not self.system.complete:
+                return propagate(self.system, x0, self._factors), self._shift
+            states = np.multiply.outer(self._a, x0)  # (samples, n), as on the Chebyshev route
+            states += (self._b * x0.mean())[:, None]
+            return states.T, self._shift
         coeffs = self._coeffs
         states = np.empty((self._offsets.size, self.system.n), dtype=complex)
         shift = self._rate * self._offsets
@@ -469,10 +510,7 @@ class Propagator:
                     base += math.log(scale)
                 base += self._rate * self._tau
         if not self.guard:
-            peak = float(shift.max())
-            if peak > _EXP_LIMIT:
-                raise SpectralError(f"propagator overflow: exponent {peak:.1f} exceeds "
-                                    f"the floating-point range; enable the overflow guard")
+            _check_exponent(float(shift.max()), self.guard)
             states *= np.exp(shift)[:, None]
             shift = np.zeros_like(shift)
         return states.T, shift

@@ -113,6 +113,14 @@ def test_simulate_analytic_overflow_exits_3(tmp_path, capsys):
                  "--method", "analytic", "--out", tmp_path]) == 0
 
 
+def test_simulate_complete_graph_long_horizon_overflow_exits_3(tmp_path, capsys):
+    # gamma * (n - 1) * t_end is about 6.3e4 here; the run fails before any sample
+    code = _run(["simulate", "--graph", "complete", "--n", 200, "--kappa", 50,
+                 "--t-end", 10, "--method", "analytic", "--no-guard", "--out", tmp_path])
+    assert code == 3
+    assert "enable the overflow guard" in capsys.readouterr().err
+
+
 def test_simulate_repulsive_coupling_guard(tmp_path, monkeypatch):
     # kappa < 0: the dominant mode is lambda_min, and the guard must shift by it
     argv = ["simulate", "--graph", "complete", "--n", 200, "--kappa", -5,
@@ -268,6 +276,15 @@ def test_only_figure_takes_jobs(tmp_path):
         _run(["graph", "ring", "--n", 5, "--k", 1, "--jobs", 7, "--out", tmp_path])
     assert exc.value.code == 2
     assert not (tmp_path / "manifest.json").exists()
+
+
+def test_figure3_rows_do_not_depend_on_jobs(tmp_path):
+    for jobs in (1, 2):
+        assert _run(["figure", "3", "--points", 20, "--realizations", 4, "--jobs", jobs,
+                     "--out", tmp_path / f"jobs{jobs}"]) == 0
+    serial = (tmp_path / "jobs1" / "sweep.csv").read_bytes()
+    assert serial == (tmp_path / "jobs2" / "sweep.csv").read_bytes()
+    assert len(serial.splitlines()) == 21
 
 
 def test_figure3_smoke(tmp_path, capsys):

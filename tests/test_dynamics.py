@@ -1,6 +1,7 @@
 """Phase wrapping, integration, the closed-form trajectory, and order parameter."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,34 @@ def test_phase_sum_conservation(family, integrator):
         assert np.abs(drift).max() < 1e-9
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_step_states_hands_over_the_order_parameter(family, integrator):
+    graph = FAMILIES[family]
+    cfg = SimulationConfig(graph=graph, kappa=0.5, omega=3.0, dt=1e-3, t_end=0.05,
+                           integrator=integrator)
+    batch = np.array([initial_phases(graph.n, s) for s in range(3)])
+    for theta0 in (batch, batch[1]):
+        plain = list(step_states(cfg, theta0))
+        with_order = list(step_states(cfg, theta0, order=True))
+        assert [s for s, *_ in with_order] == list(range(cfg.n_steps + 1))
+        assert np.array_equal(with_order[0][1], theta0)
+        for (step, state), (step_o, state_o, r) in zip(plain, with_order[1:]):
+            # the same states, bit for bit, whether or not r is handed over
+            assert step == step_o and np.array_equal(state, state_o)
+        for _, state, r in with_order:
+            assert np.shape(r) == theta0.shape[:-1]
+            assert np.abs(r - order_parameter(state)).max() <= 1e-13
+
+
+def test_step_states_order_with_no_steps():
+    cfg = _cfg(t_end=0.0)
+    theta0 = initial_phases(3, 2)
+    assert list(step_states(cfg, theta0)) == []
+    ((step, state, r),) = step_states(cfg, theta0, order=True)
+    assert step == 0 and abs(r - order_parameter(theta0)) <= 1e-15
+
+
 # -------------------------------------------------------------- integration
 
 def test_zero_coupling_freezes_state():
@@ -220,6 +249,24 @@ def test_analytic_t0_row_is_bit_exact():
     th0 = initial_phases(3, 2)
     traj = analytic_trajectory(ES3, _cfg(seed=2), th0)
     assert np.array_equal(traj.states[0], wrap_phase(th0))
+
+
+def test_analytic_readout_memory_is_bounded():
+    # the phases are read out in place: the complex states plus one
+    # (samples, n) float array, where moduli, angles, the drift add-back and
+    # the wrapped copy each took a float array of their own
+    graph = gen_complete(200)
+    cfg = SimulationConfig(graph=graph, kappa=0.03, omega=5.0, dt=1e-3, t_end=1.0)
+    es, theta0 = eigensystem_for(graph), initial_phases(200, 0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traj = analytic_trajectory(es, cfg, theta0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # measured 24.2 bytes per node and sample (48.1 with a copy per step)
+    assert peak <= 26 * traj.states.size
 
 
 def test_analytic_synchronized_state_is_stationary():

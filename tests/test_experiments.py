@@ -12,6 +12,7 @@ from kurasim.dynamics import (
     initial_phases,
     integrate_numerical,
     order_parameter,
+    step_states,
     wrap_phase,
 )
 from kurasim.experiments import (
@@ -230,6 +231,20 @@ def test_sweep_row_matches_per_pair_path(kappa):
     want = (kappa, np.mean(r_num), np.std(r_num), np.mean(r_ana), np.std(r_ana))
     row = _sweep_task((n, kappa, seeds, dt, t_end))
     assert row == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def test_sweep_numerical_r_matches_order_parameter_of_the_states():
+    # the sweep reads |r| from the mean-field kernel's sums; order_parameter
+    # takes exp() of every phase of the same states
+    n, kappa, seeds, dt, t_end = 200, 2.0, [0, 1, 2], 1e-3, 0.3
+    cfg = SimulationConfig(graph=gen_complete(n), kappa=kappa, dt=dt, t_end=t_end)
+    theta0 = np.array([initial_phases(n, s) for s in seeds])
+    r = np.abs(order_parameter(theta0))
+    for _, state in step_states(cfg, theta0):
+        r += np.abs(order_parameter(state))
+    r /= cfg.n_steps + 1
+    row = _sweep_task((n, kappa, seeds, dt, t_end))
+    assert abs(row[1] - r.mean()) <= 1e-13 and abs(row[2] - r.std()) <= 1e-13
 
 
 # ------------------------------------------------------------------- fig 4

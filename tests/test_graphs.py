@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,32 @@ def test_ring_invalid_params():
         gen_ring(5, 0)
     with pytest.raises(ValueError):
         gen_ring(5, 3)
+
+
+def test_ring_edges_match_dense_ring_for_every_radius():
+    for n in range(2, 41):
+        for k in range(1, n // 2 + 1):
+            g = gen_ring(n, k)
+            rows, cols = np.nonzero(np.triu(_dense_ring(n, k), 1))
+            assert np.array_equal(g.rows, rows) and np.array_equal(g.cols, cols), (n, k)
+
+
+def test_sorted_int_edges_are_kept_without_a_copy():
+    rows, cols = np.triu_indices(50, 1)
+    g = AdjacencyMatrix(50, rows, cols)
+    assert np.shares_memory(g.rows, rows) and np.shares_memory(g.cols, cols)
+
+
+def test_ring_generation_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        g = gen_ring(200_000, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the two edge arrays, the constructor's int64 sort key and a few bool
+    # masks: measured 1.56 times the edge bytes (5.6 with the old temporaries)
+    assert peak <= 1.75 * (g.rows.nbytes + g.cols.nbytes)
 
 
 def test_complete_equals_max_radius_ring():

@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kurasim.dynamics import SimulationConfig, analytic_trajectory, initial_phases
+from kurasim.dynamics import (SimulationConfig, analytic_amplitudes, analytic_trajectory,
+                              initial_phases)
 from kurasim.graphs import (
     AdjacencyMatrix,
     GeneratingVector,
@@ -512,6 +513,85 @@ def test_chebyshev_on_an_empty_graph_is_the_identity():
     x0 = np.exp(1j * np.arange(10.0))
     states, shift = Propagator(op, 2.0, [0.0, 1.5])(x0)
     assert np.array_equal(states, np.column_stack([x0, x0])) and not shift.any()
+
+
+# ----------------------------------------------------------- complete graphs
+
+def _complete_from_file(n, tmp_path):
+    path = tmp_path / f"k{n}.edges"
+    write_edge_list(gen_complete(n), path)
+    return read_edge_list(path)
+
+
+def test_eigensystem_for_marks_every_pair_coupled(tmp_path):
+    for graph in (gen_complete(2), gen_complete(200), gen_ring(9, 4), gen_ring(10, 5),
+                  _complete_from_file(7, tmp_path)):
+        es = eigensystem_for(graph)
+        assert es.source == "cdt" and es.complete, graph.kind
+        want = cdt_eigenvalues(ring_generating_vector(graph.n, graph.n // 2))
+        assert np.array_equal(es.eigenvalues, want)
+    for graph in (gen_ring(9, 3), gen_ring(200, 99)):
+        assert not eigensystem_for(graph).complete
+    assert not cdt_eigensystem(ring_generating_vector(9, 4)).complete
+
+
+@pytest.mark.parametrize("graph", [gen_complete(2), gen_complete(3), gen_complete(200),
+                                   gen_ring(9, 4)], ids=["K2", "K3", "K200", "ring9-4"])
+@pytest.mark.parametrize("gamma", [0.7, -0.4, 0.0])
+@pytest.mark.parametrize("guard", [True, False])
+def test_complete_route_matches_fft_and_eigh(graph, gamma, guard):
+    n = graph.n
+    es = eigensystem_for(graph)
+    times = np.linspace(0.0, 2.0, 11)
+    x0 = np.exp(1j * initial_phases(n, 3))
+    prop = Propagator(es, gamma, times, guard)
+    assert prop.system is es and prop.terms is None
+    states, shift = prop(x0)
+    assert states.shape == (n, times.size)
+    assert np.array_equal(states[:, 0], x0)  # the t = 0 sample is x0 itself
+    want_shift = times * max(gamma * (n - 1), -gamma) if guard else 0.0 * times
+    assert np.array_equal(shift, want_shift)
+    for route in (cdt_eigensystem(ring_generating_vector(n, n // 2)),
+                  eigendecompose_symmetric(graph)):
+        want, route_shift = Propagator(route, gamma, times, guard)(x0)
+        assert np.abs(shift - route_shift).max() <= 1e-12 * max(1.0, np.abs(shift).max())
+        assert np.abs(states - want).max() <= 1e-12 * np.abs(want).max()
+        assert _wrapped_gap(np.angle(states), np.angle(want)) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.7, -0.4])
+def test_complete_route_amplitudes_match_unguarded_oracle(gamma):
+    graph = gen_complete(200)
+    cfg = SimulationConfig(graph=graph, kappa=gamma * np.pi / 2, dt=1e-3, t_end=1.0)
+    theta0 = initial_phases(200, 4)
+    oracle = analytic_amplitudes(eigendecompose_symmetric(graph), cfg, theta0, 1.0,
+                                 guard=False)
+    for guard in (True, False):
+        res = analytic_amplitudes(eigensystem_for(graph), cfg, theta0, 1.0, guard=guard)
+        assert res.shift == (max(gamma * 199, -gamma) if guard else 0.0)
+        assert np.abs(res.values - res.shift - oracle.values).max() <= 1e-12 * np.abs(
+            oracle.values).max()
+
+
+def test_complete_route_overflow():
+    es = eigensystem_for(gen_complete(200))
+    x0 = np.ones(200, dtype=complex)
+    with pytest.raises(SpectralError, match="enable the overflow guard"):
+        Propagator(es, 1.0, [0.0, 10.0], guard=False)
+    x = apply_propagator(es, 1.0, 10.0, x0)
+    assert np.abs(x - 1.0).max() <= 1e-15  # the uniform mode, rescaled to 1
+    # repulsive coupling: the guard divides by e^{gamma * t} instead
+    states, shift = Propagator(es, -30.0, [0.0, 10.0])(np.exp(1j * np.arange(200.0)))
+    assert shift[-1] == 300.0 and np.all(np.isfinite(states))
+
+
+def test_complete_route_holds_no_state_sized_factors():
+    es = eigensystem_for(gen_complete(200))
+    times = np.linspace(0.0, 1.0, 1001)
+    prop, _, kept = _peak_and_kept_bytes(lambda: Propagator(es, 0.5, times))
+    assert prop.terms is None
+    # two factor vectors and the shift, against 16 * n * samples for FFT factors
+    assert kept <= 4 * 8 * times.size
 
 
 # ---------------------------------------------------------------------- I/O

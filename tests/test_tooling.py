@@ -10,21 +10,26 @@ import kurasim
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
-# Imports every kurasim module, runs the Chebyshev route once, and reports
-# whether scipy was loaded along the way: it is installed next to numpy on
-# many hosts but is not a dependency of the package.
+# Imports every kurasim module, runs the Chebyshev route, the complete-graph
+# route and one figure-3 sweep row once, and reports whether scipy was loaded
+# along the way: it is installed next to numpy on many hosts but is not a
+# dependency of the package.
 _PROBE = """
 import importlib, pkgutil, sys
 import numpy as np
 import kurasim
 for mod in pkgutil.iter_modules(kurasim.__path__):
     importlib.import_module("kurasim." + mod.name)
-from kurasim.graphs import gen_watts_strogatz
+from kurasim.experiments import _sweep_task
+from kurasim.graphs import gen_complete, gen_watts_strogatz
 from kurasim.spectral import Propagator, eigensystem_for
-op = eigensystem_for(gen_watts_strogatz(200, 2, 0.3, 0))
-prop = Propagator(op, 0.5, np.linspace(0.0, 1.0, 5))
-states, _ = prop(np.ones(200, dtype=complex))
-assert prop.system.source == "chebyshev" and np.all(np.isfinite(states))
+for graph, source in ((gen_watts_strogatz(200, 2, 0.3, 0), "chebyshev"),
+                      (gen_complete(200), "cdt")):
+    prop = Propagator(eigensystem_for(graph), 0.5, np.linspace(0.0, 1.0, 5))
+    states, _ = prop(np.ones(200, dtype=complex))
+    assert prop.system.source == source and np.all(np.isfinite(states))
+assert eigensystem_for(gen_complete(200)).complete
+assert np.all(np.isfinite(_sweep_task((200, 1.0, [0, 1], 1e-3, 0.1))))
 print("scipy" in sys.modules)
 """
 
