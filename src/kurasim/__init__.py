@@ -15,10 +15,9 @@ from .dynamics import (AmplitudeResult, IntegrationError, SimulationConfig,
 from .experiments import (ComparisonReport, FigureOutput, SweepResult,
                           compare_trajectories, run_fig1, run_fig2, run_fig3,
                           run_fig4, write_pgm)
-from .graphs import (AdjacencyMatrix, GeneratingVector, circulant,
-                     gen_complete, gen_erdos_renyi, gen_ring,
-                     gen_watts_strogatz, read_edge_list,
-                     ring_generating_vector, write_edge_list)
+from .graphs import (AdjacencyMatrix, circulant, gen_complete,
+                     gen_erdos_renyi, gen_ring, gen_watts_strogatz,
+                     read_edge_list, ring_generating_vector, write_edge_list)
 from .seeding import rng_for
 from .spectral import (ChebyshevOperator, EigenSystem, Propagator,
                        SpectralError, apply_propagator, cdt_eigensystem,
@@ -28,7 +27,7 @@ from .spectral import (ChebyshevOperator, EigenSystem, Propagator,
 
 __all__ = [
     "__version__",
-    "AdjacencyMatrix", "GeneratingVector", "circulant", "gen_complete",
+    "AdjacencyMatrix", "circulant", "gen_complete",
     "gen_erdos_renyi", "gen_ring", "gen_watts_strogatz", "read_edge_list",
     "ring_generating_vector", "write_edge_list",
     "ChebyshevOperator", "EigenSystem", "Propagator", "SpectralError",

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._text import fmt, read_json, write_json
+from ._text import fmt, write_json
 from .dynamics import (SimulationConfig, analytic_trajectory, initial_phases,
                        integrate_numerical, order_parameter,
                        write_trajectory_csv)
@@ -161,10 +161,11 @@ def cmd_spectrum(args):
     graph = _graph_from_args(args)
     spectra = {}  # file name -> eigenvalues in descending order
     if args.mode in ("cdt", "both"):
-        if graph.kind not in ("ring", "complete"):
-            raise ValueError(f"cdt mode requires a circulant source (ring or complete), "
-                             f"got {graph.kind!r}")
-        spectra["spectrum_cdt.csv"] = _sorted_desc(eigensystem_for(graph).eigenvalues)
+        es = eigensystem_for(graph)
+        if es.source != "cdt":
+            raise ValueError(f"cdt mode requires a circulant source (a ring, or every pair "
+                             f"coupled), got {graph.kind!r}")
+        spectra["spectrum_cdt.csv"] = _sorted_desc(es.eigenvalues)
     if args.mode in ("numerical", "both"):
         spectra["spectrum_numerical.csv"] = eigenvalues_symmetric(graph)
     if args.mode == "both":
@@ -224,9 +225,6 @@ def _manifest_params(args) -> dict:
     return params
 
 
-load_manifest = read_json
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(argv)
@@ -237,6 +235,9 @@ def main(argv=None) -> int:
         artifacts, lines, extra = _DISPATCH[args.command](args)
     except (ValueError, OSError) as exc:  # invalid input, or a path that cannot be used
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a run too large for the memory at hand
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -158,14 +158,18 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def _kernel(graph: AdjacencyMatrix) -> Callable[[np.ndarray], tuple]:
-    """theta -> (coupling, sums); see coupling_kernel.
+def coupling_kernel(graph: AdjacencyMatrix) -> Callable[[np.ndarray], tuple]:
+    """theta -> (coupling, sums), the coupling sum_j a_ij sin(theta_j - theta_i).
 
-    sums is (sum cos theta, sum sin theta) over the last axis, with the axis
-    kept, where the mean-field form computes them, and None otherwise.
+    The returned function maps states shaped (n,) or (batch, n) to coupling
+    terms of the same shape. With c = cos(theta) and s = sin(theta) the sum is
+    c_i (A s)_i - s_i (A c)_i. Where every pair is coupled, A s and A c are the
+    row sums minus the node's own term, and the own terms cancel, so the
+    kernel is Kuramoto's mean-field form at O(n) per row; sums is then
+    (sum cos theta, sum sin theta) over the last axis, with the axis kept.
+    Any other graph takes two real matrix products, and sums is None.
     """
-    n = graph.n
-    if graph.edge_count == n * (n - 1) // 2:  # every pair coupled
+    if graph.is_complete:
         def kernel(theta):
             c, s = np.cos(theta), np.sin(theta)
             sum_c, sum_s = c.sum(axis=-1, keepdims=True), s.sum(axis=-1, keepdims=True)
@@ -180,23 +184,10 @@ def _kernel(graph: AdjacencyMatrix) -> Callable[[np.ndarray], tuple]:
     return kernel
 
 
-def coupling_kernel(graph: AdjacencyMatrix) -> Callable[[np.ndarray], np.ndarray]:
-    """The coupling sum_j a_ij sin(theta_j - theta_i), chosen once per graph.
-
-    The returned function maps states shaped (n,) or (batch, n) to coupling
-    terms of the same shape. With c = cos(theta) and s = sin(theta) the sum is
-    c_i (A s)_i - s_i (A c)_i. On the complete graph A s and A c are the row
-    sums minus the node's own term, and the own terms cancel, so the kernel is
-    Kuramoto's mean-field form at O(n) per row. Any other graph takes two real
-    matrix products.
-    """
-    kernel = _kernel(graph)
-    return lambda theta: kernel(theta)[0]
-
-
 def km_rhs(theta: np.ndarray, cfg: SimulationConfig) -> np.ndarray:
     """Right-hand side omega + kappa * sum_j a_ij sin(theta_j - theta_i)."""
-    return cfg.omega + cfg.kappa * coupling_kernel(cfg.graph)(np.asarray(theta, dtype=float))
+    coupling, _ = coupling_kernel(cfg.graph)(np.asarray(theta, dtype=float))
+    return cfg.omega + cfg.kappa * coupling
 
 
 def step_states(cfg: SimulationConfig, theta0: np.ndarray,
@@ -204,17 +195,18 @@ def step_states(cfg: SimulationConfig, theta0: np.ndarray,
     """Yield (step, state) after each fixed step from theta0, shaped (n,) or (batch, n).
 
     With order, yield (step, state, r) instead, from step 0 (theta0 itself)
-    on, r the order parameter of state per row. On the complete graph r is
-    (sum cos + i sum sin) / n from the sums of the mean-field kernel, which
-    evaluates each state at the start of the next step, so only the last
-    state needs cos/sin of its own; on other graphs r is order_parameter.
+    on, r the order parameter of state per row. Where every pair is coupled,
+    r is (sum cos + i sum sin) / n from the sums of the mean-field kernel,
+    which evaluates each state at the start of the next step, so only the
+    last state needs cos/sin of its own; on other graphs r is
+    order_parameter.
     States stay unwrapped. Raises IntegrationError with the step index as
     soon as the state turns non-finite.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape[-1:] != (cfg.graph.n,) or theta0.ndim > 2:
         raise ValueError(f"theta0 shape {theta0.shape} does not match graph size {cfg.graph.n}")
-    kernel = _kernel(cfg.graph)
+    kernel = coupling_kernel(cfg.graph)
     kappa, omega, dt, n_steps = cfg.kappa, cfg.omega, cfg.dt, cfg.n_steps
 
     def stage(theta):

@@ -187,10 +187,6 @@ def run_fig4(variant: str, seed: int = 0, n: int = 200, kappa: float | None = No
     return _run_comparison(graph, kappa, 0.0, seed, t_end, dt, out_dir, rasters=True)
 
 
-# one cache per worker process: the sweep reuses the same complete graph
-_SWEEP_CACHE: dict = {}
-
-
 def _sweep_task(task):
     """One kappa row of the sweep: kappa, then the mean and std over seeds of
     the time-averaged |r|, numerical and analytic.
@@ -201,17 +197,14 @@ def _sweep_task(task):
     and then evaluates one seed at a time.
     """
     n, kappa, seeds, dt, t_end = task
-    if n not in _SWEEP_CACHE:
-        graph = gen_complete(n)
-        _SWEEP_CACHE[n] = (graph, eigensystem_for(graph))
-    graph, es = _SWEEP_CACHE[n]
+    graph = gen_complete(n)
     cfg = SimulationConfig(graph=graph, kappa=kappa, dt=dt, t_end=t_end)
     theta0 = np.array([initial_phases(n, s) for s in seeds])
     r_num = np.zeros(len(seeds))
     for _, _, r in step_states(cfg, theta0, order=True):
         r_num += np.abs(r)
     r_num /= cfg.n_steps + 1
-    prop = Propagator(es, cfg.gamma, cfg.sample_times())
+    prop = Propagator(eigensystem_for(graph), cfg.gamma, cfg.sample_times())
     r_ana = np.array([_mean_abs_r_of(prop(np.exp(1j * th))[0]) for th in theta0])
     return (kappa, float(r_num.mean()), float(r_num.std()),
             float(r_ana.mean()), float(r_ana.std()))

@@ -18,7 +18,6 @@ from .seeding import rng_for
 
 __all__ = [
     "AdjacencyMatrix",
-    "GeneratingVector",
     "gen_ring",
     "gen_complete",
     "gen_erdos_renyi",
@@ -41,7 +40,8 @@ class AdjacencyMatrix:
     given, not copied, so they must not be changed. entries, the symmetric
     n x n float matrix of exact 0.0 and 1.0, is built from the arrays on
     first read and kept, read-only. from_dense builds a graph from such a
-    matrix.
+    matrix. is_complete tells whether every pair is coupled, whatever the
+    kind; the coupling kernel and the closed form's route both read it.
     params echoes the generator parameters (k, p, q, seed as applicable).
     """
 
@@ -108,24 +108,12 @@ class AdjacencyMatrix:
     def edge_count(self) -> int:
         return self.rows.size
 
+    @property
+    def is_complete(self) -> bool:
+        return self.edge_count == self.n * (self.n - 1) // 2
+
     def degrees(self) -> np.ndarray:
         return np.bincount(np.concatenate((self.rows, self.cols)), minlength=self.n)
-
-
-@dataclass(eq=False)
-class GeneratingVector:
-    """First row of a circulant matrix; c[0] = 0 for the graphs here."""
-
-    c: np.ndarray
-
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        if self.c.ndim != 1 or self.c.size < 1:
-            raise ValueError("generating vector must be a non-empty 1-d array")
-
-    @property
-    def n(self) -> int:
-        return self.c.size
 
 
 def _check_ring_params(n: int, k: int, strict_k: bool = False) -> None:
@@ -225,23 +213,23 @@ def gen_watts_strogatz(n: int, k: int, q: float, seed: int) -> AdjacencyMatrix:
                            params={"k": int(k), "q": float(q), "seed": int(seed)})
 
 
-def ring_generating_vector(n: int, k: int) -> GeneratingVector:
-    """First row of the ring adjacency matrix: c[0] = 0, c[j] = 1 iff the
-    circular distance of offset j from node 0 lies in [1, k]."""
+def ring_generating_vector(n: int, k: int) -> np.ndarray:
+    """First row of the ring adjacency matrix, as floats: c[0] = 0, c[j] = 1
+    iff the circular distance of offset j from node 0 lies in [1, k]."""
     _check_ring_params(n, k)
     offsets = np.arange(n)
     d = np.minimum(offsets, n - offsets)
-    return GeneratingVector(((d >= 1) & (d <= k)).astype(float))
+    return ((d >= 1) & (d <= k)).astype(float)
 
 
-def circulant(c: GeneratingVector | np.ndarray) -> np.ndarray:
+def circulant(c: np.ndarray) -> np.ndarray:
     """Materialize the circulant matrix of a generating vector.
 
     Entry (i, j) holds c[(i - j) mod n]. For the symmetric vectors produced
     by ring_generating_vector this coincides with placing c in the first row,
     and it is the orientation diagonalized by the Fourier matrix in spectral.
     """
-    vec = np.asarray(getattr(c, "c", c), dtype=float)
+    vec = np.asarray(c, dtype=float)
     n = vec.size
     idx = np.arange(n)
     return vec[(idx[:, None] - idx[None, :]) % n]

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ._text import read_table, write_table
-from .graphs import AdjacencyMatrix, GeneratingVector, ring_generating_vector
+from .graphs import AdjacencyMatrix, ring_generating_vector
 from .seeding import rng_for
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "ChebyshevOperator",
     "chebyshev_operator",
     "eigensystem_for",
-    "propagate",
     "Propagator",
     "apply_propagator",
     "write_spectrum_csv",
@@ -74,16 +73,16 @@ class SpectralError(RuntimeError):
 
 @dataclass(eq=False)
 class EigenSystem:
-    """Eigenvalues and (inverse) eigenbasis of an adjacency matrix.
+    """Eigenvalues of an adjacency matrix, with its eigenvectors where they are stored.
 
     A numerical eigensystem holds its real orthonormal eigenvectors as the
-    columns of vectors; basis is that array and inverse_basis its transpose
-    view. A circulant (cdt) eigensystem holds no vectors: its basis is the
-    conjugate Fourier matrix, which propagate applies with the FFT, and
-    basis/inverse_basis build the dense matrices only when read. eigenvalues
-    is complex-typed even when the values are real, so both sources expose
-    one interface. complete marks the cdt eigensystem of a graph where every
-    pair is coupled, which Propagator applies through its two eigenspaces.
+    columns of vectors. A circulant (cdt) eigensystem holds none: its
+    eigenvector columns are the conjugate Fourier modes, the columns of
+    cdt_fourier_matrix(n)^H, which Propagator applies with the FFT.
+    eigenvalues is complex-typed even when the values are real, so both
+    sources expose one interface. complete marks the cdt eigensystem of a
+    graph where every pair is coupled, which Propagator applies through its
+    two eigenspaces.
     """
 
     n: int
@@ -92,33 +91,15 @@ class EigenSystem:
     vectors: np.ndarray | None = None
     complete: bool = False
 
-    @property
-    def lambda_max(self) -> float:
-        return float(self.eigenvalues.real.max())
 
-    @property
-    def basis(self) -> np.ndarray:
-        """Eigenvectors as columns: U^H for cdt, the stored vectors otherwise."""
-        if self.source == "cdt":
-            return cdt_fourier_matrix(self.n).conj().T
-        return self.vectors
-
-    @property
-    def inverse_basis(self) -> np.ndarray:
-        """The exact inverse of basis: U for cdt, the transpose otherwise."""
-        if self.source == "cdt":
-            return cdt_fourier_matrix(self.n)
-        return self.vectors.T
-
-
-def _as_vector(c: GeneratingVector | np.ndarray) -> np.ndarray:
-    vec = np.asarray(getattr(c, "c", c), dtype=float)
+def _as_vector(c: np.ndarray) -> np.ndarray:
+    vec = np.asarray(c, dtype=float)
     if vec.ndim != 1 or vec.size < 1:
         raise ValueError("generating vector must be a non-empty 1-d array")
     return vec
 
 
-def cdt_eigenvalues(c: GeneratingVector | np.ndarray) -> np.ndarray:
+def cdt_eigenvalues(c: np.ndarray) -> np.ndarray:
     """Closed-form circulant eigenvalues E_r = sum_j c_j exp(-2pi*i*r*j/n), r, j = 0..n-1.
 
     The defining sum is the DFT of c, computed by one FFT in O(n log n);
@@ -135,11 +116,10 @@ def cdt_fourier_matrix(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi / n * np.outer(r, r)) / np.sqrt(n)
 
 
-def cdt_eigensystem(c: GeneratingVector | np.ndarray) -> EigenSystem:
+def cdt_eigensystem(c: np.ndarray) -> EigenSystem:
     """EigenSystem of circ(c): eigenvector columns are the conjugate Fourier modes.
 
-    With U from cdt_fourier_matrix, circ(c) = U^H diag(E) U, so basis = U^H
-    and inverse_basis = U; neither is stored.
+    With U from cdt_fourier_matrix, circ(c) = U^H diag(E) U; U is not stored.
     """
     vec = _as_vector(c)
     return EigenSystem(n=vec.size, eigenvalues=cdt_eigenvalues(vec), source="cdt")
@@ -165,8 +145,8 @@ def eigendecompose_symmetric(a: AdjacencyMatrix | np.ndarray) -> EigenSystem:
     """Numerical eigendecomposition of a real symmetric matrix.
 
     Eigenvalues come back sorted descending with exactly zero imaginary
-    parts; the real eigenvector columns are orthonormal, so inverse_basis is
-    the transpose of basis.
+    parts; the real eigenvector columns are orthonormal, so the transpose of
+    vectors is their inverse.
     """
     entries = _symmetric_entries(a)
     try:
@@ -269,28 +249,23 @@ def chebyshev_operator(a: AdjacencyMatrix | np.ndarray) -> ChebyshevOperator:
                              ritz_lo=ritz_lo, ritz_hi=ritz_hi)
 
 
-def _ring_radius(graph: AdjacencyMatrix) -> int:
-    # complete graphs are the k = floor(n/2) ring
-    return int(graph.params.get("k", graph.n // 2))
-
-
 def eigensystem_for(graph: AdjacencyMatrix) -> EigenSystem | ChebyshevOperator:
     """The route the closed form takes for graph.
 
-    A graph where every pair is coupled, whatever its kind, gets the
-    circulant (cdt) eigensystem of K_n marked complete, which Propagator
-    applies through its two eigenspaces; any other ring graph the cdt
-    eigensystem, applied with the FFT; any other graph the Chebyshev
+    A graph where every pair is coupled (graph.is_complete, which the
+    coupling kernel reads too), whatever its kind, gets the circulant (cdt)
+    eigensystem of K_n marked complete, which Propagator applies through its
+    two eigenspaces; any other ring graph the cdt eigensystem of its radius
+    params["k"], applied with the FFT; any other graph the Chebyshev
     operator, which needs no eigenvectors until Propagator finds a horizon
     long enough to make the eigendecomposition the cheaper route.
     """
-    n = graph.n
-    if graph.edge_count == n * (n - 1) // 2:  # every pair coupled
-        es = cdt_eigensystem(np.append(0.0, np.ones(n - 1)))
+    if graph.is_complete:
+        es = cdt_eigensystem(np.append(0.0, np.ones(graph.n - 1)))
         es.complete = True
         return es
-    if graph.kind in ("ring", "complete"):
-        return cdt_eigensystem(ring_generating_vector(n, _ring_radius(graph)))
+    if graph.kind == "ring":
+        return cdt_eigensystem(ring_generating_vector(graph.n, graph.params["k"]))
     return chebyshev_operator(graph)
 
 
@@ -342,23 +317,6 @@ def _real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (m @ x.reshape(x.shape[0], -1).view(float)).view(complex).reshape(x.shape)
 
 
-def propagate(es: EigenSystem, x0: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """Evaluate V diag(f) V^{-1} x0 for each column f of factors.
-
-    factors holds exp() of exponents from propagator_exponents, shaped (n,)
-    or (n, samples); the result has the same shape. A circulant (cdt)
-    eigensystem applies its Fourier basis with the FFT in O(n log n) per
-    sample: inverse_basis @ x is fft(x)/sqrt(n) and basis @ y is
-    ifft(y)*sqrt(n). A numerical eigensystem applies its real eigenvectors
-    with real matrix products on the real and imaginary parts.
-    """
-    x0 = np.asarray(x0, dtype=complex)
-    fourier = es.source == "cdt"
-    w = np.fft.fft(x0, norm="ortho") if fourier else _real_matmul(es.inverse_basis, x0)
-    y = factors * (w[:, None] if np.ndim(factors) == 2 else w)
-    return np.fft.ifft(y, axis=0, norm="ortho") if fourier else _real_matmul(es.basis, y)
-
-
 def _scaled_bessel(z: np.ndarray) -> np.ndarray:
     """e^{-z} I_k(z) for k = 0, 1, ..., shaped (orders, z.size), for z >= 0.
 
@@ -390,10 +348,14 @@ class Propagator:
     from every log-modulus, so x(t) = exp(shift) * states; without the guard
     shift is 0. The guard never changes an argument.
 
-    On an eigensystem the guard subtracts t * max_r Re(gamma*lambda_r). The
-    eigensystem of a complete graph is applied through its two eigenspaces,
-    in O(n) per sample, and its guard takes the exact eigenvalues n - 1 and
-    -1: t * max(gamma*(n - 1), -gamma). On a
+    On an eigensystem V diag(exp(gamma*t*lambda)) V^{-1} x0 is evaluated per
+    sample, and the guard subtracts t * max_r Re(gamma*lambda_r). A circulant
+    (cdt) eigensystem applies its Fourier basis with the FFT in O(n log n)
+    per sample, a numerical one its real eigenvectors with real matrix
+    products on the real and imaginary parts. The eigensystem of a complete
+    graph is applied through its two eigenspaces instead, in O(n) per
+    sample, and its guard takes the exact eigenvalues n - 1 and -1:
+    t * max(gamma*(n - 1), -gamma). On a
     Chebyshev operator with interval [lo, hi], centre c and half-width r,
     exp(gamma*t*A) = e^{gamma*t*c + z} sum_k a_k T_k((A - c*I)/r) with
     z = |gamma|*t*r, a_0 = e^{-z} I_0(z) and a_k = 2 sign(gamma)^k e^{-z} I_k(z),
@@ -479,24 +441,28 @@ class Propagator:
             self._coeffs[1::2] *= -1.0
 
     def __call__(self, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x0 = np.asarray(x0, dtype=complex)
-        if x0.shape != (self.system.n,):
-            raise ValueError(f"state shape {x0.shape} does not match dimension {self.system.n}")
+        x0, es = np.asarray(x0, dtype=complex), self.system
+        if x0.shape != (es.n,):
+            raise ValueError(f"state shape {x0.shape} does not match dimension {es.n}")
         if self.terms is None:
-            if not self.system.complete:
-                return propagate(self.system, x0, self._factors), self._shift
-            states = np.multiply.outer(self._a, x0)  # (samples, n), as on the Chebyshev route
-            states += (self._b * x0.mean())[:, None]
-            return states.T, self._shift
+            if es.complete:
+                states = np.multiply.outer(self._a, x0)  # (samples, n), like the Chebyshev route
+                states += (self._b * x0.mean())[:, None]
+                return states.T, self._shift
+            if es.source == "cdt":  # U x is fft(x)/sqrt(n), U^H y is ifft(y)*sqrt(n)
+                y = self._factors * np.fft.fft(x0, norm="ortho")[:, None]
+                return np.fft.ifft(y, axis=0, norm="ortho", out=y), self._shift
+            y = self._factors * _real_matmul(es.vectors.T, x0)[:, None]
+            return _real_matmul(es.vectors, y), self._shift
         coeffs = self._coeffs
-        states = np.empty((self._offsets.size, self.system.n), dtype=complex)
+        states = np.empty((self._offsets.size, es.n), dtype=complex)
         shift = self._rate * self._offsets
         state, base = x0, 0.0
         for j in range(self._slices):
             vecs = self._chebyshev_vectors(state)
             norms = np.linalg.norm(vecs, axis=1)
             if norms.max() > (1.0 + _INTERVAL_TOLERANCE) * norms[0]:
-                self._decompose(self.system.eigensystem())
+                self._decompose(es.eigensystem())
                 return self(x0)
             vecs = vecs.view(float)
             rows = np.flatnonzero(self._index == j)

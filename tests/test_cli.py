@@ -2,14 +2,20 @@
 
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kurasim
 from kurasim import spectral
-from kurasim.cli import build_parser, load_manifest, main
+from kurasim._text import read_json
+from kurasim.cli import build_parser, main
 from kurasim.dynamics import read_trajectory_csv
+from kurasim.graphs import gen_complete, gen_ring, write_edge_list
 
 
 def _run(argv):
@@ -147,6 +153,32 @@ def test_negative_seed_exits_2(tmp_path):
                  "--seed", -1, "--out", tmp_path]) == 2
 
 
+# Runs the CLI with its address space capped at 4 GiB, so that an allocation
+# larger than that fails on any host, whatever its overcommit policy.
+_CAPPED_MAIN = """
+import resource, sys
+from kurasim.cli import main
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("dt", ["1e-12", "1e-300"])
+def test_run_too_large_for_memory_exits_2(tmp_path, dt):
+    # dt = 1e-12 asks for 10^12 recorded samples (7.28 TiB of sample times);
+    # dt = 1e-300 for more than numpy can index
+    src = str(Path(kurasim.__file__).resolve().parents[1])
+    argv = ["simulate", "--graph", "complete", "--n", "3", "--kappa", "1",
+            "--dt", dt, "--t-end", "1", "--out", str(tmp_path)]
+    out = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv], capture_output=True,
+                         text=True, env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+                         timeout=120)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
+
 def test_out_below_regular_file_exits_2(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory\n")
@@ -216,6 +248,23 @@ def test_spectrum_cdt_rejects_non_circulant(tmp_path, capsys):
     assert "circulant" in capsys.readouterr().err
 
 
+def test_spectrum_cdt_takes_the_graphs_the_closed_form_routes_to_cdt(tmp_path, capsys):
+    # an edge list where every pair is coupled is K_n; a ring read back from
+    # disk has lost its kind and radius, so it is not taken as circulant
+    write_edge_list(gen_complete(9), tmp_path / "k9.edges")
+    write_edge_list(gen_ring(12, 2), tmp_path / "ring.edges")
+    assert _run(["spectrum", "--graph", "complete", "--n", 9, "--mode", "cdt",
+                 "--out", tmp_path / "gen"]) == 0
+    assert _run(["spectrum", "--graph", tmp_path / "k9.edges", "--mode", "cdt",
+                 "--out", tmp_path / "file"]) == 0
+    want = (tmp_path / "gen" / "spectrum.csv").read_bytes()
+    assert (tmp_path / "file" / "spectrum.csv").read_bytes() == want
+    capsys.readouterr()
+    assert _run(["spectrum", "--graph", tmp_path / "ring.edges", "--mode", "cdt",
+                 "--out", tmp_path / "ring"]) == 2
+    assert "circulant" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ figure
 
 def test_figure1_reports_deviation(tmp_path, capsys):
@@ -260,12 +309,12 @@ def test_figure_rejects_flags_of_other_figures(tmp_path, capsys, fig, flag):
 
 def test_figure_manifest_records_the_values_used(tmp_path):
     assert _run(["figure", "1", "--out", tmp_path / "f1"]) == 0
-    params = load_manifest(tmp_path / "f1" / "manifest.json")["params"]
+    params = read_json(tmp_path / "f1" / "manifest.json")["params"]
     assert params["t_end"] == 1.0
     assert params["points"] is params["full"] is params["variant"] is None
     assert _run(["figure", "3", "--points", 2, "--realizations", 1, "--jobs", 1,
                  "--out", tmp_path / "f3"]) == 0
-    params = load_manifest(tmp_path / "f3" / "manifest.json")["params"]
+    params = read_json(tmp_path / "f3" / "manifest.json")["params"]
     assert (params["points"], params["full"], params["jobs"]) == (2, False, 1)
     assert params["t_end"] is params["kappa"] is params["variant"] is None
 
@@ -297,7 +346,7 @@ def test_figure3_smoke(tmp_path, capsys):
         vals = [float(tok) for tok in r.split(",")]
         assert 0.0 <= vals[1] <= 1.0
         assert 0.0 <= vals[3] <= 1.0
-    manifest = load_manifest(tmp_path / "manifest.json")
+    manifest = read_json(tmp_path / "manifest.json")
     assert manifest["artifacts"] == ["sweep.csv"]
 
 
@@ -325,7 +374,7 @@ def test_ring_commands_allocate_no_dense_matrix(tmp_path, argv):
 
 def test_manifest_contents(tmp_path):
     _run(["graph", "ring", "--n", 6, "--k", 2, "--seed", 4, "--out", tmp_path])
-    manifest = load_manifest(tmp_path / "manifest.json")
+    manifest = read_json(tmp_path / "manifest.json")
     assert manifest["command"] == "graph"
     assert manifest["seed"] == 4
     assert manifest["artifacts"] == ["graph.edges"]
@@ -337,7 +386,7 @@ def test_manifest_contents(tmp_path):
 def test_simulate_analytic_manifest_diagnostics(tmp_path):
     ws = ["--graph", "ws", "--n", 200, "--k", 4, "--q", 0.2, "--kappa-over-n", 50]
     assert _run(["simulate", *ws, "--method", "analytic", "--out", tmp_path / "ws"]) == 0
-    manifest = load_manifest(tmp_path / "ws" / "manifest.json")
+    manifest = read_json(tmp_path / "ws" / "manifest.json")
     diag = manifest["diagnostics"]
     assert diag["route"] == "chebyshev"
     lo, hi = diag["interval"]
@@ -350,25 +399,25 @@ def test_simulate_analytic_manifest_diagnostics(tmp_path):
     assert "diagnostics" not in meta
     assert _run(["simulate", *ws, "--method", "analytic", "--no-guard",
                  "--out", tmp_path / "raw"]) == 0
-    assert load_manifest(tmp_path / "raw" / "manifest.json")["diagnostics"]["guard_shift"] == 0.0
+    assert read_json(tmp_path / "raw" / "manifest.json")["diagnostics"]["guard_shift"] == 0.0
     assert _run(["simulate", "--graph", "ring", "--n", 40, "--k", 3, "--kappa", 1,
                  "--method", "analytic", "--out", tmp_path / "ring"]) == 0
-    diag = load_manifest(tmp_path / "ring" / "manifest.json")["diagnostics"]
+    diag = read_json(tmp_path / "ring" / "manifest.json")["diagnostics"]
     assert diag["route"] == "cdt" and "interval" not in diag
     # strong coupling over 10 s: the eigendecomposition is the cheaper route
     assert _run(["simulate", "--graph", "ws", "--n", 200, "--k", 4, "--q", 0.2, "--kappa", 10,
                  "--t-end", 10, "--method", "analytic", "--out", tmp_path / "strong"]) == 0
-    diag = load_manifest(tmp_path / "strong" / "manifest.json")["diagnostics"]
+    diag = read_json(tmp_path / "strong" / "manifest.json")["diagnostics"]
     assert diag["route"] == "numerical" and "interval" not in diag
     assert _run(["simulate", *ws, "--out", tmp_path / "num"]) == 0
-    assert "diagnostics" not in load_manifest(tmp_path / "num" / "manifest.json")
+    assert "diagnostics" not in read_json(tmp_path / "num" / "manifest.json")
 
 
 def test_manifest_replays_to_identical_artifacts(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
     _run(["figure", "1", "--seed", 3, "--out", a])
-    manifest = load_manifest(a / "manifest.json")
+    manifest = read_json(a / "manifest.json")
     argv = list(manifest["argv"])
     argv[argv.index("--out") + 1] = str(b)
     assert main(argv) == 0

@@ -133,7 +133,7 @@ def test_coupling_kernel_matches_complex_oracle(family):
         z = np.exp(1j * theta)
         # sum_j a_ij sin(theta_j - theta_i) = Im(conj(z_i) (A z)_i); A is symmetric
         oracle = np.imag(np.conj(z) * (z @ graph.entries))
-        got = kernel(theta)
+        got, _ = kernel(theta)
         assert got.shape == theta.shape
         assert np.abs(got - oracle).max() < 1e-12
 
@@ -267,6 +267,24 @@ def test_analytic_readout_memory_is_bounded():
         tracemalloc.stop()
     # measured 24.2 bytes per node and sample (48.1 with a copy per step)
     assert peak <= 26 * traj.states.size
+
+
+def test_fft_route_memory_is_bounded():
+    # the Fourier product is applied in place: the (n, samples) factors and
+    # one complex array, where the product and the inverse FFT took one each
+    graph = gen_ring(200, 5)
+    cfg = SimulationConfig(graph=graph, kappa=0.03, omega=5.0, dt=1e-3, t_end=1.0)
+    es, theta0 = eigensystem_for(graph), initial_phases(200, 0)
+    assert es.source == "cdt" and not es.complete
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traj = analytic_trajectory(es, cfg, theta0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # measured 32.8 bytes per node and sample
+    assert peak <= 34 * traj.states.size
 
 
 def test_analytic_synchronized_state_is_stationary():

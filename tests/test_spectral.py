@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from kurasim.dynamics import (SimulationConfig, analytic_amplitudes, analytic_trajectory,
-                              initial_phases)
+                              coupling_kernel, initial_phases)
 from kurasim.graphs import (
     AdjacencyMatrix,
-    GeneratingVector,
     circulant,
     gen_complete,
     gen_erdos_renyi,
@@ -35,7 +34,6 @@ from kurasim.spectral import (
     eigendecompose_symmetric,
     eigensystem_for,
     eigenvalues_symmetric,
-    propagate,
     propagator_exponents,
     read_spectrum_csv,
     write_spectrum_csv,
@@ -75,7 +73,7 @@ def test_cdt_ring4_spectrum_order():
 
 
 def test_cdt_zero_vector():
-    vals = cdt_eigenvalues(GeneratingVector(c=np.zeros(6)))
+    vals = cdt_eigenvalues(np.zeros(6))
     assert np.allclose(vals, 0.0, atol=0.0)
 
 
@@ -83,14 +81,14 @@ def test_cdt_matches_dft_oracle():
     rng = np.random.default_rng(2)
     for n in (2, 5, 16, 31):
         c = (rng.random(n) < 0.5).astype(float)
-        vals = cdt_eigenvalues(GeneratingVector(c=c))
+        vals = cdt_eigenvalues(c)
         assert np.allclose(vals, _dft_direct_sum(c), atol=1e-10), n
 
 
 @pytest.mark.parametrize("n, k", [(3, 1), (64, 5), (1500, 10), (200, 100)])
 def test_fft_eigenvalues_match_direct_sum_on_graphs(n, k):
     # rings n = 3, 64, 1500 and the complete graph on 200 nodes (k = n // 2)
-    c = ring_generating_vector(n, k).c
+    c = ring_generating_vector(n, k)
     assert np.abs(cdt_eigenvalues(c) - _dft_direct_sum(c)).max() < 1e-9
 
 
@@ -98,10 +96,11 @@ def test_cdt_eigensystem_stores_no_dense_matrix():
     es, peak, _ = _peak_and_kept_bytes(lambda: cdt_eigensystem(ring_generating_vector(1500, 10)))
     assert peak < 2**20
     assert es.vectors is None
-    # the dense Fourier basis is still there on request
-    u = es.inverse_basis
+    # the dense Fourier basis is still there on request, and is what the FFT applies
+    u = cdt_fourier_matrix(es.n)
     assert u.shape == (1500, 1500)
-    assert np.array_equal(es.basis, u.conj().T)
+    x = np.exp(1j * np.linspace(-3.0, 3.0, es.n))
+    assert np.abs(u @ x - np.fft.fft(x, norm="ortho")).max() < 1e-10
 
 
 def test_fourier_matrix_small_cases():
@@ -118,7 +117,8 @@ def test_fourier_matrix_unitary():
 
 def test_cdt_eigensystem_reconstructs_triangle():
     es = cdt_eigensystem(ring_generating_vector(3, 1))
-    m = es.basis @ np.diag(es.eigenvalues) @ es.inverse_basis
+    u = cdt_fourier_matrix(es.n)
+    m = u.conj().T @ np.diag(es.eigenvalues) @ u
     assert np.abs(m - gen_ring(3, 1).entries).max() < 1e-12
     assert es.source == "cdt"
 
@@ -138,7 +138,7 @@ def test_eigh_two_node_chain():
     es = eigendecompose_symmetric(m)
     assert np.allclose(es.eigenvalues, [1.0, -1.0], atol=1e-14)
     assert np.all(es.eigenvalues.imag == 0.0)
-    recon = es.basis @ np.diag(es.eigenvalues) @ es.inverse_basis
+    recon = es.vectors @ np.diag(es.eigenvalues) @ es.vectors.T
     assert np.abs(recon - m).max() < 1e-12
     assert es.source == "numerical"
 
@@ -153,8 +153,8 @@ def test_eigh_complete_graph_spectra():
 def test_eigh_descending_and_inverse():
     es = eigendecompose_symmetric(gen_erdos_renyi(40, 0.3, 4))
     assert np.all(np.diff(es.eigenvalues.real) <= 1e-12)
-    assert np.abs(es.inverse_basis @ es.basis - np.eye(40)).max() < 1e-10
-    assert es.lambda_max == es.eigenvalues.real[0]
+    assert np.abs(es.vectors.T @ es.vectors - np.eye(40)).max() < 1e-10
+    assert es.eigenvalues.real.max() == es.eigenvalues.real[0]
 
 
 def test_eigh_vectors_are_contiguous_and_descending():
@@ -183,7 +183,7 @@ def test_eigh_trace_identity():
 def test_eigh_regular_graph_top_eigenvalue():
     for n, k in ((12, 3), (30, 7)):
         es = eigendecompose_symmetric(gen_ring(n, k))
-        assert abs(es.lambda_max - 2 * k) < 1e-10
+        assert abs(es.eigenvalues.real.max() - 2 * k) < 1e-10
 
 
 @pytest.mark.parametrize("graph", [gen_erdos_renyi(60, 0.3, 1),
@@ -211,7 +211,7 @@ def test_eigh_keeps_one_real_matrix():
     graph = gen_watts_strogatz(n, 10, 0.1, 0)
     graph.entries  # the graph keeps its dense matrix once read; count only eigh's
     es, _, kept = _peak_and_kept_bytes(lambda: eigendecompose_symmetric(graph))
-    assert es.basis.dtype == float
+    assert es.vectors.dtype == float
     # the eigenvectors (8 n^2 bytes), the eigenvalues and small change
     assert kept <= 8 * n * n + 64 * n
 
@@ -220,8 +220,8 @@ def test_eigensystem_for_picks_the_route():
     for graph in (gen_ring(12, 2), gen_complete(9)):
         es = eigensystem_for(graph)
         assert es.source == "cdt"
-        assert np.abs(es.basis @ np.diag(es.eigenvalues) @ es.inverse_basis
-                      - graph.entries).max() < 1e-12
+        u = cdt_fourier_matrix(graph.n)
+        assert np.abs(u.conj().T @ np.diag(es.eigenvalues) @ u - graph.entries).max() < 1e-12
     for graph in (gen_erdos_renyi(20, 0.3, 0), gen_watts_strogatz(20, 2, 0.3, 0)):
         op = eigensystem_for(graph)
         assert isinstance(op, ChebyshevOperator) and op.source == "chebyshev"
@@ -277,10 +277,11 @@ def test_fft_propagation_matches_basis_product(n, k):
     # ring and complete (k = n // 2) circulants apply their basis through the FFT
     es = cdt_eigensystem(ring_generating_vector(n, k))
     x0 = np.exp(1j * np.linspace(-3.0, 3.0, n))
-    factors = np.exp(propagator_exponents(es, 0.4, np.linspace(0.0, 1.0, 7), guard=True))
-    want = es.basis @ (factors * (es.inverse_basis @ x0)[:, None])
-    assert np.abs(propagate(es, x0, factors) - want).max() < 1e-12
-    assert np.abs(propagate(es, x0, factors[:, 3]) - want[:, 3]).max() < 1e-12
+    times = np.linspace(0.0, 1.0, 7)
+    factors = np.exp(propagator_exponents(es, 0.4, times, guard=True))
+    u = cdt_fourier_matrix(n)
+    want = u.conj().T @ (factors * (u @ x0)[:, None])
+    assert np.abs(Propagator(es, 0.4, times)(x0)[0] - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("graph", [gen_erdos_renyi(40, 0.3, 5),
@@ -288,10 +289,10 @@ def test_fft_propagation_matches_basis_product(n, k):
 def test_real_basis_propagation_matches_complex_product(graph):
     es = eigendecompose_symmetric(graph)
     x0 = np.exp(1j * np.linspace(-3.0, 3.0, graph.n))
-    factors = np.exp(propagator_exponents(es, 0.4, np.linspace(0.0, 1.0, 7), guard=True))
-    want = es.basis.astype(complex) @ (factors * (es.inverse_basis @ x0)[:, None])
-    assert np.abs(propagate(es, x0, factors) - want).max() < 1e-12
-    assert np.abs(propagate(es, x0, factors[:, 3]) - want[:, 3]).max() < 1e-12
+    times = np.linspace(0.0, 1.0, 7)
+    factors = np.exp(propagator_exponents(es, 0.4, times, guard=True))
+    want = es.vectors.astype(complex) @ (factors * (es.vectors.T @ x0)[:, None])
+    assert np.abs(Propagator(es, 0.4, times)(x0)[0] - want).max() < 1e-12
 
 
 def test_propagator_semigroup():
@@ -324,7 +325,8 @@ def test_guarded_exponents_are_nonpositive(gamma):
         assert expo.real.max() <= 1e-12
         if gamma >= 0.0:  # the shift is gamma*lambda_max*t, bit for bit
             raw = gamma * np.outer(es.eigenvalues, times)
-            assert np.array_equal(expo, raw - gamma * es.lambda_max * times[None, :])
+            lambda_max = es.eigenvalues.real.max()
+            assert np.array_equal(expo, raw - gamma * lambda_max * times[None, :])
 
 
 def test_guard_prevents_overflow():
@@ -533,6 +535,25 @@ def test_eigensystem_for_marks_every_pair_coupled(tmp_path):
     for graph in (gen_ring(9, 3), gen_ring(200, 99)):
         assert not eigensystem_for(graph).complete
     assert not cdt_eigensystem(ring_generating_vector(9, 4)).complete
+
+
+def test_every_pair_coupled_is_decided_once(tmp_path):
+    # the graph answers; the coupling kernel and the closed form's route both read it
+    for graph, coupled in ((gen_ring(10, 5), True), (gen_ring(9, 4), True),
+                           (_complete_from_file(7, tmp_path), True), (gen_ring(9, 3), False),
+                           (gen_erdos_renyi(9, 0.5, 0), False)):
+        assert graph.is_complete == coupled, graph.kind
+        theta = np.array([initial_phases(graph.n, s) for s in range(3)])
+        z = np.exp(1j * theta)
+        coupling, sums = coupling_kernel(graph)(theta)
+        assert np.abs(coupling - np.imag(np.conj(z) * (z @ graph.entries))).max() < 1e-12
+        es = eigensystem_for(graph)
+        assert getattr(es, "complete", False) == coupled
+        if coupled:  # the mean-field sums, per row, axis kept
+            assert np.array_equal(sums[0], np.cos(theta).sum(axis=-1, keepdims=True))
+            assert np.array_equal(sums[1], np.sin(theta).sum(axis=-1, keepdims=True))
+        else:
+            assert sums is None
 
 
 @pytest.mark.parametrize("graph", [gen_complete(2), gen_complete(3), gen_complete(200),
