@@ -18,7 +18,8 @@ from .dynamics import (SimulationConfig, analytic_trajectory, initial_phases,
 from .experiments import run_fig1, run_fig2, run_fig3, run_fig4, write_pgm
 from .graphs import (gen_complete, gen_erdos_renyi, gen_ring,
                      gen_watts_strogatz, read_edge_list, write_edge_list)
-from .spectral import eigensystem_for, eigenvalues_symmetric, write_spectrum_csv
+from .spectral import (closed_form_route, eigensystem_for, eigenvalues_symmetric,
+                       write_spectrum_csv)
 
 GENERATORS = ("ring", "complete", "er", "ws")
 
@@ -161,11 +162,10 @@ def cmd_spectrum(args):
     graph = _graph_from_args(args)
     spectra = {}  # file name -> eigenvalues in descending order
     if args.mode in ("cdt", "both"):
-        es = eigensystem_for(graph)
-        if es.source != "cdt":
+        if closed_form_route(graph) == "chebyshev":
             raise ValueError(f"cdt mode requires a circulant source (a ring, or every pair "
                              f"coupled), got {graph.kind!r}")
-        spectra["spectrum_cdt.csv"] = _sorted_desc(es.eigenvalues)
+        spectra["spectrum_cdt.csv"] = _sorted_desc(eigensystem_for(graph).eigenvalues)
     if args.mode in ("numerical", "both"):
         spectra["spectrum_numerical.csv"] = eigenvalues_symmetric(graph)
     if args.mode == "both":

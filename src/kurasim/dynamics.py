@@ -168,12 +168,15 @@ def coupling_kernel(graph: AdjacencyMatrix) -> Callable[[np.ndarray], tuple]:
     kernel is Kuramoto's mean-field form at O(n) per row; sums is then
     (sum cos theta, sum sin theta) over the last axis, with the axis kept.
     Any other graph takes two real matrix products, and sums is None.
+    The coupling is a new array each call.
     """
     if graph.is_complete:
         def kernel(theta):
             c, s = np.cos(theta), np.sin(theta)
             sum_c, sum_s = c.sum(axis=-1, keepdims=True), s.sum(axis=-1, keepdims=True)
-            return c * sum_s - s * sum_c, (sum_c, sum_s)
+            c *= sum_s
+            s *= sum_c
+            return c - s, (sum_c, sum_s)
     else:
         entries = graph.entries
 
@@ -190,10 +193,16 @@ def km_rhs(theta: np.ndarray, cfg: SimulationConfig) -> np.ndarray:
     return cfg.omega + cfg.kappa * coupling
 
 
-def step_states(cfg: SimulationConfig, theta0: np.ndarray,
-                order: bool = False) -> Iterator[tuple]:
+def step_states(cfg: SimulationConfig, theta0: np.ndarray, order: bool = False,
+                kappa=None) -> Iterator[tuple]:
     """Yield (step, state) after each fixed step from theta0, shaped (n,) or (batch, n).
 
+    kappa, when given, replaces cfg.kappa: a scalar, or an array that
+    broadcasts to the state's shape, such as a (batch, 1) column that gives
+    each row its own coupling. On the mean-field kernel every operation is
+    elementwise or a sum along a row, so each row of a batch steps bit for
+    bit as it would alone; the figure-3 sweep steps all its (kappa, seed)
+    pairs this way, as one state.
     With order, yield (step, state, r) instead, from step 0 (theta0 itself)
     on, r the order parameter of state per row. Where every pair is coupled,
     r is (sum cos + i sum sin) / n from the sums of the mean-field kernel,
@@ -201,17 +210,23 @@ def step_states(cfg: SimulationConfig, theta0: np.ndarray,
     last state needs cos/sin of its own; on other graphs r is
     order_parameter.
     States stay unwrapped. Raises IntegrationError with the step index as
-    soon as the state turns non-finite.
+    soon as the state turns non-finite. On the mean-field kernel that is
+    read from sum cos(theta) per row, which is non-finite exactly when a
+    phase of the row is, except after the last step, where no sums exist.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape[-1:] != (cfg.graph.n,) or theta0.ndim > 2:
         raise ValueError(f"theta0 shape {theta0.shape} does not match graph size {cfg.graph.n}")
+    kappa = cfg.kappa if kappa is None else np.asarray(kappa, dtype=float)
+    np.broadcast_to(kappa, theta0.shape)  # raises ValueError where kappa does not fit
     kernel = coupling_kernel(cfg.graph)
-    kappa, omega, dt, n_steps = cfg.kappa, cfg.omega, cfg.dt, cfg.n_steps
+    omega, dt, n_steps = cfg.omega, cfg.dt, cfg.n_steps
 
     def stage(theta):
-        coupling, sums = kernel(theta)
-        return omega + kappa * coupling, sums
+        slope, sums = kernel(theta)
+        slope *= kappa
+        slope += omega
+        return slope, sums
 
     def rhs(theta):
         return stage(theta)[0]
@@ -235,9 +250,9 @@ def step_states(cfg: SimulationConfig, theta0: np.ndarray,
             k3 = rhs(state + 0.5 * dt * k2)
             k4 = rhs(state + dt * k3)
             state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(state)):
-            raise IntegrationError(f"non-finite state at step {step}")
         slope, sums = stage(state) if step < n_steps else (None, None)
+        if not np.isfinite(state if sums is None else sums[0]).all():
+            raise IntegrationError(f"non-finite state at step {step}")
         yield (step, state, order_of(state, sums)) if order else (step, state)
 
 

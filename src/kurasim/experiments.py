@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -187,27 +187,43 @@ def run_fig4(variant: str, seed: int = 0, n: int = 200, kappa: float | None = No
     return _run_comparison(graph, kappa, 0.0, seed, t_end, dt, out_dir, rasters=True)
 
 
-def _sweep_task(task):
-    """One kappa row of the sweep: kappa, then the mean and std over seeds of
-    the time-averaged |r|, numerical and analytic.
+# At most this many values (points x seeds x nodes) in one sweep chunk's
+# state, and one kappa point at least. Per node-step, Euler on K_200 costs
+# 178 ns at 200 values, 80 at 600, 58 at 1200, then 48-54 from 2400 up to
+# 64 000, where cos and sin of the state set the cost; K_30 and K_1000
+# follow the same curve in values.
+_CHUNK_VALUES = 4096
 
-    All seeds step together as one (seeds, n) state, and |r| is summed as
-    the run goes from the order parameters step_states hands over, so no
-    trajectory is stored. The analytic route builds one propagator per row
-    and then evaluates one seed at a time.
+
+def _sweep_task(task):
+    """Rows of the sweep for a chunk of the kappa grid: per kappa, kappa, then
+    the mean and std over seeds of the time-averaged |r|, numerical and analytic.
+
+    Every (kappa, seed) pair of the chunk steps together as one
+    (kappas * seeds, n) state, kappa a column of it, and |r| is summed as the
+    run goes from the order parameters step_states hands over, so no
+    trajectory is stored. Each row is bit for bit the row of a one-kappa
+    chunk. The analytic route builds one propagator per kappa and then
+    evaluates one seed at a time.
     """
-    n, kappa, seeds, dt, t_end = task
+    n, kappas, seeds, dt, t_end = task
     graph = gen_complete(n)
-    cfg = SimulationConfig(graph=graph, kappa=kappa, dt=dt, t_end=t_end)
+    cfg = SimulationConfig(graph=graph, kappa=0.0, dt=dt, t_end=t_end)
     theta0 = np.array([initial_phases(n, s) for s in seeds])
-    r_num = np.zeros(len(seeds))
-    for _, _, r in step_states(cfg, theta0, order=True):
+    column = np.repeat(kappas, len(seeds))[:, None]
+    r_num = np.zeros(column.size)
+    for _, _, r in step_states(cfg, np.tile(theta0, (len(kappas), 1)), order=True,
+                               kappa=column):
         r_num += np.abs(r)
     r_num /= cfg.n_steps + 1
-    prop = Propagator(eigensystem_for(graph), cfg.gamma, cfg.sample_times())
-    r_ana = np.array([_mean_abs_r_of(prop(np.exp(1j * th))[0]) for th in theta0])
-    return (kappa, float(r_num.mean()), float(r_num.std()),
-            float(r_ana.mean()), float(r_ana.std()))
+    es, times = eigensystem_for(graph), cfg.sample_times()
+    rows = []
+    for kappa, r_row in zip(kappas, r_num.reshape(len(kappas), len(seeds))):
+        prop = Propagator(es, replace(cfg, kappa=kappa).gamma, times)
+        r_ana = np.array([_mean_abs_r_of(prop(np.exp(1j * th))[0]) for th in theta0])
+        rows.append((kappa, float(r_row.mean()), float(r_row.std()),
+                     float(r_ana.mean()), float(r_ana.std())))
+    return rows
 
 
 def _mean_abs_r_of(x):
@@ -265,13 +281,17 @@ def run_fig3(points: int = 100, realizations: int = 10, seed: int = 0,
     For each kappa, `realizations` shared-seed numerical/analytic pairs run
     on the complete graph; |r(t)| is averaged over every recorded sample of
     the 1-second run, transient included, then aggregated across
-    realizations. With out_csv given, the run's parameters go to a ".meta"
-    sidecar, finished kappa rows are flushed immediately, and an interrupted
-    sweep resumes after the last complete row if the parameters match.
-    With jobs > 1 the kappa rows are spread over a process pool.
+    realizations. Consecutive kappa points are stepped together in chunks
+    of at most _CHUNK_VALUES state values (see _sweep_task); with jobs > 1
+    at least `jobs` chunks are spread over a process pool. No row depends
+    on the chunking. With out_csv given, the run's parameters go to a
+    ".meta" sidecar, each chunk's rows are appended in grid order as it
+    finishes, and an interrupted sweep resumes after the last complete row
+    if the parameters match.
     """
-    if points < 1 or realizations < 1:
-        raise ValueError("points and realizations must be positive")
+    if points < 1 or realizations < 1 or jobs < 1:
+        raise ValueError(f"points, realizations and jobs must be positive, got {points}, "
+                         f"{realizations} and {jobs}")
     kappas = np.logspace(math.log10(kappa_lo), math.log10(kappa_hi), points)
     seeds = [seed + r for r in range(realizations)]
     rows = []
@@ -293,13 +313,17 @@ def run_fig3(points: int = 100, realizations: int = 10, seed: int = 0,
             # the sidecar goes first: a CSV without one is never resumed
             write_json(out_csv.with_suffix(".meta"), {"config": config})
             write_table(out_csv, SWEEP_HEADER, np.empty((0, 5)))
-    tasks = [(n, float(kappas[i]), seeds, dt, t_end) for i in range(len(rows), points)]
+    todo = [float(k) for k in kappas[len(rows):]]
+    size = max(1, _CHUNK_VALUES // (realizations * n))
+    if jobs > 1:  # at least one chunk per worker
+        size = max(1, min(size, math.ceil(len(todo) / jobs)))
+    tasks = [(n, todo[i:i + size], seeds, dt, t_end) for i in range(0, len(todo), size)]
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and len(tasks) > 1 else None
     try:
-        for row in pool.map(_sweep_task, tasks) if pool else map(_sweep_task, tasks):
-            rows.append(row)
-            if out_csv is not None:  # appended row by row, so an interrupted sweep resumes
-                write_table(out_csv, None, [row])
+        for chunk in pool.map(_sweep_task, tasks) if pool else map(_sweep_task, tasks):
+            rows.extend(chunk)
+            if out_csv is not None:  # appended chunk by chunk, so an interrupted sweep resumes
+                write_table(out_csv, None, chunk)
     finally:
         if pool is not None:
             pool.shutdown()

@@ -35,6 +35,7 @@ __all__ = [
     "eigenvalues_symmetric",
     "ChebyshevOperator",
     "chebyshev_operator",
+    "closed_form_route",
     "eigensystem_for",
     "Propagator",
     "apply_propagator",
@@ -249,22 +250,36 @@ def chebyshev_operator(a: AdjacencyMatrix | np.ndarray) -> ChebyshevOperator:
                              ritz_lo=ritz_lo, ritz_hi=ritz_hi)
 
 
-def eigensystem_for(graph: AdjacencyMatrix) -> EigenSystem | ChebyshevOperator:
-    """The route the closed form takes for graph.
+def closed_form_route(graph: AdjacencyMatrix) -> str:
+    """The route the closed form takes for graph, read from its structure in O(1).
 
-    A graph where every pair is coupled (graph.is_complete, which the
-    coupling kernel reads too), whatever its kind, gets the circulant (cdt)
-    eigensystem of K_n marked complete, which Propagator applies through its
-    two eigenspaces; any other ring graph the cdt eigensystem of its radius
-    params["k"], applied with the FFT; any other graph the Chebyshev
-    operator, which needs no eigenvectors until Propagator finds a horizon
-    long enough to make the eigendecomposition the cheaper route.
+    "complete" where every pair is coupled (graph.is_complete, which the
+    coupling kernel reads too), whatever the graph's kind; "ring" for any
+    other ring graph; "chebyshev" for every other graph. The first two are
+    circulant and take the cdt eigensystem. eigensystem_for builds the route
+    named here, and cmd_spectrum reads it without building anything.
     """
     if graph.is_complete:
+        return "complete"
+    return "ring" if graph.kind == "ring" else "chebyshev"
+
+
+def eigensystem_for(graph: AdjacencyMatrix) -> EigenSystem | ChebyshevOperator:
+    """The route closed_form_route names for graph, built.
+
+    "complete" gets the circulant (cdt) eigensystem of K_n marked complete,
+    which Propagator applies through its two eigenspaces; "ring" the cdt
+    eigensystem of its radius params["k"], applied with the FFT; "chebyshev"
+    the Chebyshev operator, which needs no eigenvectors until Propagator
+    finds a horizon long enough to make the eigendecomposition the cheaper
+    route.
+    """
+    route = closed_form_route(graph)
+    if route == "complete":
         es = cdt_eigensystem(np.append(0.0, np.ones(graph.n - 1)))
         es.complete = True
         return es
-    if graph.kind == "ring":
+    if route == "ring":
         return cdt_eigensystem(ring_generating_vector(graph.n, graph.params["k"]))
     return chebyshev_operator(graph)
 
@@ -385,8 +400,7 @@ class Propagator:
         self._gamma = gamma
         self._times = times
         if system.source == "chebyshev":
-            self._expand(system)
-            if self._slices * self.terms <= _PRODUCTS_PER_NODE * system.n:
+            if self._expand(system):
                 return
             system = system.eigensystem()
         self._decompose(system)
@@ -416,7 +430,14 @@ class Propagator:
         self._a = np.exp(low - self._shift)
         self._b = np.exp(peak - self._shift) * -np.expm1(-np.abs(gap)) * np.sign(gap)
 
-    def _expand(self, op: ChebyshevOperator) -> None:
+    def _expand(self, op: ChebyshevOperator) -> bool:
+        """Slice the horizon and take the Bessel coefficients of one slice.
+
+        Returns whether the slices * terms matrix products stay within the
+        budget of _PRODUCTS_PER_NODE * n. Every slice takes at least one
+        product, so a slice count past the budget, or one too large to count,
+        returns False before any coefficient is computed.
+        """
         gamma, times = self._gamma, self._times
         self.system = op
         self._center = 0.5 * (op.hi + op.lo)
@@ -424,8 +445,11 @@ class Propagator:
         self._rate = _guard_rate(op, gamma)
         overshoot = op.hi - op.ritz_hi if gamma >= 0.0 else op.ritz_lo - op.lo
         end = float(times.max())
-        self._slices = max(1, math.ceil(abs(gamma) * end * max(self._radius / _SLICE_Z,
-                                                               overshoot / _SLICE_LOSS)))
+        budget = _PRODUCTS_PER_NODE * op.n
+        slices = abs(gamma) * end * max(self._radius / _SLICE_Z, overshoot / _SLICE_LOSS)
+        if not slices <= budget:  # also an inf or nan count
+            return False
+        self._slices = max(1, math.ceil(slices))
         self._tau = end / self._slices
         index = np.minimum(times // self._tau, self._slices - 1) if end > 0.0 else 0.0 * times
         self._index = index.astype(int)
@@ -439,6 +463,7 @@ class Propagator:
         self._coeffs = coeffs[:self.terms]
         if gamma < 0.0:
             self._coeffs[1::2] *= -1.0
+        return self._slices * self.terms <= budget
 
     def __call__(self, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x0, es = np.asarray(x0, dtype=complex), self.system

@@ -265,6 +265,24 @@ def test_spectrum_cdt_takes_the_graphs_the_closed_form_routes_to_cdt(tmp_path, c
     assert "circulant" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["cdt", "both"])
+def test_spectrum_cdt_rejects_non_circulant_without_building_the_route(tmp_path, capsys,
+                                                                       monkeypatch, mode):
+    # the route is read from the graph's structure; the Chebyshev operator
+    # (a dense matrix and Lanczos steps) is never built to be rejected
+    assert _run(["graph", "er", "--n", 60, "--p", 0.1, "--out", tmp_path]) == 0
+
+    def refuse(graph):
+        raise AssertionError("the Chebyshev operator was built")
+
+    monkeypatch.setattr(spectral, "chebyshev_operator", refuse)
+    capsys.readouterr()
+    assert _run(["spectrum", "--graph", tmp_path / "graph.edges", "--mode", mode,
+                 "--out", tmp_path / "spec"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "circulant" in err
+
+
 # ------------------------------------------------------------------ figure
 
 def test_figure1_reports_deviation(tmp_path, capsys):
@@ -326,6 +344,15 @@ def test_only_figure_takes_jobs(tmp_path):
     assert exc.value.code == 2
     assert not (tmp_path / "manifest.json").exists()
 
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_figure3_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    assert _run(["figure", "3", "--points", 2, "--realizations", 1, "--jobs", jobs,
+                 "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "jobs" in err
+    assert not (tmp_path / "sweep.csv").exists()
+    assert not (tmp_path / "manifest.json").exists()
 
 def test_figure3_rows_do_not_depend_on_jobs(tmp_path):
     for jobs in (1, 2):

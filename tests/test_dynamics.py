@@ -173,6 +173,25 @@ def test_step_states_hands_over_the_order_parameter(family, integrator):
             assert np.abs(r - order_parameter(state)).max() <= 1e-13
 
 
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_kappa_column_steps_each_row_as_alone(integrator):
+    # on the mean-field kernel a row of a batch is bit for bit the run of its own kappa
+    graph = gen_complete(7)
+    kappas = [0.5, 1.0, 2.0]
+    cfg = SimulationConfig(graph=graph, kappa=0.0, omega=3.0, dt=1e-3, t_end=0.05,
+                           integrator=integrator)
+    theta0 = np.array([initial_phases(7, s) for s in range(3)])
+    batch = list(step_states(cfg, theta0, order=True, kappa=np.array(kappas)[:, None]))
+    for row, kappa in enumerate(kappas):
+        alone = SimulationConfig(graph=graph, kappa=kappa, omega=3.0, dt=1e-3, t_end=0.05,
+                                 integrator=integrator)
+        for (_, state, r), (_, state_1, r_1) in zip(batch, step_states(alone, theta0[row],
+                                                                       order=True)):
+            assert np.array_equal(state[row], state_1) and r[row] == r_1
+    with pytest.raises(ValueError, match="broadcast"):
+        next(step_states(cfg, theta0, kappa=np.ones((2, 1))))
+
+
 def test_step_states_order_with_no_steps():
     cfg = _cfg(t_end=0.0)
     theta0 = initial_phases(3, 2)
@@ -213,6 +232,33 @@ def test_integration_aborts_on_non_finite():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationError, match="step"):
             integrate_numerical(cfg, initial_phases(3, 0))
+
+
+def _first_non_finite_step(cfg, theta0, kappa):
+    """The Euler step after which some phase is first non-finite, checked on every phase."""
+    kernel, state = coupling_kernel(cfg.graph), theta0
+    for step in range(1, cfg.n_steps + 1):
+        state = state + cfg.dt * (cfg.omega + kappa * kernel(state)[0])
+        if not np.isfinite(state).all():
+            return step
+    return None
+
+
+@pytest.mark.parametrize("graph", [gen_complete(5), gen_ring(6, 1)], ids=["mean-field", "dense"])
+@pytest.mark.parametrize("t_end", [40.0, 18.0])
+def test_non_finite_state_is_reported_at_its_step(graph, t_end):
+    # omega * dt = 1e307 per step overflows after 17 steps; at t_end = 18 the
+    # overflow is on the last step, which has no mean-field sums to check
+    cfg = SimulationConfig(graph=graph, kappa=1.0, omega=1e307, dt=1.0, t_end=t_end)
+    theta0 = np.array([initial_phases(graph.n, s) for s in range(3)])
+    kappa = np.array([[0.5], [1.0], [2.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _first_non_finite_step(cfg, theta0, kappa)
+        assert want == 18
+        for theta, k in ((theta0, kappa), (theta0[1], None)):
+            with pytest.raises(IntegrationError, match=f"at step {want}$"):
+                for _ in step_states(cfg, theta, kappa=k):
+                    pass
 
 
 def test_record_grid_includes_final_step():

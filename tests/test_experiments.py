@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kurasim.dynamics import (
     SimulationConfig,
@@ -15,6 +16,7 @@ from kurasim.dynamics import (
     step_states,
     wrap_phase,
 )
+from kurasim import experiments
 from kurasim.experiments import (
     REPORT_HEADER,
     SWEEP_HEADER,
@@ -229,7 +231,7 @@ def test_sweep_row_matches_per_pair_path(kappa):
         r_num.append(np.abs(order_parameter(num.states)).mean())
         r_ana.append(np.abs(order_parameter(ana.states)).mean())
     want = (kappa, np.mean(r_num), np.std(r_num), np.mean(r_ana), np.std(r_ana))
-    row = _sweep_task((n, kappa, seeds, dt, t_end))
+    (row,) = _sweep_task((n, [kappa], seeds, dt, t_end))
     assert row == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
@@ -243,8 +245,46 @@ def test_sweep_numerical_r_matches_order_parameter_of_the_states():
     for _, state in step_states(cfg, theta0):
         r += np.abs(order_parameter(state))
     r /= cfg.n_steps + 1
-    row = _sweep_task((n, kappa, seeds, dt, t_end))
+    (row,) = _sweep_task((n, [kappa], seeds, dt, t_end))
     assert abs(row[1] - r.mean()) <= 1e-13 and abs(row[2] - r.std()) <= 1e-13
+
+
+@settings(max_examples=12, deadline=None)
+@given(points=st.integers(1, 6), realizations=st.integers(1, 4), n=st.integers(2, 30),
+       jobs=st.sampled_from([1, 2]), chunk_values=st.integers(1, 400))
+def test_sweep_rows_do_not_depend_on_chunking(points, realizations, n, jobs, chunk_values):
+    # any chunking of the grid, serial or pooled, gives each row bit for bit
+    # the row of a chunk holding its kappa alone
+    sweep = dict(points=points, realizations=realizations, seed=3, n=n, t_end=0.05)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "_CHUNK_VALUES", chunk_values)
+        res = run_fig3(**sweep, jobs=jobs)
+    seeds = [3 + r for r in range(realizations)]
+    for i, kappa in enumerate(res.kappas):
+        (row,) = _sweep_task((n, [float(kappa)], seeds, 1e-3, 0.05))
+        got = (res.kappas[i], res.mean_abs_r_numerical[i], res.std_numerical[i],
+               res.mean_abs_r_analytic[i], res.std_analytic[i])
+        assert got == row, i
+
+
+def test_fig3_resume_inside_a_chunk(tmp_path, monkeypatch):
+    # 6 points x 2 seeds x 20 nodes is 240 values; 160 puts 4 points in a chunk
+    monkeypatch.setattr(experiments, "_CHUNK_VALUES", 160)
+    sweep = dict(points=6, realizations=2, seed=0, n=20, t_end=0.1)
+    full = tmp_path / "full.csv"
+    run_fig3(**sweep, out_csv=full)
+    want = full.read_bytes()
+    lines = want.decode("ascii").splitlines(keepends=True)
+    for cut in (2, 3, 6):  # after 1, 2 and 5 rows, each inside a chunk of the full run
+        part = tmp_path / f"part{cut}.csv"
+        part.write_text("".join(lines[:cut]), encoding="ascii")
+        part.with_suffix(".meta").write_bytes(full.with_suffix(".meta").read_bytes())
+        run_fig3(**sweep, out_csv=part)
+        assert part.read_bytes() == want, cut
+    # a finished sweep resumes with nothing left to compute, pooled or not
+    for jobs in (1, 2):
+        assert run_fig3(**sweep, jobs=jobs, out_csv=full).kappas.size == 6
+        assert full.read_bytes() == want
 
 
 # ------------------------------------------------------------------- fig 4

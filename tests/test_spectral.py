@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from kurasim.spectral import (
     cdt_eigenvalues,
     cdt_fourier_matrix,
     chebyshev_operator,
+    closed_form_route,
     eigendecompose_symmetric,
     eigensystem_for,
     eigenvalues_symmetric,
@@ -554,6 +556,37 @@ def test_every_pair_coupled_is_decided_once(tmp_path):
             assert np.array_equal(sums[1], np.sin(theta).sum(axis=-1, keepdims=True))
         else:
             assert sums is None
+
+
+def test_closed_form_route_names_the_route_eigensystem_for_builds(tmp_path):
+    write_edge_list(gen_ring(12, 2), tmp_path / "ring.edges")
+    for graph, route in ((gen_complete(9), "complete"), (gen_ring(10, 5), "complete"),
+                         (_complete_from_file(7, tmp_path), "complete"),
+                         (gen_ring(12, 2), "ring"),
+                         (read_edge_list(tmp_path / "ring.edges"), "chebyshev"),
+                         (gen_erdos_renyi(20, 0.3, 0), "chebyshev"),
+                         (gen_watts_strogatz(20, 2, 0.3, 0), "chebyshev")):
+        assert closed_form_route(graph) == route, graph.kind
+        es = eigensystem_for(graph)
+        built = "chebyshev" if es.source == "chebyshev" else \
+            "complete" if es.complete else "ring"
+        assert built == route, graph.kind
+
+
+def test_expansion_cost_is_checked_before_its_coefficients(monkeypatch):
+    # at gamma = 1e300 the slice count alone is far past the product budget;
+    # no slice index or Bessel table may be built for it
+    def refuse(z):
+        raise AssertionError("Bessel coefficients were computed")
+
+    monkeypatch.setattr(spectral, "_scaled_bessel", refuse)
+    op = chebyshev_operator(gen_watts_strogatz(50, 2, 0.3, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prop = Propagator(op, 1e300, np.linspace(0.0, 1.0, 5))
+        states, shift = prop(np.exp(1j * initial_phases(50, 4)))
+    assert prop.system is op.eigensystem() and prop.terms is None
+    assert np.all(np.isfinite(states)) and np.all(np.isfinite(shift))
 
 
 @pytest.mark.parametrize("graph", [gen_complete(2), gen_complete(3), gen_complete(200),

@@ -103,7 +103,8 @@ def test_report_matches_reference(tmp_path, rows):
 def _fake_sweep(monkeypatch, table):
     """Make the sweep's rows the rows of table, in grid order."""
     rows = iter(table.tolist())
-    monkeypatch.setattr(experiments, "_sweep_task", lambda task: tuple(next(rows)))
+    monkeypatch.setattr(experiments, "_sweep_task",
+                        lambda task: [tuple(next(rows)) for _ in task[1]])
 
 
 @pytest.mark.parametrize("rows", [1, 3])

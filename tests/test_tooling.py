@@ -31,7 +31,7 @@ for graph, gamma_t, source in ((gen_watts_strogatz(200, 2, 0.3, 0), 0.5, "chebys
     states, _ = prop(np.ones(200, dtype=complex))
     assert prop.system.source == source and np.all(np.isfinite(states))
 assert eigensystem_for(gen_complete(200)).complete
-assert np.all(np.isfinite(_sweep_task((200, 1.0, [0, 1], 1e-3, 0.1))))
+assert np.all(np.isfinite(_sweep_task((200, [1.0], [0, 1], 1e-3, 0.1))))
 print("scipy" in sys.modules)
 """
 
