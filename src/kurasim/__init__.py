@@ -7,8 +7,8 @@ adjacency eigenspectrum, plus the comparison experiments between the two.
 
 __version__ = "0.1.0"
 
-from .dynamics import (AmplitudeResult, IntegrationError, SimulationConfig,
-                       Trajectory, analytic_amplitudes, analytic_trajectory,
+from .dynamics import (IntegrationError, SimulationConfig, Trajectory,
+                       analytic_amplitudes, analytic_trajectory,
                        initial_phases, integrate_numerical, km_rhs,
                        order_parameter, read_trajectory_csv, wrap_phase,
                        write_trajectory_csv)
@@ -35,7 +35,7 @@ __all__ = [
     "cdt_fourier_matrix", "chebyshev_operator", "closed_form_route",
     "eigendecompose_symmetric",
     "eigensystem_for", "eigenvalues_symmetric",
-    "AmplitudeResult", "IntegrationError", "SimulationConfig", "Trajectory",
+    "IntegrationError", "SimulationConfig", "Trajectory",
     "analytic_amplitudes", "analytic_trajectory", "initial_phases",
     "integrate_numerical", "km_rhs", "order_parameter", "read_trajectory_csv",
     "wrap_phase", "write_trajectory_csv",

@@ -27,7 +27,6 @@ __all__ = [
     "IntegrationError",
     "SimulationConfig",
     "Trajectory",
-    "AmplitudeResult",
     "wrap_phase",
     "initial_phases",
     "coupling_kernel",
@@ -134,7 +133,11 @@ class SimulationConfig:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Sampled phase history: times (s) and one wrapped phase row per sample.
+    """Sampled phase history: times (s) and the wrapped phases per sample.
+
+    states is shaped (samples, n), or (samples, batch, n) for a batch of
+    initial states integrated together; the CSV writer and
+    compare_trajectories take single runs.
 
     An analytic trajectory also carries the closed form's numerical
     diagnostics (see analytic_trajectory).
@@ -155,7 +158,7 @@ class Trajectory:
 
     @property
     def n(self) -> int:
-        return self.states.shape[1]
+        return self.states.shape[-1]
 
 
 def coupling_kernel(graph: AdjacencyMatrix) -> Callable[[np.ndarray], tuple]:
@@ -259,15 +262,14 @@ def step_states(cfg: SimulationConfig, theta0: np.ndarray, order: bool = False,
 def integrate_numerical(cfg: SimulationConfig, theta0: np.ndarray) -> Trajectory:
     """Fixed-step integration from theta0; snapshots wrapped only at recording.
 
-    The internal state stays unwrapped so step-size halving studies see a
-    smooth trajectory. Aborts with the step index if the state turns
-    non-finite.
+    theta0 is shaped (n,) or (batch, n), as step_states takes it, and the
+    states are recorded shaped (samples, *theta0.shape). The internal state
+    stays unwrapped so step-size halving studies see a smooth trajectory.
+    Aborts with the step index if the state turns non-finite.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    if theta0.shape != (cfg.graph.n,):
-        raise ValueError(f"theta0 shape {theta0.shape} does not match graph size {cfg.graph.n}")
     record = cfg.record_steps()
-    out = np.empty((record.size, theta0.size))
+    out = np.empty((record.size, *theta0.shape))
     out[0] = theta0
     nxt = 1
     for step, state in step_states(cfg, theta0):
@@ -316,30 +318,15 @@ def analytic_trajectory(es: EigenSystem | ChebyshevOperator, cfg: SimulationConf
     return Trajectory(times=times, states=phases, source="analytic", diagnostics=diagnostics)
 
 
-@dataclass(eq=False)
-class AmplitudeResult:
-    """Log-amplitudes -ln|x_i(t)| with the guard convention that produced them.
-
-    shift is what the guard subtracted from every log-modulus (0 without
-    it), so -ln|x_i(t)| = values_i - shift.
-    """
-
-    values: np.ndarray
-    t: float
-    guard: bool
-    shift: float = 0.0
-
-
 def analytic_amplitudes(es: EigenSystem | ChebyshevOperator, cfg: SimulationConfig,
-                        theta0: np.ndarray, t: float, guard: bool = True) -> AmplitudeResult:
-    """Imaginary phase components at one time, -ln|x_i(t)| per node.
+                        theta0: np.ndarray, t: float,
+                        guard: bool = True) -> tuple[np.ndarray, float]:
+    """Imaginary phase components at one time: (values, shift), as Propagator returns.
 
-    With the guard on, values are relative to the guard's uniform rescaling
-    of moduli, returned as shift: t * max_r Re(gamma*lambda_r) on an
-    eigensystem (gamma*lambda_max*t for gamma >= 0), and on the Chebyshev
-    route t * max(gamma*hi, gamma*lo) plus any slice rescaling, whichever
-    route spectral.Propagator takes. A vanishing |x_i| reports positive
-    infinity.
+    values are -ln of the guarded moduli per node and shift is what the
+    guard subtracted from every log-modulus (0 without it), so -ln|x_i(t)| =
+    values_i - shift on whichever route spectral.Propagator takes. A
+    vanishing |x_i| reports positive infinity.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if es.n != cfg.graph.n or theta0.shape != (es.n,):
@@ -347,7 +334,7 @@ def analytic_amplitudes(es: EigenSystem | ChebyshevOperator, cfg: SimulationConf
     states, shift = Propagator(es, cfg.gamma, [float(t)], guard)(np.exp(1j * theta0))
     with np.errstate(divide="ignore"):
         values = -np.log(np.abs(states[:, 0]))
-    return AmplitudeResult(values=values, t=float(t), guard=guard, shift=float(shift[0]))
+    return values, float(shift[0])
 
 
 def order_parameter(theta: np.ndarray):

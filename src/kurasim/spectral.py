@@ -3,7 +3,7 @@
 Circulant matrices share one Fourier eigenbasis, so ring and complete graphs
 get their spectra in closed form, one FFT of the generating vector, and store
 no basis at all; where every pair is coupled, A = J - I has two eigenspaces
-and its exponential needs no transform either. Any other symmetric adjacency
+and its exponential needs no transform either. Any other graph's adjacency
 matrix needs no eigenvectors: its exponential is applied as a Chebyshev
 expansion over an interval that holds the spectrum, bounded by Gershgorin
 discs and tightened by a few Lanczos steps. The numerical
@@ -126,49 +126,30 @@ def cdt_eigensystem(c: np.ndarray) -> EigenSystem:
     return EigenSystem(n=vec.size, eigenvalues=cdt_eigenvalues(vec), source="cdt")
 
 
-def _symmetric_entries(a: AdjacencyMatrix | np.ndarray) -> np.ndarray:
-    """The entries of a as a float array, checked to be square and symmetric.
-
-    An AdjacencyMatrix is symmetric by construction and is not checked again.
-    """
-    if isinstance(a, AdjacencyMatrix):
-        return a.entries
-    entries = np.asarray(a, dtype=float)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-    asym = np.abs(entries - entries.T).max() if entries.size else 0.0
-    if asym > 1e-12:
-        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    return entries
-
-
-def eigendecompose_symmetric(a: AdjacencyMatrix | np.ndarray) -> EigenSystem:
-    """Numerical eigendecomposition of a real symmetric matrix.
+def eigendecompose_symmetric(graph: AdjacencyMatrix) -> EigenSystem:
+    """Numerical eigendecomposition of a graph's adjacency matrix.
 
     Eigenvalues come back sorted descending with exactly zero imaginary
     parts; the real eigenvector columns are orthonormal, so the transpose of
     vectors is their inverse.
     """
-    entries = _symmetric_entries(a)
     try:
-        vals, vecs = np.linalg.eigh(entries)
+        vals, vecs = np.linalg.eigh(graph.entries)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"symmetric eigendecomposition failed: {exc}") from exc
     # eigh sorts ascending; reverse, do not re-sort. The copy is contiguous:
     # real products on the negative-stride view run about half as fast.
-    return EigenSystem(n=entries.shape[0], eigenvalues=vals[::-1].astype(complex),
+    return EigenSystem(n=graph.n, eigenvalues=vals[::-1].astype(complex),
                        source="numerical", vectors=vecs[:, ::-1].copy())
 
 
-def eigenvalues_symmetric(a: AdjacencyMatrix | np.ndarray) -> np.ndarray:
+def eigenvalues_symmetric(graph: AdjacencyMatrix) -> np.ndarray:
     """The eigenvalues of eigendecompose_symmetric without computing eigenvectors.
 
-    Same checks, same descending order, complex dtype with exactly zero
-    imaginary parts.
+    Same descending order, complex dtype with exactly zero imaginary parts.
     """
-    entries = _symmetric_entries(a)
     try:
-        vals = np.linalg.eigvalsh(entries)
+        vals = np.linalg.eigvalsh(graph.entries)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"symmetric eigenvalue solver failed: {exc}") from exc
     return vals[::-1].astype(complex)
@@ -176,7 +157,7 @@ def eigenvalues_symmetric(a: AdjacencyMatrix | np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class ChebyshevOperator:
-    """A real symmetric matrix and an interval [lo, hi] that holds its spectrum.
+    """A graph and an interval [lo, hi] that holds its adjacency spectrum.
 
     Propagator applies exp(gamma*t*A) to it as a Chebyshev expansion in
     (A - c*I)/r, c and r the interval's centre and half-width, with matrix
@@ -187,7 +168,7 @@ class ChebyshevOperator:
     """
 
     n: int
-    entries: np.ndarray
+    graph: AdjacencyMatrix
     lo: float
     hi: float
     ritz_lo: float
@@ -196,9 +177,9 @@ class ChebyshevOperator:
     source = "chebyshev"
 
     def eigensystem(self) -> EigenSystem:
-        """eigendecompose_symmetric of entries, computed on first use and kept."""
+        """eigendecompose_symmetric of graph, computed on first use and kept."""
         if self._eigensystem is None:
-            self._eigensystem = eigendecompose_symmetric(self.entries)
+            self._eigensystem = eigendecompose_symmetric(self.graph)
         return self._eigensystem
 
 
@@ -230,23 +211,18 @@ def _lanczos_extremes(entries: np.ndarray, steps: int) -> tuple[float, float, fl
     return float(ritz[0]), float(ritz[-1]), beta
 
 
-def chebyshev_operator(a: AdjacencyMatrix | np.ndarray) -> ChebyshevOperator:
-    """The Chebyshev route for a real symmetric matrix, with no eigendecomposition.
+def chebyshev_operator(graph: AdjacencyMatrix) -> ChebyshevOperator:
+    """The Chebyshev route for a graph, with no eigendecomposition.
 
-    The interval starts from the Gershgorin discs and is tightened to the
-    extreme Ritz values of a few Lanczos steps widened by the last |beta|
-    (the Zhou-Li estimate), never beyond the Gershgorin bounds.
+    The interval starts from the Gershgorin discs, which for a 0/1 matrix
+    with a zero diagonal are +-(max degree), and is tightened to the extreme
+    Ritz values of a few Lanczos steps widened by the last |beta| (the
+    Zhou-Li estimate), never beyond the Gershgorin bounds.
     """
-    entries = _symmetric_entries(a)
-    if isinstance(a, AdjacencyMatrix):  # a 0/1 matrix with a zero diagonal
-        diag, radii = np.zeros(a.n), a.degrees()
-    else:
-        diag = np.diag(entries)
-        radii = np.abs(entries).sum(axis=1) - np.abs(diag)
-    ritz_lo, ritz_hi, beta = _lanczos_extremes(entries, _LANCZOS_STEPS)
-    return ChebyshevOperator(n=entries.shape[0], entries=entries,
-                             lo=max(ritz_lo - beta, float((diag - radii).min())),
-                             hi=min(ritz_hi + beta, float((diag + radii).max())),
+    degree = graph.degrees().max()
+    ritz_lo, ritz_hi, beta = _lanczos_extremes(graph.entries, _LANCZOS_STEPS)
+    return ChebyshevOperator(n=graph.n, graph=graph, lo=max(ritz_lo - beta, float(-degree)),
+                             hi=min(ritz_hi + beta, float(degree)),
                              ritz_lo=ritz_lo, ritz_hi=ritz_hi)
 
 
@@ -318,7 +294,7 @@ def _check_exponent(peak: float, guard: bool) -> None:
     """Raise SpectralError when exp(peak) would overflow."""
     if peak > _EXP_LIMIT:
         hint = "" if guard else "; enable the overflow guard"
-        raise SpectralError(f"propagator overflow: exponent {peak:.1f} exceeds "
+        raise SpectralError(f"propagator overflow: exponent {peak:.6g} exceeds "
                             f"the floating-point range{hint}")
 
 
@@ -508,7 +484,7 @@ class Propagator:
 
     def _chebyshev_vectors(self, x: np.ndarray) -> np.ndarray:
         """T_k(B) x for k < terms as the rows of a complex array, B = (A - c*I)/r."""
-        entries, center, radius = self.system.entries, self._center, self._radius
+        entries, center, radius = self.system.graph.entries, self._center, self._radius
         vecs = np.empty((self.terms, x.size), dtype=complex)
         vecs[0] = x
         for k in range(1, self.terms):

@@ -14,14 +14,16 @@ import pytest
 from kurasim.cli import main
 from kurasim.dynamics import (
     SimulationConfig,
+    Trajectory,
     analytic_trajectory,
     initial_phases,
     integrate_numerical,
     order_parameter,
     wrap_phase,
 )
-from kurasim.experiments import run_fig1, run_fig2, run_fig3, run_fig4
+from kurasim.experiments import compare_trajectories, run_fig1, run_fig2, run_fig3, run_fig4
 from kurasim.graphs import (
+    AdjacencyMatrix,
     gen_complete,
     gen_erdos_renyi,
     gen_ring,
@@ -33,6 +35,7 @@ from kurasim.spectral import (
     cdt_eigensystem,
     cdt_eigenvalues,
     eigendecompose_symmetric,
+    eigensystem_for,
 )
 
 PI_16 = np.pi / 16
@@ -79,20 +82,29 @@ def test_criterion_1_deviation_bound_100_seeds(criterion_log):
     gamma = 2 * kappa / np.pi  # the package's rescaled coupling
     lam = cdt_eigenvalues(ring_generating_vector(3, 1)).real
     t_linear = 0.1 / (gamma * float(np.abs(lam).max()))
+    # the 100 seeds step as one (100, 3) batch; seed 0's row is figure 1's run
+    graph = gen_complete(3)
+    cfg = SimulationConfig(graph=graph, kappa=kappa, omega=2 * np.pi * 10, dt=1e-3,
+                           t_end=10.0)
+    theta0 = np.array([initial_phases(3, seed) for seed in range(100)])
+    batch = integrate_numerical(cfg, theta0)
+    assert np.array_equal(batch.states[:, 0], run_fig1(seed=0, t_end=10.0).numerical.states)
+    es = eigensystem_for(graph)
     raw_ok = 0
     worst_raw = worst_linear = worst_locked = 0.0
     misses = []
     for seed in range(100):
-        out = run_fig1(seed=seed, t_end=10.0)
-        report = out.report
+        numerical = Trajectory(batch.times, batch.states[:, seed], "numerical")
+        analytic = analytic_trajectory(es, cfg, theta0[seed])
+        report = compare_trajectories(numerical, analytic)
         times = report.times
         worst_raw = max(worst_raw, report.max_wrapped_deviation)
         raw_ok += report.max_wrapped_deviation < PI_16
         linear = float(report.per_time_deviation[times <= t_linear].max())
-        offset = _lock_offset(initial_phases(3, seed), out.numerical)
+        offset = _lock_offset(theta0[seed], numerical)
         late = times >= 9.0
-        locked = float(np.abs(wrap_phase(out.numerical.states[late]
-                                         - out.analytic.states[late]
+        locked = float(np.abs(wrap_phase(numerical.states[late]
+                                         - analytic.states[late]
                                          - offset)).max())
         worst_linear = max(worst_linear, linear)
         worst_locked = max(worst_locked, locked)
@@ -136,7 +148,7 @@ def test_criterion_3_propagator_correctness(criterion_log):
         n = int(rng.integers(2, 33))
         m = np.triu((rng.random((n, n)) < 0.4).astype(float), 1)
         m = m + m.T
-        es = eigendecompose_symmetric(m)
+        es = eigendecompose_symmetric(AdjacencyMatrix.from_dense(n, m))
         norm = float(np.abs(es.eigenvalues.real).max()) or 1.0
         x0 = np.exp(1j * (np.pi - 2 * np.pi * rng.random(n)))
 
@@ -165,30 +177,28 @@ def test_criterion_3_propagator_correctness(criterion_log):
 
 
 def test_criterion_4_integrator_convergence_orders(criterion_log):
-    graph = gen_complete(3)
-    details = []
-    ok = True
-    for seed in (3, 7, 11):
-        theta0 = initial_phases(3, seed)
+    seeds = (3, 7, 11)
+    theta0 = np.array([initial_phases(3, seed) for seed in seeds])
 
-        def run(dt, integrator):
-            cfg = SimulationConfig(graph=graph, kappa=1.0, omega=2 * np.pi * 10,
-                                   dt=dt, t_end=1.0, seed=seed,
-                                   integrator=integrator)
-            return integrate_numerical(cfg, theta0)
+    def run(dt, integrator):
+        # the three seeds step as one (3, 3) batch; states are (samples, seed, node)
+        cfg = SimulationConfig(graph=gen_complete(3), kappa=1.0, omega=2 * np.pi * 10,
+                               dt=dt, t_end=1.0, integrator=integrator)
+        return integrate_numerical(cfg, theta0).states
 
-        ref = run(1e-5, "rk4")
+    ref = run(1e-5, "rk4")
 
-        def err(dt, integrator, stride):
-            traj = run(dt, integrator)
-            return float(np.abs(wrap_phase(traj.states - ref.states[::stride])).max())
+    def err(dt, integrator, stride):
+        # the largest deviation of each seed, over its samples and nodes
+        return np.abs(wrap_phase(run(dt, integrator) - ref[::stride])).max(axis=(0, 2))
 
-        # euler error at the floor dt halves cleanly; rk4 hits roundoff there,
-        # so its ratio is probed at coarser steps
-        r_euler = err(1e-3, "euler", 100) / err(5e-4, "euler", 50)
-        r_rk4 = err(2e-2, "rk4", 2000) / err(1e-2, "rk4", 1000)
-        ok = ok and (1.7 <= r_euler <= 2.3) and (12.0 <= r_rk4 <= 20.0)
-        details.append(f"seed {seed}: euler {r_euler:.2f}, rk4 {r_rk4:.1f}")
+    # euler error at the floor dt halves cleanly; rk4 hits roundoff there,
+    # so its ratio is probed at coarser steps
+    r_euler = err(1e-3, "euler", 100) / err(5e-4, "euler", 50)
+    r_rk4 = err(2e-2, "rk4", 2000) / err(1e-2, "rk4", 1000)
+    ok = all((1.7 <= e <= 2.3) and (12.0 <= r <= 20.0) for e, r in zip(r_euler, r_rk4))
+    details = [f"seed {seed}: euler {e:.2f}, rk4 {r:.1f}"
+               for seed, e, r in zip(seeds, r_euler, r_rk4)]
     line = _emit(criterion_log, 4, ok, "; ".join(details))
     assert ok, line
 

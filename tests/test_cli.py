@@ -127,6 +127,13 @@ def test_simulate_complete_graph_long_horizon_overflow_exits_3(tmp_path, capsys)
     assert "enable the overflow guard" in capsys.readouterr().err
 
 
+def test_astronomical_exponent_is_reported_in_one_short_line(tmp_path, capsys):
+    # gamma * t is about 6e299 here; the exponent prints in six significant digits
+    assert _run(["figure", "4", "--kappa", 1e300, "--out", tmp_path]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: propagator overflow: exponent ") and len(line) < 100
+
+
 def test_simulate_repulsive_coupling_guard(tmp_path, monkeypatch):
     # kappa < 0: the dominant mode is lambda_min, and the guard must shift by it
     argv = ["simulate", "--graph", "complete", "--n", 200, "--kappa", -5,

@@ -137,7 +137,7 @@ def test_cdt_ring5_closed_form():
 
 def test_eigh_two_node_chain():
     m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    es = eigendecompose_symmetric(m)
+    es = eigendecompose_symmetric(AdjacencyMatrix.from_dense(2, m))
     assert np.allclose(es.eigenvalues, [1.0, -1.0], atol=1e-14)
     assert np.all(es.eigenvalues.imag == 0.0)
     recon = es.vectors @ np.diag(es.eigenvalues) @ es.vectors.T
@@ -168,13 +168,6 @@ def test_eigh_vectors_are_contiguous_and_descending():
     assert np.abs(graph.entries @ es.vectors - es.vectors * lam).max() < 1e-10
 
 
-def test_eigh_rejects_asymmetric_input():
-    m = np.zeros((3, 3))
-    m[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        eigendecompose_symmetric(m)
-
-
 def test_eigh_trace_identity():
     # hollow matrices have zero trace, so the spectrum sums to zero
     for seed in range(5):
@@ -197,15 +190,6 @@ def test_eigenvalues_only_solver_matches_eigh(graph):
     assert np.all(vals.imag == 0.0)
     assert np.all(np.diff(vals.real) <= 0.0)
     assert np.abs(vals - eigendecompose_symmetric(graph).eigenvalues).max() < 1e-10
-
-
-def test_eigenvalues_only_solver_rejects_bad_input():
-    m = np.zeros((3, 3))
-    m[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        eigenvalues_symmetric(m)
-    with pytest.raises(ValueError):
-        eigenvalues_symmetric(np.zeros((2, 3)))
 
 
 def test_eigh_keeps_one_real_matrix():
@@ -260,7 +244,7 @@ def test_propagator_taylor_oracle():
         n = int(rng.integers(2, 33))
         m = np.triu((rng.random((n, n)) < 0.4).astype(float), 1)
         m = m + m.T
-        es = eigendecompose_symmetric(m)
+        es = eigendecompose_symmetric(AdjacencyMatrix.from_dense(n, m))
         norm = float(np.abs(es.eigenvalues.real).max()) or 1.0
         gamma = 0.5
         t = 0.04 / (gamma * norm)
@@ -618,13 +602,13 @@ def test_complete_route_amplitudes_match_unguarded_oracle(gamma):
     graph = gen_complete(200)
     cfg = SimulationConfig(graph=graph, kappa=gamma * np.pi / 2, dt=1e-3, t_end=1.0)
     theta0 = initial_phases(200, 4)
-    oracle = analytic_amplitudes(eigendecompose_symmetric(graph), cfg, theta0, 1.0,
-                                 guard=False)
+    oracle, _ = analytic_amplitudes(eigendecompose_symmetric(graph), cfg, theta0, 1.0,
+                                    guard=False)
     for guard in (True, False):
-        res = analytic_amplitudes(eigensystem_for(graph), cfg, theta0, 1.0, guard=guard)
-        assert res.shift == (max(gamma * 199, -gamma) if guard else 0.0)
-        assert np.abs(res.values - res.shift - oracle.values).max() <= 1e-12 * np.abs(
-            oracle.values).max()
+        values, shift = analytic_amplitudes(eigensystem_for(graph), cfg, theta0, 1.0,
+                                            guard=guard)
+        assert shift == (max(gamma * 199, -gamma) if guard else 0.0)
+        assert np.abs(values - shift - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 def test_complete_route_overflow():

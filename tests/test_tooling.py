@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -54,3 +55,12 @@ def test_benchmark_hooks_resolve():
               ("experiments", "REPORT_HEADER"), ("graphs", "read_edge_list")]
     for module, name in [*tracing.LAYER_METRIC, *called]:
         assert hasattr(importlib.import_module(f"kurasim.{module}"), name), (module, name)
+
+
+def test_every_exported_name_resolves():
+    # a name left in an __all__ after its object is gone breaks `import *`
+    modules = [kurasim] + [importlib.import_module(f"kurasim.{mod.name}")
+                           for mod in pkgutil.iter_modules(kurasim.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)
