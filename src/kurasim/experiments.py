@@ -82,8 +82,9 @@ class FigureOutput:
 
 def compare_trajectories(a: Trajectory, b: Trajectory) -> ComparisonReport:
     """Per-sample wrapped distances and order-parameter agreement of two runs."""
-    if a.states.shape != b.states.shape:
-        raise ValueError(f"trajectory shapes differ: {a.states.shape} vs {b.states.shape}")
+    if a.states.ndim != 2 or a.states.shape != b.states.shape:
+        raise ValueError(f"expected two single runs shaped (samples, n) alike, got "
+                         f"{a.states.shape} and {b.states.shape}")
     if not np.array_equal(a.times, b.times):
         raise ValueError("trajectories must share identical sample times")
     dev = wrap_phase(a.states - b.states)

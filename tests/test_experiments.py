@@ -73,6 +73,9 @@ def test_compare_rejects_mismatched_grids():
     c = _traj([0.0, 1.0], np.zeros((2, 4)))
     with pytest.raises(ValueError):
         compare_trajectories(a, c)
+    batch = _traj([0.0, 1.0], np.zeros((2, 2, 3)))  # two runs integrated together
+    with pytest.raises(ValueError):
+        compare_trajectories(batch, batch)
 
 
 # ------------------------------------------------------------------- fig 1
