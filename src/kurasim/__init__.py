@@ -22,8 +22,8 @@ from .seeding import rng_for
 from .spectral import (ChebyshevOperator, EigenSystem, Propagator,
                        SpectralError, apply_propagator, cdt_eigensystem,
                        cdt_eigenvalues, cdt_fourier_matrix, chebyshev_operator,
-                       closed_form_route, eigendecompose_symmetric,
-                       eigensystem_for, eigenvalues_symmetric)
+                       eigendecompose_symmetric, eigensystem_for,
+                       eigenvalues_symmetric)
 
 __all__ = [
     "__version__",
@@ -32,8 +32,7 @@ __all__ = [
     "ring_generating_vector", "write_edge_list",
     "ChebyshevOperator", "EigenSystem", "Propagator", "SpectralError",
     "apply_propagator", "cdt_eigensystem", "cdt_eigenvalues",
-    "cdt_fourier_matrix", "chebyshev_operator", "closed_form_route",
-    "eigendecompose_symmetric",
+    "cdt_fourier_matrix", "chebyshev_operator", "eigendecompose_symmetric",
     "eigensystem_for", "eigenvalues_symmetric",
     "IntegrationError", "SimulationConfig", "Trajectory",
     "analytic_amplitudes", "analytic_trajectory", "initial_phases",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -18,7 +19,7 @@ from .dynamics import (SimulationConfig, analytic_trajectory, initial_phases,
 from .experiments import run_fig1, run_fig2, run_fig3, run_fig4, write_pgm
 from .graphs import (gen_complete, gen_erdos_renyi, gen_ring,
                      gen_watts_strogatz, read_edge_list, write_edge_list)
-from .spectral import (closed_form_route, eigensystem_for, eigenvalues_symmetric,
+from .spectral import (cdt_eigenvalues, eigensystem_for, eigenvalues_symmetric,
                        write_spectrum_csv)
 
 GENERATORS = ("ring", "complete", "er", "ws")
@@ -88,6 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="random graph family for figure 4 (default er)")
     p_fig.add_argument("--kappa", type=float,
                        help="coupling override for figure 4 (default 50/N)")
+    # read -5, -.5, -1e6 and -2.5E+1 as values; argparse's own pattern has no exponents
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     return parser
 
 
@@ -162,10 +166,10 @@ def cmd_spectrum(args):
     graph = _graph_from_args(args)
     spectra = {}  # file name -> eigenvalues in descending order
     if args.mode in ("cdt", "both"):
-        if closed_form_route(graph) == "chebyshev":
-            raise ValueError(f"cdt mode requires a circulant source (a ring, or every pair "
-                             f"coupled), got {graph.kind!r}")
-        spectra["spectrum_cdt.csv"] = _sorted_desc(eigensystem_for(graph).eigenvalues)
+        c = graph.generating_vector()
+        if c is None:
+            raise ValueError("cdt mode requires a graph whose adjacency matrix is circulant")
+        spectra["spectrum_cdt.csv"] = _sorted_desc(cdt_eigenvalues(c))
     if args.mode in ("numerical", "both"):
         spectra["spectrum_numerical.csv"] = eigenvalues_symmetric(graph)
     if args.mode == "both":

@@ -40,9 +40,9 @@ class AdjacencyMatrix:
     given, not copied, so they must not be changed. entries, the symmetric
     n x n float matrix of exact 0.0 and 1.0, is built from the arrays on
     first read and kept, read-only. from_dense builds a graph from such a
-    matrix. is_complete tells whether every pair is coupled, whatever the
-    kind; the coupling kernel and the closed form's route both read it.
-    params echoes the generator parameters (k, p, q, seed as applicable).
+    matrix. is_complete (read by the coupling kernel) and generating_vector
+    (read by the closed form's route) come from the edges alone; kind and
+    params (k, p, q, seed as applicable) only record the graph's provenance.
     """
 
     n: int
@@ -111,6 +111,19 @@ class AdjacencyMatrix:
     @property
     def is_complete(self) -> bool:
         return self.edge_count == self.n * (self.n - 1) // 2
+
+    def generating_vector(self) -> np.ndarray | None:
+        """First row c of the adjacency matrix (floats) if it is circulant, else None.
+
+        The matrix is circ(c) exactly when c (node 0's neighbours) is symmetric,
+        c[j - i] = 1 on every edge (i, j), and 2m = n*sum(c). O(edges).
+        """
+        c = np.zeros(self.n)
+        c[self.cols[:np.searchsorted(self.rows, 1)]] = 1.0
+        if (np.array_equal(c[1:], c[:0:-1]) and c[self.cols - self.rows].all()
+                and 2 * self.edge_count == self.n * np.count_nonzero(c)):
+            return c
+        return None
 
     def degrees(self) -> np.ndarray:
         return np.bincount(np.concatenate((self.rows, self.cols)), minlength=self.n)

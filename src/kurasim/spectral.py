@@ -1,12 +1,13 @@
 """Spectral machinery for the closed-form solution x(t) = exp(gamma*t*A) x0.
 
-Circulant matrices share one Fourier eigenbasis, so ring and complete graphs
-get their spectra in closed form, one FFT of the generating vector, and store
-no basis at all; where every pair is coupled, A = J - I has two eigenspaces
-and its exponential needs no transform either. Any other graph's adjacency
-matrix needs no eigenvectors: its exponential is applied as a Chebyshev
-expansion over an interval that holds the spectrum, bounded by Gershgorin
-discs and tightened by a few Lanczos steps. The numerical
+Circulant matrices share one Fourier eigenbasis, so a graph whose adjacency
+matrix is circulant (a ring, a complete graph, or an edge list of either)
+gets its spectrum in closed form, one FFT of the generating vector, and
+stores no basis at all; where every pair is coupled, A = J - I has two
+eigenspaces and its exponential needs no transform either. Any other
+graph's adjacency matrix needs no eigenvectors: its exponential is applied
+as a Chebyshev expansion over an interval that holds the spectrum, bounded
+by Gershgorin discs and tightened by a few Lanczos steps. The numerical
 eigendecomposition, which keeps its real eigenvectors, is the reference the
 tests compare against, and the route a Chebyshev operator falls back to when
 a long horizon would need more matrix products than it costs. Propagator is
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ._text import read_table, write_table
-from .graphs import AdjacencyMatrix, ring_generating_vector
+from .graphs import AdjacencyMatrix
 from .seeding import rng_for
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "eigenvalues_symmetric",
     "ChebyshevOperator",
     "chebyshev_operator",
-    "closed_form_route",
     "eigensystem_for",
     "Propagator",
     "apply_propagator",
@@ -226,38 +226,20 @@ def chebyshev_operator(graph: AdjacencyMatrix) -> ChebyshevOperator:
                              ritz_lo=ritz_lo, ritz_hi=ritz_hi)
 
 
-def closed_form_route(graph: AdjacencyMatrix) -> str:
-    """The route the closed form takes for graph, read from its structure in O(1).
-
-    "complete" where every pair is coupled (graph.is_complete, which the
-    coupling kernel reads too), whatever the graph's kind; "ring" for any
-    other ring graph; "chebyshev" for every other graph. The first two are
-    circulant and take the cdt eigensystem. eigensystem_for builds the route
-    named here, and cmd_spectrum reads it without building anything.
-    """
-    if graph.is_complete:
-        return "complete"
-    return "ring" if graph.kind == "ring" else "chebyshev"
-
-
 def eigensystem_for(graph: AdjacencyMatrix) -> EigenSystem | ChebyshevOperator:
-    """The route closed_form_route names for graph, built.
+    """The closed form's route for graph, read from its edges.
 
-    "complete" gets the circulant (cdt) eigensystem of K_n marked complete,
-    which Propagator applies through its two eigenspaces; "ring" the cdt
-    eigensystem of its radius params["k"], applied with the FFT; "chebyshev"
-    the Chebyshev operator, which needs no eigenvectors until Propagator
-    finds a horizon long enough to make the eigendecomposition the cheaper
-    route.
+    A circulant graph gets the cdt eigensystem of graph.generating_vector(),
+    marked complete where every pair is coupled; any other graph gets the
+    Chebyshev operator, which needs no eigenvectors until Propagator finds a
+    horizon long enough to make the eigendecomposition the cheaper route.
     """
-    route = closed_form_route(graph)
-    if route == "complete":
-        es = cdt_eigensystem(np.append(0.0, np.ones(graph.n - 1)))
-        es.complete = True
-        return es
-    if route == "ring":
-        return cdt_eigensystem(ring_generating_vector(graph.n, graph.params["k"]))
-    return chebyshev_operator(graph)
+    c = graph.generating_vector()
+    if c is None:
+        return chebyshev_operator(graph)
+    es = cdt_eigensystem(c)
+    es.complete = graph.is_complete
+    return es
 
 
 def _guard_rate(system: EigenSystem | ChebyshevOperator, gamma: float) -> float:

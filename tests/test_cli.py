@@ -179,9 +179,9 @@ def test_run_too_large_for_memory_exits_2(tmp_path, dt):
     src = str(Path(kurasim.__file__).resolve().parents[1])
     argv = ["simulate", "--graph", "complete", "--n", "3", "--kappa", "1",
             "--dt", dt, "--t-end", "1", "--out", str(tmp_path)]
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
     out = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv], capture_output=True,
-                         text=True, env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
-                         timeout=120)
+                         text=True, env=env, timeout=120)
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
 
@@ -255,21 +255,31 @@ def test_spectrum_cdt_rejects_non_circulant(tmp_path, capsys):
     assert "circulant" in capsys.readouterr().err
 
 
-def test_spectrum_cdt_takes_the_graphs_the_closed_form_routes_to_cdt(tmp_path, capsys):
-    # an edge list where every pair is coupled is K_n; a ring read back from
-    # disk has lost its kind and radius, so it is not taken as circulant
-    write_edge_list(gen_complete(9), tmp_path / "k9.edges")
-    write_edge_list(gen_ring(12, 2), tmp_path / "ring.edges")
-    assert _run(["spectrum", "--graph", "complete", "--n", 9, "--mode", "cdt",
-                 "--out", tmp_path / "gen"]) == 0
-    assert _run(["spectrum", "--graph", tmp_path / "k9.edges", "--mode", "cdt",
+def test_spectrum_cdt_takes_the_graphs_the_closed_form_routes_to_cdt(tmp_path):
+    # the route is read from the edges: an edge list of K_n or of a ring is
+    # circulant, with the generating vector of the generated graph
+    for source, gen in (("k9", ["complete", "--n", 9]), ("ring", ["ring", "--n", 12, "--k", 2]),
+                        ("ring1500", ["ring", "--n", 1500, "--k", 10])):
+        assert _run(["graph", *gen, "--out", tmp_path / source]) == 0
+        assert _run(["spectrum", "--graph", gen[0], *gen[1:], "--mode", "cdt",
+                     "--out", tmp_path / source / "gen"]) == 0
+        assert _run(["spectrum", "--graph", tmp_path / source / "graph.edges", "--mode", "cdt",
+                     "--out", tmp_path / source / "file"]) == 0
+        want = (tmp_path / source / "gen" / "spectrum.csv").read_bytes()
+        assert (tmp_path / source / "file" / "spectrum.csv").read_bytes() == want, source
+
+
+def test_analytic_trajectory_of_a_ring_file_is_the_generated_rings(tmp_path):
+    ring = ["--n", 1500, "--k", 10]
+    analytic = ["--kappa-over-n", 50, "--method", "analytic", "--record-every", 100]
+    assert _run(["graph", "ring", *ring, "--out", tmp_path]) == 0
+    assert _run(["simulate", "--graph", "ring", *ring, *analytic, "--out", tmp_path / "gen"]) == 0
+    assert _run(["simulate", "--graph", tmp_path / "graph.edges", *analytic,
                  "--out", tmp_path / "file"]) == 0
-    want = (tmp_path / "gen" / "spectrum.csv").read_bytes()
-    assert (tmp_path / "file" / "spectrum.csv").read_bytes() == want
-    capsys.readouterr()
-    assert _run(["spectrum", "--graph", tmp_path / "ring.edges", "--mode", "cdt",
-                 "--out", tmp_path / "ring"]) == 2
-    assert "circulant" in capsys.readouterr().err
+    want = (tmp_path / "gen" / "trajectory.csv").read_bytes()
+    assert (tmp_path / "file" / "trajectory.csv").read_bytes() == want
+    for run in ("gen", "file"):
+        assert read_json(tmp_path / run / "manifest.json")["diagnostics"]["route"] == "cdt"
 
 
 @pytest.mark.parametrize("mode", ["cdt", "both"])
@@ -344,6 +354,27 @@ def test_figure_manifest_records_the_values_used(tmp_path):
     assert params["t_end"] is params["kappa"] is params["variant"] is None
 
 
+@pytest.mark.parametrize("argv, dest, want", [
+    (["simulate", "--graph", "ring", "--kappa", "-1e6"], "kappa", -1e6),
+    (["simulate", "--graph", "ring", "--kappa", "1", "--omega-hz", "-2.5e1"], "omega_hz", -25.0),
+    (["simulate", "--graph", "ring", "--kappa-over-n", "-.5E-3"], "kappa_over_n", -5e-4),
+    (["simulate", "--graph", "ring", "--kappa", "-5"], "kappa", -5.0),
+    (["simulate", "--graph", "ring", "--kappa", "-7.", "--dt", "1e-4"], "kappa", -7.0),
+    (["figure", "4", "--kappa", "-1e+2"], "kappa", -100.0),
+])
+def test_negative_numbers_parse_in_exponent_form(argv, dest, want):
+    # argparse alone reads "-1e6" as an option and stops with "expected one argument"
+    assert getattr(build_parser().parse_args(argv), dest) == want
+
+
+def test_negative_exponent_value_reaches_the_run(tmp_path):
+    argv = ["simulate", "--graph", "complete", "--n", 3, "--kappa", 1, "--t-end", 0.01]
+    assert _run([*argv, "--omega-hz", "-2.5e1", "--out", tmp_path / "exp"]) == 0
+    assert _run([*argv, "--omega-hz=-25", "--out", tmp_path / "eq"]) == 0
+    want = (tmp_path / "eq" / "trajectory.csv").read_bytes()
+    assert (tmp_path / "exp" / "trajectory.csv").read_bytes() == want
+
+
 def test_only_figure_takes_jobs(tmp_path):
     assert build_parser().parse_args(["figure", "3"]).jobs == (os.cpu_count() or 1)
     with pytest.raises(SystemExit) as exc:
@@ -386,14 +417,24 @@ def test_figure3_smoke(tmp_path, capsys):
 
 # ------------------------------------------------------------ memory
 
+_RING_FILE = ["--graph", "ring.edges"]  # gen_ring(20000, 3), written before the run
+
+
 @pytest.mark.parametrize("argv", [
     ["graph", "ring", "--n", 200000, "--k", 2],
     ["spectrum", "--graph", "ring", "--n", 20000, "--k", 3, "--mode", "cdt"],
     ["simulate", "--graph", "ring", "--n", 20000, "--k", 3, "--kappa", 1,
      "--method", "analytic", "--t-end", 0.01],
-], ids=["graph", "spectrum", "simulate"])
+    ["spectrum", *_RING_FILE, "--mode", "cdt"],
+    ["simulate", *_RING_FILE, "--kappa", 1, "--method", "analytic", "--t-end", 0.01],
+], ids=["graph", "spectrum", "simulate", "spectrum-file", "simulate-file"])
 def test_ring_commands_allocate_no_dense_matrix(tmp_path, argv):
-    n = argv[argv.index("--n") + 1]
+    if argv[1:3] == _RING_FILE:
+        n = 20000
+        write_edge_list(gen_ring(n, 3), tmp_path / "ring.edges")
+        argv = [argv[0], "--graph", tmp_path / "ring.edges", *argv[3:]]
+    else:
+        n = argv[argv.index("--n") + 1]
     tracemalloc.start()
     try:
         assert _run([*argv, "--out", tmp_path]) == 0

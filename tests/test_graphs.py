@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kurasim
 from kurasim.graphs import (
@@ -283,6 +283,57 @@ def test_circulant_reconstructs_every_ring():
         for k in range(1, n // 2 + 1):
             m = circulant(ring_generating_vector(n, k))
             assert np.array_equal(m, gen_ring(n, k).entries), (n, k)
+
+
+def test_generating_vector_of_generated_graphs_is_the_one_of_their_parameters():
+    # bit for bit, so every closed form of a generated graph keeps its bytes
+    for n in range(2, 41):
+        for k in range(1, n // 2 + 1):
+            c = gen_ring(n, k).generating_vector()
+            assert c.dtype == float and np.array_equal(c, ring_generating_vector(n, k)), (n, k)
+        assert np.array_equal(gen_complete(n).generating_vector(),
+                              np.append(0.0, np.ones(n - 1))), n
+        if n >= 4:  # the widest ring Watts-Strogatz takes
+            k = n // 2 - 1
+            assert np.array_equal(gen_watts_strogatz(n, k, 0.0, 3).generating_vector(),
+                                  ring_generating_vector(n, k)), n
+
+
+def _offset_graph(n, offsets, modular):
+    """Edges i < j whose offset j - i, or (modular) n - (j - i) too, is in offsets."""
+    i, j = np.triu_indices(n, k=1)
+    d = j - i
+    hit = np.isin(d, offsets) | (np.isin(n - d, offsets) if modular else False)
+    return AdjacencyMatrix(n, i[hit], j[hit])
+
+
+@st.composite
+def _graphs_near_circulant(draw):
+    """Random graphs, circulant graphs, and offset sets not closed under j -> n - j."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["random", "modular", "linear"]))
+    if kind == "random":
+        pairs = n * (n - 1) // 2
+        hit = np.array(draw(st.lists(st.booleans(), min_size=pairs, max_size=pairs)), dtype=bool)
+        i, j = np.triu_indices(n, k=1)
+        return AdjacencyMatrix(n, i[hit], j[hit])
+    offsets = draw(st.sets(st.integers(1, max(1, n - 1)))) if n > 1 else set()
+    return _offset_graph(n, sorted(offsets), kind == "modular")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs_near_circulant())
+@example(AdjacencyMatrix(1, [], []))
+@example(AdjacencyMatrix(9, [], []))
+@example(_offset_graph(10, [1, 4, 7, 8], modular=False))  # 2m = n*sum(c), yet not circulant
+def test_generating_vector_exactly_when_circulant(graph):
+    # circulant: A[i, j] = A[i + 1, j + 1], indices mod n
+    a = graph.entries
+    rotation_invariant = np.array_equal(a, np.roll(a, (1, 1), axis=(0, 1)))
+    c = graph.generating_vector()
+    assert (c is not None) == rotation_invariant
+    if c is not None:
+        assert np.array_equal(circulant(c), a)
 
 
 def test_circulant_column_rule():

@@ -32,7 +32,6 @@ from kurasim.spectral import (
     cdt_eigenvalues,
     cdt_fourier_matrix,
     chebyshev_operator,
-    closed_form_route,
     eigendecompose_symmetric,
     eigensystem_for,
     eigenvalues_symmetric,
@@ -542,19 +541,25 @@ def test_every_pair_coupled_is_decided_once(tmp_path):
             assert sums is None
 
 
-def test_closed_form_route_names_the_route_eigensystem_for_builds(tmp_path):
+def test_generating_vector_names_the_route_eigensystem_for_builds(tmp_path):
+    # the route is read from the edges, not the kind: a ring read back from
+    # its edge list and a Watts-Strogatz graph that rewired nothing are circulant
     write_edge_list(gen_ring(12, 2), tmp_path / "ring.edges")
     for graph, route in ((gen_complete(9), "complete"), (gen_ring(10, 5), "complete"),
                          (_complete_from_file(7, tmp_path), "complete"),
                          (gen_ring(12, 2), "ring"),
-                         (read_edge_list(tmp_path / "ring.edges"), "chebyshev"),
+                         (read_edge_list(tmp_path / "ring.edges"), "ring"),
+                         (gen_watts_strogatz(20, 2, 0.0, 0), "ring"),
                          (gen_erdos_renyi(20, 0.3, 0), "chebyshev"),
                          (gen_watts_strogatz(20, 2, 0.3, 0), "chebyshev")):
-        assert closed_form_route(graph) == route, graph.kind
+        c = graph.generating_vector()
+        assert (c is None) == (route == "chebyshev"), graph.kind
         es = eigensystem_for(graph)
         built = "chebyshev" if es.source == "chebyshev" else \
             "complete" if es.complete else "ring"
         assert built == route, graph.kind
+        if c is not None:
+            assert np.array_equal(es.eigenvalues, cdt_eigenvalues(c)), graph.kind
 
 
 def test_expansion_cost_is_checked_before_its_coefficients(monkeypatch):

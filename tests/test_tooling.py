@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import os
 import pkgutil
 import subprocess
 import sys
@@ -40,7 +41,7 @@ print("scipy" in sys.modules)
 def test_no_module_imports_scipy():
     src = str(Path(kurasim.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True, text=True,
-                         env={"PYTHONPATH": src}, timeout=120, check=True)
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
     assert out.stdout.strip() == "False"
 
 
