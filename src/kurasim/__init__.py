@@ -23,7 +23,7 @@ from .spectral import (ChebyshevOperator, EigenSystem, Propagator,
                        SpectralError, apply_propagator, cdt_eigensystem,
                        cdt_eigenvalues, cdt_fourier_matrix, chebyshev_operator,
                        eigendecompose_symmetric, eigensystem_for,
-                       eigenvalues_symmetric)
+                       eigenvalues_symmetric, unguarded)
 
 __all__ = [
     "__version__",
@@ -33,7 +33,7 @@ __all__ = [
     "ChebyshevOperator", "EigenSystem", "Propagator", "SpectralError",
     "apply_propagator", "cdt_eigensystem", "cdt_eigenvalues",
     "cdt_fourier_matrix", "chebyshev_operator", "eigendecompose_symmetric",
-    "eigensystem_for", "eigenvalues_symmetric",
+    "eigensystem_for", "eigenvalues_symmetric", "unguarded",
     "IntegrationError", "SimulationConfig", "Trajectory",
     "analytic_amplitudes", "analytic_trajectory", "initial_phases",
     "integrate_numerical", "km_rhs", "order_parameter", "read_trajectory_csv",

@@ -185,6 +185,8 @@ def cmd_spectrum(args):
 
 
 def cmd_figure(args):
+    if args.full and args.points is not None:
+        raise ValueError("--full sets 1000 kappa points; give --points or --full, not both")
     for dest, (figure, default) in _FIGURE_FLAGS.items():
         if getattr(args, dest) is None:
             if args.id == figure:

@@ -21,7 +21,7 @@ import numpy as np
 from ._text import read_json, read_table, write_json, write_table
 from .graphs import AdjacencyMatrix
 from .seeding import rng_for
-from .spectral import ChebyshevOperator, EigenSystem, Propagator
+from .spectral import ChebyshevOperator, EigenSystem, Propagator, unguarded
 
 __all__ = [
     "IntegrationError",
@@ -286,30 +286,34 @@ def analytic_trajectory(es: EigenSystem | ChebyshevOperator, cfg: SimulationConf
     es is the route from spectral.eigensystem_for, or any EigenSystem. Every
     sample is evaluated without stepping error, so the sample grid is
     arbitrary. The overflow guard rescales moduli per sample and never
-    changes an argument. The diagnostics record the route Propagator took
-    (cdt, chebyshev, or numerical where a Chebyshev operator fell back to its
-    eigensystem), the Chebyshev terms per time slice and the interval on that
-    route, the guard shift at the last sample,
-    and the smallest min_i |x_i| / max_j |x_j| over the samples, where the
-    phase readout loses meaning as it nears 0.
+    changes an argument; guard=False reads the same phases, but raises where
+    x(t) itself overflows. The diagnostics record the route Propagator took
+    (cdt, chebyshev, or numerical where a Chebyshev operator fell back to
+    eigh), the Chebyshev terms per time slice and the interval on that route,
+    the guard shift at the last sample, and the smallest
+    min_i |x_i| / max_j |x_j| over the samples, where the phase readout
+    loses meaning as it nears 0.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if es.n != cfg.graph.n or theta0.shape != (es.n,):
         raise ValueError("eigensystem, graph and theta0 sizes must agree")
     times = cfg.sample_times()
-    prop = Propagator(es, cfg.gamma, times, guard)
+    prop = Propagator(es, cfg.gamma, times)
     states, shift = prop(np.exp(1j * theta0))
     diagnostics = {"route": prop.system.source}
     if prop.terms is not None:
         diagnostics.update(chebyshev_terms=prop.terms, interval=[es.lo, es.hi])
-    del prop  # its factors: one (n, samples) array fewer while the phases are read out
+    del prop  # its factors: one (samples, n) array fewer while the phases are read out
     # one (samples, n) array holds the moduli, then the phases, in place
-    phases = np.abs(states.T, out=np.empty((times.size, es.n)))
+    phases = np.abs(states, out=np.empty((times.size, es.n)))
     top = phases.max(axis=1)
+    if not guard:  # x(t)'s largest moduli, which must not overflow
+        unguarded(top[:, None], shift)
+        shift = np.zeros_like(shift)
     relative = np.divide(phases.min(axis=1), top, out=np.zeros_like(top), where=top > 0.0)
     diagnostics.update(guard_shift=float(shift[-1]), min_relative_modulus=float(relative.min()))
     # np.angle's arctan2 lands in [-pi, pi]; the add-back then re-wraps to (-pi, pi]
-    np.arctan2(states.imag.T, states.real.T, out=phases)
+    np.arctan2(states.imag, states.real, out=phases)
     del states
     phases += cfg.omega * times[:, None]
     wrap_phase(phases, out=phases)
@@ -319,21 +323,20 @@ def analytic_trajectory(es: EigenSystem | ChebyshevOperator, cfg: SimulationConf
 
 
 def analytic_amplitudes(es: EigenSystem | ChebyshevOperator, cfg: SimulationConfig,
-                        theta0: np.ndarray, t: float,
-                        guard: bool = True) -> tuple[np.ndarray, float]:
+                        theta0: np.ndarray, t: float) -> tuple[np.ndarray, float]:
     """Imaginary phase components at one time: (values, shift), as Propagator returns.
 
     values are -ln of the guarded moduli per node and shift is what the
-    guard subtracted from every log-modulus (0 without it), so -ln|x_i(t)| =
-    values_i - shift on whichever route spectral.Propagator takes. A
-    vanishing |x_i| reports positive infinity.
+    guard subtracted from every log-modulus, so -ln|x_i(t)| = values_i - shift
+    on whichever route spectral.Propagator takes. A vanishing |x_i| reports
+    positive infinity.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if es.n != cfg.graph.n or theta0.shape != (es.n,):
         raise ValueError("eigensystem, graph and theta0 sizes must agree")
-    states, shift = Propagator(es, cfg.gamma, [float(t)], guard)(np.exp(1j * theta0))
+    states, shift = Propagator(es, cfg.gamma, [float(t)])(np.exp(1j * theta0))
     with np.errstate(divide="ignore"):
-        values = -np.log(np.abs(states[:, 0]))
+        values = -np.log(np.abs(states[0]))
     return values, float(shift[0])
 
 

@@ -228,15 +228,15 @@ def _sweep_task(task):
 
 
 def _mean_abs_r_of(x):
-    """Time-averaged |r| of complex states x shaped (n, samples), read through arg x.
+    """Time-averaged |r| of complex states x shaped (samples, n), read through arg x.
 
     Normalizes x in place to the unit phasors e^{i arg x}, so a seed's
-    evaluation holds no second (n, samples) array.
+    evaluation holds no second (samples, n) array.
     """
     modulus = np.abs(x)
     np.divide(x, modulus, out=x, where=modulus > 0.0)
     x[modulus == 0.0] = 1.0  # arg 0, as np.angle reads a vanishing x_i
-    return np.abs(x.mean(axis=0)).mean()
+    return np.abs(x.mean(axis=1)).mean()
 
 
 def read_sweep_csv(path: str | Path) -> SweepResult:

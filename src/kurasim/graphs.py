@@ -8,6 +8,7 @@ as its i < j edge arrays; the dense n x n matrix is built only when read.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -77,8 +78,7 @@ class AdjacencyMatrix:
         self.rows, self.cols = rows[order], cols[order]
 
     @classmethod
-    def from_dense(cls, n: int, entries: np.ndarray, kind: str = "custom",
-                   params: dict | None = None) -> AdjacencyMatrix:
+    def from_dense(cls, n: int, entries: np.ndarray) -> AdjacencyMatrix:
         """The graph of a symmetric n x n matrix of exact 0.0 and 1.0 with a zero diagonal."""
         entries = np.array(entries, dtype=float)
         if entries.shape != (n, n):
@@ -90,7 +90,7 @@ class AdjacencyMatrix:
         if not np.all((entries == 0.0) | (entries == 1.0)):
             raise ValueError("adjacency entries must be exactly 0 or 1")
         rows, cols = np.nonzero(np.triu(entries, k=1))
-        graph = cls(n, rows, cols, kind=kind, params=dict(params or {}))
+        graph = cls(n, rows, cols)
         entries.flags.writeable = False
         graph._entries = entries
         return graph
@@ -253,22 +253,32 @@ def write_edge_list(a: AdjacencyMatrix, path: str | Path) -> None:
     write_table(path, f"{a.n} {a.edge_count}", np.column_stack((a.rows, a.cols)), sep=" ")
 
 
-def _is_int_pair(tokens: list[str]) -> bool:
-    try:
-        return np.array(tokens, dtype=np.int64).shape == (2,)
-    except (ValueError, OverflowError):
-        return False
-
-
 def read_edge_list(path: str | Path) -> AdjacencyMatrix:
     """Read an edge list in the format of write_edge_list, edges in any order.
 
     Blank lines are skipped. A malformed file raises ValueError: for a wrong
     header or edge count, or naming the first line, in file order, that is
     not two integers, lies outside 0 <= i < j < n, or repeats an earlier edge.
+    np.loadtxt parses the header and the edges as one (m + 1, 2) table; a
+    file it rejects is read again line by line, to find what is at fault.
     """
-    text = Path(path).read_text(encoding="ascii")
-    lines = list(filter(str.strip, text.splitlines()))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty file, named by the scan
+            table = np.loadtxt(path, dtype=np.int64, comments=None, ndmin=2, encoding="ascii")
+    except (ValueError, OverflowError):
+        table = None
+    if table is None or table.shape[1:] != (2,) or table[0, 0] < 1 \
+            or table[0, 1] != len(table) - 1:  # the header's n < 1, or its m not the count
+        table = _scan_edge_list(path)
+    return AdjacencyMatrix(int(table[0, 0]), table[1:, 0], table[1:, 1], kind="custom",
+                           params={"source": str(path)})
+
+
+def _scan_edge_list(path: str | Path) -> np.ndarray:
+    """read_edge_list's table, line by line, raising at the first fault."""
+    with Path(path).open(encoding="ascii") as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
         raise ValueError(f"empty edge-list file: {path}")
     try:
@@ -277,14 +287,12 @@ def read_edge_list(path: str | Path) -> AdjacencyMatrix:
         raise ValueError(f"malformed edge-list header {lines[0]!r}") from exc
     if n < 1 or m < 0 or len(lines) - 1 != m:
         raise ValueError(f"edge-list header promises {m} edges, file has {len(lines) - 1}")
-    fields = list(map(str.split, lines[1:]))
-    try:  # every line two integers
-        stop, pairs = m, np.array(fields, dtype=np.int64).reshape(m, 2)
-    except (ValueError, OverflowError):
-        stop = next(e for e, f in enumerate(fields) if not _is_int_pair(f))
-        pairs = np.array(fields[:stop], dtype=np.int64).reshape(stop, 2)
-    graph = AdjacencyMatrix(n, pairs[:, 0], pairs[:, 1], kind="custom",
-                            params={"source": str(path)})
-    if stop < m:  # no earlier line was at fault
-        raise ValueError(f"malformed edge line {lines[1 + stop]!r}")
-    return graph
+    table = np.full((m + 1, 2), (n, m), dtype=np.int64)  # the header row, then the edges
+    for e in range(1, m + 1):
+        try:
+            i, j = lines[e].split()
+            table[e] = int(i), int(j)
+        except (ValueError, OverflowError):
+            AdjacencyMatrix(n, table[1:e, 0], table[1:e, 1])  # the edges before it raise first
+            raise ValueError(f"malformed edge line {lines[e]!r}") from None
+    return table

@@ -11,13 +11,13 @@ by Gershgorin discs and tightened by a few Lanczos steps. The numerical
 eigendecomposition, which keeps its real eigenvectors, is the reference the
 tests compare against, and the route a Chebyshev operator falls back to when
 a long horizon would need more matrix products than it costs. Propagator is
-the one evaluator for all of them, with the overflow guard built in.
+the one evaluator for all of them, guarded; unguarded undoes the guard.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,7 @@ __all__ = [
     "chebyshev_operator",
     "eigensystem_for",
     "Propagator",
+    "unguarded",
     "apply_propagator",
     "write_spectrum_csv",
     "read_spectrum_csv",
@@ -164,7 +165,7 @@ class ChebyshevOperator:
     products only. ritz_lo and ritz_hi are the extreme Lanczos Ritz values,
     which lie inside the spectrum; hi - ritz_hi and ritz_lo - lo bound how
     far each interval end overshoots it. Where Propagator finds the
-    eigendecomposition cheaper, or the interval wrong, it uses eigensystem().
+    eigendecomposition cheaper, or the interval wrong, it uses eigendecompose_symmetric.
     """
 
     n: int
@@ -173,14 +174,7 @@ class ChebyshevOperator:
     hi: float
     ritz_lo: float
     ritz_hi: float
-    _eigensystem: EigenSystem | None = field(default=None, init=False, repr=False)
     source = "chebyshev"
-
-    def eigensystem(self) -> EigenSystem:
-        """eigendecompose_symmetric of graph, computed on first use and kept."""
-        if self._eigensystem is None:
-            self._eigensystem = eigendecompose_symmetric(self.graph)
-        return self._eigensystem
 
 
 def _lanczos_extremes(entries: np.ndarray, steps: int) -> tuple[float, float, float]:
@@ -253,31 +247,32 @@ def _guard_rate(system: EigenSystem | ChebyshevOperator, gamma: float) -> float:
     return float((gamma * system.eigenvalues).real.max())
 
 
-def propagator_exponents(es: EigenSystem, gamma: float, times: np.ndarray,
-                         guard: bool) -> np.ndarray:
-    """Eigenmode exponents gamma*t*lambda for a batch of times, guard applied.
+def propagator_exponents(es: EigenSystem, gamma: float, times: np.ndarray) -> np.ndarray:
+    """Guarded eigenmode exponents gamma*t*lambda, one row per time.
 
-    Guard mode subtracts t * max_r Re(gamma*lambda_r) from every exponent:
-    gamma*lambda_max*t for gamma >= 0 and gamma*lambda_min*t for gamma < 0.
-    That is a uniform rescaling of moduli that leaves all arguments untouched
-    and puts the dominant mode's exponent at 0, so the guarded exponents
-    cannot overflow. Without the guard, raises when an exponent would
-    overflow exp().
+    The guard subtracts t * max_r Re(gamma*lambda_r) from every exponent:
+    gamma*lambda_max*t for gamma >= 0 and gamma*lambda_min*t for gamma < 0,
+    a uniform rescaling of moduli that leaves every argument untouched and
+    puts the dominant mode's exponent at 0. Raises where rounding still
+    lifts one past the floating-point range.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    expo = gamma * np.outer(es.eigenvalues, times)
-    if guard:
-        expo = expo - _guard_rate(es, gamma) * times[None, :]
-    _check_exponent(expo.real.max() if expo.size else 0.0, guard)
+    expo = gamma * np.outer(times, es.eigenvalues) - _guard_rate(es, gamma) * times[:, None]
+    _check_exponent(expo.real.max() if expo.size else 0.0)
     return expo
 
 
-def _check_exponent(peak: float, guard: bool) -> None:
+def _check_exponent(peak: float, hint: str = "") -> None:
     """Raise SpectralError when exp(peak) would overflow."""
     if peak > _EXP_LIMIT:
-        hint = "" if guard else "; enable the overflow guard"
         raise SpectralError(f"propagator overflow: exponent {peak:.6g} exceeds "
                             f"the floating-point range{hint}")
+
+
+def unguarded(states: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """x(t) = e^shift * states from Propagator's pair; raises where x(t) overflows."""
+    _check_exponent(float(np.max(shift)), "; enable the overflow guard")
+    return states * np.exp(shift)[:, None]
 
 
 def _real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -317,9 +312,9 @@ class Propagator:
     What does not depend on x0 is computed once, when the propagator is
     built: the exp() factors of an eigensystem, or the Bessel coefficients of
     a Chebyshev operator. Calling it with x0 returns (states, shift): states
-    shaped (n, samples) and, per sample, what the overflow guard subtracted
-    from every log-modulus, so x(t) = exp(shift) * states; without the guard
-    shift is 0. The guard never changes an argument.
+    shaped (samples, n) and, per sample, what the overflow guard subtracted
+    from every log-modulus, so x(t) = unguarded(states, shift) =
+    exp(shift) * states. The guard never changes an argument.
 
     On an eigensystem V diag(exp(gamma*t*lambda)) V^{-1} x0 is evaluated per
     sample, and the guard subtracts t * max_r Re(gamma*lambda_r). A circulant
@@ -340,53 +335,46 @@ class Propagator:
     horizon is cut into equal slices, each restarting from the last state
     rescaled to a largest modulus of 1; the log of that scale joins the shift.
 
-    A Chebyshev operator is evaluated through its eigensystem() instead when
-    the slices need more matrix products than the eigendecomposition costs,
-    and when some ||T_k(...) x|| exceeds ||x||, which means x excites part of
-    the spectrum outside the interval. system is the route taken, and terms
-    (per slice) is None on an eigensystem.
+    A Chebyshev operator is evaluated through eigendecompose_symmetric of
+    its graph instead when the slices need more matrix products than the
+    eigendecomposition costs, and when some ||T_k(...) x|| exceeds ||x||,
+    which means x excites part of the spectrum outside the interval. system
+    is the route taken, and terms (per slice) is None on an eigensystem.
     """
 
-    def __init__(self, system: EigenSystem | ChebyshevOperator, gamma: float,
-                 times: np.ndarray, guard: bool = True):
+    def __init__(self, system: EigenSystem | ChebyshevOperator, gamma: float, times: np.ndarray):
         if not np.isfinite(gamma):
             raise ValueError(f"gamma must be finite, got {gamma}")
         times = np.atleast_1d(np.asarray(times, dtype=float))
         if not np.all(np.isfinite(times) & (times >= 0.0)):
             raise ValueError(f"times must be finite and >= 0, got {times}")
-        self.guard = guard
-        self._gamma = gamma
-        self._times = times
+        self._gamma, self._times = gamma, times
         if system.source == "chebyshev":
             if self._expand(system):
                 return
-            system = system.eigensystem()
+            system = eigendecompose_symmetric(system.graph)
         self._decompose(system)
 
     def _decompose(self, es: EigenSystem) -> None:
-        self.system, self.terms = es, None
-        if es.complete:
-            self._two_eigenspaces(es.n)
-            return
-        self._factors = np.exp(propagator_exponents(es, self._gamma, self._times, self.guard))
-        self._shift = (_guard_rate(es, self._gamma) if self.guard else 0.0) * self._times
-
-    def _two_eigenspaces(self, n: int) -> None:
-        """Factors a, b with exp(gamma*t*(J - I)) x0 = a x0 + b mean(x0) 1 per sample.
+        """The exp() factors of es, or where es is complete, factors a, b with
+        exp(gamma*t*(J - I)) x0 = a x0 + b mean(x0) 1 per sample.
 
         The mean spans the eigenspace of n - 1 and the rest that of -1, so
         a = e^{-gamma*t} and b = e^{gamma*(n-1)*t} - e^{-gamma*t}, each
-        divided by the guard's e^{shift}; b is taken through expm1 of the
-        gap gamma*n*t, from the larger of its two exponentials.
+        divided by the guard's e^{shift}, the larger of the two exponentials;
+        b is then 1 - e^{-|gamma*n*t|}, signed, through expm1.
         """
+        self.system, self.terms = es, None
         gamma, times = self._gamma, self._times
-        top, low = gamma * (n - 1) * times, -gamma * times
-        peak = np.maximum(top, low)
-        self._shift = peak if self.guard else np.zeros_like(times)
-        _check_exponent(float((peak - self._shift).max()), self.guard)
-        gap = gamma * n * times
+        if not es.complete:
+            self._factors = np.exp(propagator_exponents(es, gamma, times))
+            self._shift = _guard_rate(es, gamma) * times
+            return
+        low = -gamma * times
+        self._shift = np.maximum(gamma * (es.n - 1) * times, low)
+        gap = gamma * es.n * times
         self._a = np.exp(low - self._shift)
-        self._b = np.exp(peak - self._shift) * -np.expm1(-np.abs(gap)) * np.sign(gap)
+        self._b = -np.expm1(-np.abs(gap)) * np.sign(gap)
 
     def _expand(self, op: ChebyshevOperator) -> bool:
         """Slice the horizon and take the Bessel coefficients of one slice.
@@ -429,14 +417,15 @@ class Propagator:
             raise ValueError(f"state shape {x0.shape} does not match dimension {es.n}")
         if self.terms is None:
             if es.complete:
-                states = np.multiply.outer(self._a, x0)  # (samples, n), like the Chebyshev route
+                states = np.multiply.outer(self._a, x0)
                 states += (self._b * x0.mean())[:, None]
-                return states.T, self._shift
+                return states, self._shift
             if es.source == "cdt":  # U x is fft(x)/sqrt(n), U^H y is ifft(y)*sqrt(n)
-                y = self._factors * np.fft.fft(x0, norm="ortho")[:, None]
-                return np.fft.ifft(y, axis=0, norm="ortho", out=y), self._shift
-            y = self._factors * _real_matmul(es.vectors.T, x0)[:, None]
-            return _real_matmul(es.vectors, y), self._shift
+                y = self._factors * np.fft.fft(x0, norm="ortho")
+                return np.fft.ifft(y, norm="ortho", out=y), self._shift
+            # one column per sample, laid out for the product with the eigenvectors
+            y = np.multiply(self._factors.T, _real_matmul(es.vectors.T, x0)[:, None], order="C")
+            return _real_matmul(es.vectors, y).T, self._shift
         coeffs = self._coeffs
         states = np.empty((self._offsets.size, es.n), dtype=complex)
         shift = self._rate * self._offsets
@@ -445,7 +434,7 @@ class Propagator:
             vecs = self._chebyshev_vectors(state)
             norms = np.linalg.norm(vecs, axis=1)
             if norms.max() > (1.0 + _INTERVAL_TOLERANCE) * norms[0]:
-                self._decompose(es.eigensystem())
+                self._decompose(eigendecompose_symmetric(es.graph))
                 return self(x0)
             vecs = vecs.view(float)
             rows = np.flatnonzero(self._index == j)
@@ -458,11 +447,7 @@ class Propagator:
                     state /= scale
                     base += math.log(scale)
                 base += self._rate * self._tau
-        if not self.guard:
-            _check_exponent(float(shift.max()), self.guard)
-            states *= np.exp(shift)[:, None]
-            shift = np.zeros_like(shift)
-        return states.T, shift
+        return states, shift
 
     def _chebyshev_vectors(self, x: np.ndarray) -> np.ndarray:
         """T_k(B) x for k < terms as the rows of a complex array, B = (A - c*I)/r."""
@@ -476,9 +461,9 @@ class Propagator:
 
 
 def apply_propagator(system: EigenSystem | ChebyshevOperator, gamma: float, t: float,
-                     x0: np.ndarray, guard: bool = True) -> np.ndarray:
-    """Evaluate x(t) = exp(gamma*t*A) x0 on either route, guarded as Propagator is."""
-    return Propagator(system, gamma, [t], guard)(x0)[0][:, 0]
+                     x0: np.ndarray) -> np.ndarray:
+    """x(t) = exp(gamma*t*A) x0 itself, on any route; raises where it overflows."""
+    return unguarded(*Propagator(system, gamma, [t])(x0))[0]
 
 
 def write_spectrum_csv(eigenvalues: np.ndarray, path: str | Path) -> None:

@@ -154,7 +154,7 @@ def test_criterion_3_propagator_correctness(criterion_log):
 
         gamma = 0.5
         t = 0.04 / (gamma * norm)  # inside the gamma*t*||A|| <= 0.1 regime
-        x = apply_propagator(es, gamma, t, x0, guard=False)
+        x = apply_propagator(es, gamma, t, x0)
         acc = x0.astype(complex)
         term = x0.astype(complex)
         for k in range(1, 5):
@@ -163,10 +163,8 @@ def test_criterion_3_propagator_correctness(criterion_log):
         worst_taylor = max(worst_taylor, float(np.abs(x - acc).max()))
 
         t1, t2 = 0.8 / norm, 1.7 / norm
-        full = apply_propagator(es, gamma, t1 + t2, x0, guard=False)
-        comp = apply_propagator(es, gamma, t2,
-                                apply_propagator(es, gamma, t1, x0, guard=False),
-                                guard=False)
+        full = apply_propagator(es, gamma, t1 + t2, x0)
+        comp = apply_propagator(es, gamma, t2, apply_propagator(es, gamma, t1, x0))
         worst_semi = max(worst_semi,
                          float(np.abs(full - comp).max() / np.abs(full).max()))
     ok = worst_taylor < 1e-8 and worst_semi < 1e-8

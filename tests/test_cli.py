@@ -148,6 +148,25 @@ def test_simulate_repulsive_coupling_guard(tmp_path, monkeypatch):
     assert np.abs(diff).max() <= 1e-9
 
 
+@pytest.mark.parametrize("graph, route", [
+    (["--graph", "ring", "--n", 40, "--k", 3, "--kappa", 1], "cdt"),
+    (["--graph", "complete", "--n", 200, "--kappa", -5, "--t-end", 2], "cdt"),
+    (["--graph", "ws", "--n", 200, "--k", 4, "--q", 0.2, "--kappa-over-n", 50], "chebyshev"),
+    # |gamma| * t_end = 64 costs more products than eigh
+    (["--graph", "ws", "--n", 200, "--k", 4, "--q", 0.2, "--kappa", 10, "--t-end", 10,
+      "--record-every", 100], "numerical"),
+], ids=["ring", "complete", "ws", "eigh"])
+def test_no_guard_writes_the_guarded_phases(tmp_path, graph, route):
+    # the guard rescales moduli only, so the phases are the same bytes
+    argv = ["simulate", *graph, "--method", "analytic"]
+    assert _run(argv + ["--out", tmp_path / "guarded"]) == 0
+    assert _run(argv + ["--no-guard", "--out", tmp_path / "raw"]) == 0
+    diag = read_json(tmp_path / "raw" / "manifest.json")["diagnostics"]
+    assert diag["route"] == route and diag["guard_shift"] == 0.0
+    assert ((tmp_path / "raw" / "trajectory.csv").read_bytes()
+            == (tmp_path / "guarded" / "trajectory.csv").read_bytes())
+
+
 def test_unknown_graph_source_exits_2(tmp_path, capsys):
     code = _run(["simulate", "--graph", "no_such_file.txt", "--kappa", 1,
                  "--out", tmp_path])
@@ -339,6 +358,14 @@ def test_figure_rejects_flags_of_other_figures(tmp_path, capsys, fig, flag):
     assert _run(["figure", fig, flag, *_FLAG_VALUES.get(flag, [5]), "--out", tmp_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and flag in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_figure3_rejects_points_with_full(tmp_path, capsys):
+    # --full sets the grid to 1000 points, so --points beside it would be ignored
+    assert _run(["figure", 3, "--full", "--points", 5, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--points" in err and "--full" in err
     assert not (tmp_path / "manifest.json").exists()
 
 

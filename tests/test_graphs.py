@@ -32,25 +32,25 @@ def test_adjacency_rejects_asymmetric():
     m = np.zeros((3, 3))
     m[0, 1] = 1.0
     with pytest.raises(ValueError):
-        AdjacencyMatrix.from_dense(n=3, entries=m, kind="custom", params={})
+        AdjacencyMatrix.from_dense(n=3, entries=m)
 
 
 def test_adjacency_rejects_self_loops():
     m = np.eye(3)
     with pytest.raises(ValueError):
-        AdjacencyMatrix.from_dense(n=3, entries=m, kind="custom", params={})
+        AdjacencyMatrix.from_dense(n=3, entries=m)
 
 
 def test_adjacency_rejects_non_binary():
     m = np.zeros((2, 2))
     m[0, 1] = m[1, 0] = 0.5
     with pytest.raises(ValueError):
-        AdjacencyMatrix.from_dense(n=2, entries=m, kind="custom", params={})
+        AdjacencyMatrix.from_dense(n=2, entries=m)
 
 
 def test_adjacency_rejects_shape_mismatch():
     with pytest.raises(ValueError):
-        AdjacencyMatrix.from_dense(n=3, entries=np.zeros((2, 2)), kind="custom", params={})
+        AdjacencyMatrix.from_dense(n=3, entries=np.zeros((2, 2)))
 
 
 def test_edges_are_stored_sorted_and_checked():
@@ -404,6 +404,28 @@ def test_edge_list_skips_blank_lines(tmp_path):
     g = read_edge_list(path)
     assert (g.n, g.edge_count) == (4, 2)
     assert g.rows.tolist() == [0, 2] and g.cols.tolist() == [1, 3]
+
+
+def test_edge_list_takes_any_int_literal(tmp_path):
+    # np.loadtxt rejects "1_1"; the line-by-line parse reads it as int() does
+    path = tmp_path / "g.txt"
+    path.write_text("12 2\n0 1_1\n+0 2\n")
+    g = read_edge_list(path)
+    assert g.rows.tolist() == [0, 0] and g.cols.tolist() == [2, 11]
+
+
+def test_edge_list_reading_memory_is_bounded(tmp_path):
+    path = tmp_path / "ring.edges"
+    write_edge_list(gen_ring(20_000, 3), path)
+    tracemalloc.start()
+    try:
+        g = read_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured 25 bytes per edge; a parse that holds every line and its
+    # split fields took 393
+    assert peak <= 64 * g.edge_count
 
 
 def test_shuffled_edge_list_reads_back_canonical(tmp_path):

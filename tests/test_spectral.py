@@ -37,6 +37,7 @@ from kurasim.spectral import (
     eigenvalues_symmetric,
     propagator_exponents,
     read_spectrum_csv,
+    unguarded,
     write_spectrum_csv,
 )
 
@@ -232,7 +233,7 @@ def test_propagator_uniform_mode_growth():
     es = cdt_eigensystem(ring_generating_vector(3, 1))
     x0 = np.ones(3, dtype=complex)
     gamma, t = 0.5, 1.3
-    x = apply_propagator(es, gamma, t, x0, guard=False)
+    x = apply_propagator(es, gamma, t, x0)
     assert np.abs(x - np.exp(gamma * t * 2.0)).max() < 1e-9
 
 
@@ -248,7 +249,7 @@ def test_propagator_taylor_oracle():
         gamma = 0.5
         t = 0.04 / (gamma * norm)
         x0 = np.exp(1j * (np.pi - 2 * np.pi * rng.random(n)))
-        x = apply_propagator(es, gamma, t, x0, guard=False)
+        x = apply_propagator(es, gamma, t, x0)
         acc = x0.astype(complex)
         term = x0.astype(complex)
         for k in range(1, 5):
@@ -263,9 +264,9 @@ def test_fft_propagation_matches_basis_product(n, k):
     es = cdt_eigensystem(ring_generating_vector(n, k))
     x0 = np.exp(1j * np.linspace(-3.0, 3.0, n))
     times = np.linspace(0.0, 1.0, 7)
-    factors = np.exp(propagator_exponents(es, 0.4, times, guard=True))
+    factors = np.exp(propagator_exponents(es, 0.4, times))
     u = cdt_fourier_matrix(n)
-    want = u.conj().T @ (factors * (u @ x0)[:, None])
+    want = (u.conj().T @ (factors.T * (u @ x0)[:, None])).T
     assert np.abs(Propagator(es, 0.4, times)(x0)[0] - want).max() < 1e-12
 
 
@@ -275,26 +276,24 @@ def test_real_basis_propagation_matches_complex_product(graph):
     es = eigendecompose_symmetric(graph)
     x0 = np.exp(1j * np.linspace(-3.0, 3.0, graph.n))
     times = np.linspace(0.0, 1.0, 7)
-    factors = np.exp(propagator_exponents(es, 0.4, times, guard=True))
-    want = es.vectors.astype(complex) @ (factors * (es.vectors.T @ x0)[:, None])
+    factors = np.exp(propagator_exponents(es, 0.4, times))
+    want = (es.vectors.astype(complex) @ (factors.T * (es.vectors.T @ x0)[:, None])).T
     assert np.abs(Propagator(es, 0.4, times)(x0)[0] - want).max() < 1e-12
 
 
 def test_propagator_semigroup():
     es = cdt_eigensystem(ring_generating_vector(8, 3))
     x0 = np.exp(1j * np.linspace(0.0, 2.0, 8))
-    full = apply_propagator(es, 0.3, 2.5, x0, guard=False)
-    comp = apply_propagator(es, 0.3, 1.5,
-                            apply_propagator(es, 0.3, 1.0, x0, guard=False),
-                            guard=False)
+    full = apply_propagator(es, 0.3, 2.5, x0)
+    comp = apply_propagator(es, 0.3, 1.5, apply_propagator(es, 0.3, 1.0, x0))
     assert np.abs(full - comp).max() / np.abs(full).max() < 1e-8
 
 
 def test_guard_preserves_arguments():
     es = cdt_eigensystem(ring_generating_vector(10, 4))
     x0 = np.exp(1j * np.linspace(-2.0, 2.0, 10))
-    a = apply_propagator(es, 1.0, 3.0, x0, guard=False)
-    b = apply_propagator(es, 1.0, 3.0, x0, guard=True)
+    a = apply_propagator(es, 1.0, 3.0, x0)
+    b = Propagator(es, 1.0, [3.0])(x0)[0][0]
     diff = np.angle(a) - np.angle(b)
     diff = np.abs(np.remainder(diff + np.pi, 2 * np.pi) - np.pi)
     assert diff.max() < 1e-10
@@ -305,21 +304,21 @@ def test_guarded_exponents_are_nonpositive(gamma):
     times = np.linspace(0.0, 2.0, 5)
     for es in (cdt_eigensystem(ring_generating_vector(200, 100)),
                eigendecompose_symmetric(gen_erdos_renyi(50, 0.3, 3))):
-        expo = propagator_exponents(es, gamma, times, guard=True)
+        expo = propagator_exponents(es, gamma, times)
         # gamma*(lambda*t) and (gamma*lambda)*t may round one ulp apart
         assert expo.real.max() <= 1e-12
         if gamma >= 0.0:  # the shift is gamma*lambda_max*t, bit for bit
-            raw = gamma * np.outer(es.eigenvalues, times)
+            raw = gamma * np.outer(times, es.eigenvalues)
             lambda_max = es.eigenvalues.real.max()
-            assert np.array_equal(expo, raw - gamma * lambda_max * times[None, :])
+            assert np.array_equal(expo, raw - gamma * lambda_max * times[:, None])
 
 
 def test_guard_prevents_overflow():
     es = cdt_eigensystem(ring_generating_vector(200, 100))
     x0 = np.ones(200, dtype=complex)
     with pytest.raises(SpectralError):
-        apply_propagator(es, 1.0, 10.0, x0, guard=False)
-    x = apply_propagator(es, 1.0, 10.0, x0, guard=True)
+        apply_propagator(es, 1.0, 10.0, x0)
+    x = Propagator(es, 1.0, [10.0])(x0)[0]
     assert np.all(np.isfinite(x))
 
 
@@ -431,14 +430,13 @@ def test_chebyshev_guard_shift_and_unguarded_values(expansion_only):
         # one slice: the guard drops exactly t * max(gamma*hi, gamma*lo)
         assert np.array_equal(shift, max(gamma * op.hi, gamma * op.lo) * times)
         assert np.all(shift >= (gamma * es.eigenvalues.real).max() * times)
-        want = Propagator(es, gamma, times, guard=False)(x0)[0]
-        raw, no_shift = Propagator(op, gamma, times, guard=False)(x0)
-        assert not no_shift.any()
+        want = unguarded(*Propagator(es, gamma, times)(x0))
+        raw = unguarded(states, shift)
         assert np.abs(raw - want).max() <= 1e-12 * np.abs(want).max()
-        assert np.abs(np.exp(shift) * states - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(np.exp(shift)[:, None] * states - want).max() <= 1e-12 * np.abs(want).max()
     with pytest.raises(SpectralError):
-        apply_propagator(op, 50.0, 10.0, x0, guard=False)
-    assert np.all(np.isfinite(apply_propagator(op, 50.0, 10.0, x0)))
+        apply_propagator(op, 50.0, 10.0, x0)
+    assert np.all(np.isfinite(Propagator(op, 50.0, [10.0])(x0)[0]))
 
 
 def test_propagator_takes_the_cheaper_route():
@@ -450,13 +448,14 @@ def test_propagator_takes_the_cheaper_route():
     # |gamma| * t_end = 50 needs hundreds of matrix products, more than one eigh costs
     times = np.linspace(0.0, 25.0, 11)
     long = Propagator(op, 2.0, times)
-    assert long.system is op.eigensystem() and long.terms is None
+    assert long.system.source == "numerical" and long.terms is None
     oracle = Propagator(eigendecompose_symmetric(graph), 2.0, times)(x0)
     states, shift = long(x0)
     assert np.array_equal(shift, oracle[1])
     assert np.abs(states - oracle[0]).max() <= 1e-12
-    # the eigendecomposition is made once per operator
-    assert Propagator(op, -2.0, times).system is long.system
+    # the eigendecomposition of the operator's graph, for either sign of gamma
+    assert np.array_equal(long.system.vectors, eigendecompose_symmetric(graph).vectors)
+    assert Propagator(op, -2.0, times).system.source == "numerical"
 
 
 @pytest.mark.parametrize("expand", [False, True])
@@ -468,7 +467,7 @@ def test_zero_state_stays_zero(expand, monkeypatch):
     assert (prop.terms is not None) == expand and (prop._slices > 1 if expand else True)
     states, shift = prop(np.zeros(40))
     assert not states.any() and np.all(np.isfinite(shift))
-    assert not apply_propagator(op.eigensystem(), 50.0, 10.0, np.zeros(40)).any()
+    assert not Propagator(eigendecompose_symmetric(op.graph), 50.0, [10.0])(np.zeros(40))[0].any()
 
 
 @pytest.mark.parametrize("gamma", [0.5, -0.5])
@@ -499,7 +498,30 @@ def test_chebyshev_on_an_empty_graph_is_the_identity():
     assert (op.lo, op.hi) == (0.0, 0.0)
     x0 = np.exp(1j * np.arange(10.0))
     states, shift = Propagator(op, 2.0, [0.0, 1.5])(x0)
-    assert np.array_equal(states, np.column_stack([x0, x0])) and not shift.any()
+    assert np.array_equal(states, np.vstack([x0, x0])) and not shift.any()
+
+
+@pytest.mark.parametrize("case", ["complete", "cdt", "chebyshev", "chebyshev_sliced", "eigh"])
+def test_every_route_returns_one_state_row_per_sample(case, monkeypatch):
+    graph = {"complete": gen_complete(50), "cdt": gen_ring(40, 3)}.get(
+        case, gen_watts_strogatz(60, 4, 0.2, 6))
+    gamma, t_end = (2.0, 20.0) if case in ("chebyshev_sliced", "eigh") else (0.5, 2.0)
+    if case.startswith("chebyshev"):
+        monkeypatch.setattr(spectral, "_PRODUCTS_PER_NODE", math.inf)
+    times = np.linspace(0.0, t_end, 9)
+    x0 = np.exp(1j * initial_phases(graph.n, 5))
+    prop = Propagator(eigensystem_for(graph), gamma, times)
+    states, shift = prop(x0)
+    assert states.shape == (times.size, graph.n) and shift.shape == (times.size,)
+    route = {"complete": "cdt", "cdt": "cdt", "eigh": "numerical"}.get(case, "chebyshev")
+    assert prop.system.source == route
+    assert getattr(prop.system, "complete", False) == (case == "complete")
+    assert (prop.terms is not None and prop._slices > 1) == (case == "chebyshev_sliced")
+    # the eigh reference, one row per sample
+    vals, vecs = np.linalg.eigh(graph.entries)
+    want = (vecs @ (np.exp(gamma * np.outer(vals, times)) * (vecs.T @ x0)[:, None])).T
+    gap = np.abs(unguarded(states, shift) - want).max(axis=1)
+    assert np.all(gap <= 1e-10 * np.abs(want).max(axis=1))
 
 
 # ----------------------------------------------------------- complete graphs
@@ -574,7 +596,7 @@ def test_expansion_cost_is_checked_before_its_coefficients(monkeypatch):
         warnings.simplefilter("error")
         prop = Propagator(op, 1e300, np.linspace(0.0, 1.0, 5))
         states, shift = prop(np.exp(1j * initial_phases(50, 4)))
-    assert prop.system is op.eigensystem() and prop.terms is None
+    assert prop.system.source == "numerical" and prop.terms is None
     assert np.all(np.isfinite(states)) and np.all(np.isfinite(shift))
 
 
@@ -583,20 +605,24 @@ def test_expansion_cost_is_checked_before_its_coefficients(monkeypatch):
 @pytest.mark.parametrize("gamma", [0.7, -0.4, 0.0])
 @pytest.mark.parametrize("guard", [True, False])
 def test_complete_route_matches_fft_and_eigh(graph, gamma, guard):
+    def propagate(prop, x0):  # guard off: x(t) itself, with no shift
+        states, shift = prop(x0)
+        return (states, shift) if guard else (unguarded(states, shift), 0.0 * shift)
+
     n = graph.n
     es = eigensystem_for(graph)
     times = np.linspace(0.0, 2.0, 11)
     x0 = np.exp(1j * initial_phases(n, 3))
-    prop = Propagator(es, gamma, times, guard)
+    prop = Propagator(es, gamma, times)
     assert prop.system is es and prop.terms is None
-    states, shift = prop(x0)
-    assert states.shape == (n, times.size)
-    assert np.array_equal(states[:, 0], x0)  # the t = 0 sample is x0 itself
+    states, shift = propagate(prop, x0)
+    assert states.shape == (times.size, n)
+    assert np.array_equal(states[0], x0)  # the t = 0 sample is x0 itself
     want_shift = times * max(gamma * (n - 1), -gamma) if guard else 0.0 * times
     assert np.array_equal(shift, want_shift)
     for route in (cdt_eigensystem(ring_generating_vector(n, n // 2)),
                   eigendecompose_symmetric(graph)):
-        want, route_shift = Propagator(route, gamma, times, guard)(x0)
+        want, route_shift = propagate(Propagator(route, gamma, times), x0)
         assert np.abs(shift - route_shift).max() <= 1e-12 * max(1.0, np.abs(shift).max())
         assert np.abs(states - want).max() <= 1e-12 * np.abs(want).max()
         assert _wrapped_gap(np.angle(states), np.angle(want)) <= 1e-12
@@ -607,11 +633,14 @@ def test_complete_route_amplitudes_match_unguarded_oracle(gamma):
     graph = gen_complete(200)
     cfg = SimulationConfig(graph=graph, kappa=gamma * np.pi / 2, dt=1e-3, t_end=1.0)
     theta0 = initial_phases(200, 4)
-    oracle, _ = analytic_amplitudes(eigendecompose_symmetric(graph), cfg, theta0, 1.0,
-                                    guard=False)
+    x0 = np.exp(1j * theta0)
+    oracle = -np.log(np.abs(apply_propagator(eigendecompose_symmetric(graph), cfg.gamma, 1.0, x0)))
     for guard in (True, False):
-        values, shift = analytic_amplitudes(eigensystem_for(graph), cfg, theta0, 1.0,
-                                            guard=guard)
+        if guard:
+            values, shift = analytic_amplitudes(eigensystem_for(graph), cfg, theta0, 1.0)
+        else:
+            values, shift = -np.log(np.abs(apply_propagator(eigensystem_for(graph), cfg.gamma,
+                                                            1.0, x0))), 0.0
         assert shift == (max(gamma * 199, -gamma) if guard else 0.0)
         assert np.abs(values - shift - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
@@ -620,8 +649,8 @@ def test_complete_route_overflow():
     es = eigensystem_for(gen_complete(200))
     x0 = np.ones(200, dtype=complex)
     with pytest.raises(SpectralError, match="enable the overflow guard"):
-        Propagator(es, 1.0, [0.0, 10.0], guard=False)
-    x = apply_propagator(es, 1.0, 10.0, x0)
+        unguarded(*Propagator(es, 1.0, [0.0, 10.0])(x0))
+    x = Propagator(es, 1.0, [10.0])(x0)[0][0]
     assert np.abs(x - 1.0).max() <= 1e-15  # the uniform mode, rescaled to 1
     # repulsive coupling: the guard divides by e^{gamma * t} instead
     states, shift = Propagator(es, -30.0, [0.0, 10.0])(np.exp(1j * np.arange(200.0)))
