@@ -22,7 +22,9 @@ from .graphs import (gen_complete, gen_erdos_renyi, gen_ring,
 from .spectral import (cdt_eigenvalues, eigensystem_for, eigenvalues_symmetric,
                        write_spectrum_csv)
 
-GENERATORS = ("ring", "complete", "er", "ws")
+# generator -> the source flags it reads; an edge-list file reads none of them
+_SOURCE_FLAGS = {"ring": ("n", "k"), "complete": ("n",), "er": ("n", "p"), "ws": ("n", "k", "q")}
+GENERATORS = tuple(_SOURCE_FLAGS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,26 +105,22 @@ _FIGURE_FLAGS = {"t_end": (1, 1.0), "kappa": (4, None), "points": (3, 100),
 
 def _graph_from_args(args):
     src = args.graph
-    if src not in GENERATORS:
-        path = Path(src)
-        if not path.exists():
-            raise ValueError(f"graph source {src!r} is neither a generator name nor a file")
-        return read_edge_list(path)
-    if args.n is None:
-        raise ValueError(f"generator {src!r} requires --n")
+    if src not in GENERATORS and not Path(src).exists():
+        raise ValueError(f"graph source {src!r} is neither a generator name nor a file")
+    source = f"graph {src!r}" if src in GENERATORS else "an edge-list file"
+    for flag in ("n", "k", "p", "q"):
+        given, read = getattr(args, flag) is not None, flag in _SOURCE_FLAGS.get(src, ())
+        if given != read:
+            raise ValueError(f"{source} {'requires' if read else 'does not read'} --{flag}")
     if src == "ring":
-        if args.k is None:
-            raise ValueError("ring graph requires --k")
         return gen_ring(args.n, args.k)
     if src == "complete":
         return gen_complete(args.n)
     if src == "er":
-        if args.p is None:
-            raise ValueError("er graph requires --p")
         return gen_erdos_renyi(args.n, args.p, args.seed)
-    if args.k is None or args.q is None:
-        raise ValueError("ws graph requires --k and --q")
-    return gen_watts_strogatz(args.n, args.k, args.q, args.seed)
+    if src == "ws":
+        return gen_watts_strogatz(args.n, args.k, args.q, args.seed)
+    return read_edge_list(Path(src))
 
 
 def cmd_graph(args):
@@ -139,6 +137,9 @@ def cmd_simulate(args):
     cfg = SimulationConfig(graph=graph, kappa=kappa, omega=2.0 * np.pi * args.omega_hz,
                            dt=args.dt, t_end=args.t_end, seed=args.seed,
                            integrator=args.integrator, record_every=args.record_every)
+    if abs(cfg.omega) * cfg.t_end > 1.0 / np.finfo(float).eps:  # no bits left below 2*pi
+        raise ValueError(f"|omega| * t_end = {abs(cfg.omega) * cfg.t_end:.6g} rad is past "
+                         "float resolution; every wrapped phase would be rounding noise")
     theta0 = initial_phases(graph.n, args.seed)
     if args.method == "numerical":
         traj = integrate_numerical(cfg, theta0)

@@ -96,8 +96,10 @@ class SimulationConfig:
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if int(self.record_every) != self.record_every or self.record_every < 1:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every}")
-        steps = round(self.t_end / self.dt)
-        if abs(steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
+        steps = self.t_end / self.dt
+        if not np.isfinite(steps):
+            raise ValueError(f"t_end={self.t_end} / dt={self.dt} is not a finite step count")
+        if abs(round(steps) * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise ValueError(f"t_end={self.t_end} is not an integer multiple of dt={self.dt}")
 
     @property
@@ -287,27 +289,29 @@ def analytic_trajectory(es: EigenSystem | ChebyshevOperator, cfg: SimulationConf
     sample is evaluated without stepping error, so the sample grid is
     arbitrary. The overflow guard rescales moduli per sample and never
     changes an argument; guard=False reads the same phases, but raises where
-    x(t) itself overflows. The diagnostics record the route Propagator took
-    (cdt, chebyshev, or numerical where a Chebyshev operator fell back to
-    eigh), the Chebyshev terms per time slice and the interval on that route,
-    the guard shift at the last sample, and the smallest
-    min_i |x_i| / max_j |x_j| over the samples, where the phase readout
-    loses meaning as it nears 0.
+    x(t) itself overflows, before any sample is evaluated where it can. The
+    diagnostics record the route Propagator took (cdt, chebyshev, or
+    numerical where a Chebyshev operator fell back to eigh), the Chebyshev
+    terms and interval on that route, the guard shift at the last sample,
+    and the smallest min_i |x_i| / max_j |x_j| over the samples, where the
+    phase readout loses meaning as it nears 0.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if es.n != cfg.graph.n or theta0.shape != (es.n,):
         raise ValueError("eigensystem, graph and theta0 sizes must agree")
     times = cfg.sample_times()
     prop = Propagator(es, cfg.gamma, times)
+    if not guard:  # the shift is known before any sample is evaluated
+        unguarded(np.empty((times.size, 0)), prop.shift)
     states, shift = prop(np.exp(1j * theta0))
     diagnostics = {"route": prop.system.source}
     if prop.terms is not None:
-        diagnostics.update(chebyshev_terms=prop.terms, interval=[es.lo, es.hi])
+        diagnostics.update(chebyshev_terms=prop.terms, interval=list(es.interval(cfg.gamma)))
     del prop  # its factors: one (samples, n) array fewer while the phases are read out
     # one (samples, n) array holds the moduli, then the phases, in place
     phases = np.abs(states, out=np.empty((times.size, es.n)))
     top = phases.max(axis=1)
-    if not guard:  # x(t)'s largest moduli, which must not overflow
+    if not guard:  # x(t)'s largest moduli, once more after a fallback to eigh
         unguarded(top[:, None], shift)
         shift = np.zeros_like(shift)
     relative = np.divide(phases.min(axis=1), top, out=np.zeros_like(top), where=top > 0.0)

@@ -50,13 +50,11 @@ SPECTRUM_HEADER = "lambda_re,lambda_im"
 _EXP_LIMIT = float(np.log(np.finfo(float).max))
 # Lanczos steps that tighten the Gershgorin interval of a Chebyshev operator
 _LANCZOS_STEPS = 20
-# Per time slice of the Chebyshev route: at most this z = |gamma|*t*radius,
-# which bounds the number of terms (51 at z = 32), and at most this
-# |gamma|*t*(distance from the interval end to the spectrum), the log of the
-# factor by which rounding errors grow relative to the dominant mode.
-_SLICE_Z = 32.0
-_SLICE_LOSS = 4.0
-# The Chebyshev route costs (slices * terms) products with the n x n matrix,
+# On the Chebyshev route, at most this |gamma|*t_end*(guard's interval end -
+# its Ritz value), the log of the factor by which rounding errors may grow
+# relative to the dominant mode.
+_MAX_LOSS = 4.0
+# The Chebyshev route costs one product with the n x n matrix per term,
 # the eigendecomposition about as much as this many products per node; past
 # that count the numerical eigensystem is the cheaper route. Measured with
 # OpenBLAS on 2 cores for n = 800..2500, where one eigh cost 0.21 to 0.28
@@ -158,14 +156,13 @@ def eigenvalues_symmetric(graph: AdjacencyMatrix) -> np.ndarray:
 
 @dataclass(eq=False)
 class ChebyshevOperator:
-    """A graph and an interval [lo, hi] that holds its adjacency spectrum.
+    """A graph and bounds on its adjacency spectrum, for the Chebyshev route.
 
-    Propagator applies exp(gamma*t*A) to it as a Chebyshev expansion in
-    (A - c*I)/r, c and r the interval's centre and half-width, with matrix
-    products only. ritz_lo and ritz_hi are the extreme Lanczos Ritz values,
-    which lie inside the spectrum; hi - ritz_hi and ritz_lo - lo bound how
-    far each interval end overshoots it. Where Propagator finds the
-    eigendecomposition cheaper, or the interval wrong, it uses eigendecompose_symmetric.
+    [lo, hi] holds the spectrum; ritz_lo and ritz_hi are the extreme Lanczos
+    Ritz values, which lie inside it, and residual_lo and residual_hi their
+    residuals. Propagator expands exp(gamma*t*A) over interval(gamma) with
+    matrix products only, or uses eigendecompose_symmetric where that is
+    cheaper or the interval wrong.
     """
 
     n: int
@@ -174,15 +171,26 @@ class ChebyshevOperator:
     hi: float
     ritz_lo: float
     ritz_hi: float
+    residual_lo: float
+    residual_hi: float
     source = "chebyshev"
 
+    def interval(self, gamma: float) -> tuple[float, float]:
+        """[lo, hi] with the end the guard reads (hi for gamma >= 0, else lo)
+        cut to its Ritz value widened by its residual: Parlett's bound places
+        an eigenvalue that close, but does not rule one out further away."""
+        if gamma >= 0.0:
+            return self.lo, min(self.ritz_hi + self.residual_hi, self.hi)
+        return max(self.ritz_lo - self.residual_lo, self.lo), self.hi
 
-def _lanczos_extremes(entries: np.ndarray, steps: int) -> tuple[float, float, float]:
-    """(smallest Ritz value, largest Ritz value, last beta) after Lanczos steps.
+
+def _lanczos_extremes(entries: np.ndarray, steps: int) -> tuple[list, list, float]:
+    """([smallest, largest] Ritz value, [their residuals], last beta) after Lanczos steps.
 
     The start vector is a fixed pseudo-random one, which meets every
     eigenspace; beta reaches 0 once the Krylov space is invariant, and then
-    the Ritz values are exact.
+    the Ritz values are exact. A Ritz value's residual is |beta * s|, s the
+    last component of its eigenvector of the tridiagonal matrix.
     """
     n = entries.shape[0]
     v = rng_for(0, "lanczos").standard_normal(n)
@@ -201,8 +209,8 @@ def _lanczos_extremes(entries: np.ndarray, steps: int) -> tuple[float, float, fl
             break
         v_prev, v = v, w / beta
     tri = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
-    ritz = np.linalg.eigvalsh(tri)
-    return float(ritz[0]), float(ritz[-1]), beta
+    ritz, vecs = np.linalg.eigh(tri)
+    return ritz[[0, -1]].tolist(), np.abs(beta * vecs[-1, [0, -1]]).tolist(), beta
 
 
 def chebyshev_operator(graph: AdjacencyMatrix) -> ChebyshevOperator:
@@ -214,10 +222,12 @@ def chebyshev_operator(graph: AdjacencyMatrix) -> ChebyshevOperator:
     Zhou-Li estimate), never beyond the Gershgorin bounds.
     """
     degree = graph.degrees().max()
-    ritz_lo, ritz_hi, beta = _lanczos_extremes(graph.entries, _LANCZOS_STEPS)
+    (ritz_lo, ritz_hi), (residual_lo, residual_hi), beta = _lanczos_extremes(
+        graph.entries, _LANCZOS_STEPS)
     return ChebyshevOperator(n=graph.n, graph=graph, lo=max(ritz_lo - beta, float(-degree)),
                              hi=min(ritz_hi + beta, float(degree)),
-                             ritz_lo=ritz_lo, ritz_hi=ritz_hi)
+                             ritz_lo=ritz_lo, ritz_hi=ritz_hi,
+                             residual_lo=residual_lo, residual_hi=residual_hi)
 
 
 def eigensystem_for(graph: AdjacencyMatrix) -> EigenSystem | ChebyshevOperator:
@@ -236,15 +246,10 @@ def eigensystem_for(graph: AdjacencyMatrix) -> EigenSystem | ChebyshevOperator:
     return es
 
 
-def _guard_rate(system: EigenSystem | ChebyshevOperator, gamma: float) -> float:
-    """What the overflow guard subtracts from every log-modulus per unit time.
-
-    The largest Re(gamma*lambda) over the spectrum of an eigensystem, or
-    over the interval of a Chebyshev operator, which holds the spectrum.
-    """
-    if system.source == "chebyshev":
-        return max(gamma * system.hi, gamma * system.lo)
-    return float((gamma * system.eigenvalues).real.max())
+def _guard_rate(es: EigenSystem, gamma: float) -> float:
+    """What the overflow guard subtracts from every log-modulus per unit time:
+    the largest Re(gamma*lambda) over the spectrum of es."""
+    return float((gamma * es.eigenvalues).real.max())
 
 
 def propagator_exponents(es: EigenSystem, gamma: float, times: np.ndarray) -> np.ndarray:
@@ -289,13 +294,12 @@ def _scaled_bessel(z: np.ndarray) -> np.ndarray:
     """e^{-z} I_k(z) for k = 0, 1, ..., shaped (orders, z.size), for z >= 0.
 
     Miller's backward recurrence, in its ratio form r_k = I_k / I_{k-1} =
-    z / (2k + z r_{k+1}), started at r = 0 well above the orders that reach
-    rounding level; the generating-function identity e^z = I_0(z) + 2 sum_k
-    I_k(z) then normalises the terms. Every term is positive, so neither step
-    cancels, and z = 0 gives exactly 1, 0, 0, ...
+    z / (2k + z r_{k+1}), started at r = 0 well above the O(sqrt(z)) orders
+    that reach rounding level; the generating-function identity e^z = I_0(z)
+    + 2 sum_k I_k(z) then normalises the terms. Every term is positive, so
+    neither step cancels, and z = 0 gives exactly 1, 0, 0, ...
     """
-    zmax = float(z.max())
-    orders = int(zmax + 8.0 * math.sqrt(zmax)) + 32
+    orders = int(12.0 * math.sqrt(float(z.max()))) + 32
     ratios = np.empty((orders - 1, z.size))
     r = np.zeros(z.size)
     for k in range(orders - 1, 0, -1):
@@ -324,22 +328,22 @@ class Propagator:
     graph is applied through its two eigenspaces instead, in O(n) per
     sample, and its guard takes the exact eigenvalues n - 1 and -1:
     t * max(gamma*(n - 1), -gamma). On a
-    Chebyshev operator with interval [lo, hi], centre c and half-width r,
-    exp(gamma*t*A) = e^{gamma*t*c + z} sum_k a_k T_k((A - c*I)/r) with
-    z = |gamma|*t*r, a_0 = e^{-z} I_0(z) and a_k = 2 sign(gamma)^k e^{-z} I_k(z),
-    summed until the coefficient tail is below rounding level. The guard
-    drops the leading factor, t * max(gamma*hi, gamma*lo). The vectors
+    Chebyshev operator with interval(gamma) = [lo, hi], centre c and
+    half-width r, exp(gamma*t*A) = e^{gamma*t*c + z} sum_k a_k T_k((A - c*I)/r)
+    with z = |gamma|*t*r, a_0 = e^{-z} I_0(z) and a_k = 2 sign(gamma)^k e^{-z} I_k(z),
+    one expansion for the whole horizon, summed until the coefficient tail
+    is below rounding level, so the number of terms grows like sqrt(z). The
+    guard drops the leading factor, t * max(gamma*hi, gamma*lo). The vectors
     T_k(...) x0 are computed once per call, and each sample combines them.
-    Rounding errors grow like e^{|gamma|*t*d}, d the distance from the
-    interval end to the spectrum, and the number of terms like z, so a long
-    horizon is cut into equal slices, each restarting from the last state
-    rescaled to a largest modulus of 1; the log of that scale joins the shift.
 
-    A Chebyshev operator is evaluated through eigendecompose_symmetric of
-    its graph instead when the slices need more matrix products than the
-    eigendecomposition costs, and when some ||T_k(...) x|| exceeds ||x||,
-    which means x excites part of the spectrum outside the interval. system
-    is the route taken, and terms (per slice) is None on an eigensystem.
+    Every route fixes shift when it is built. A Chebyshev operator is
+    evaluated through eigendecompose_symmetric of its graph instead when
+    the expansion needs more matrix products than that costs, when rounding
+    errors, which grow like e^{|gamma|*t*d} for d the distance from the
+    guard's interval end to the spectrum, may pass e^_MAX_LOSS, and, found
+    only on a call and then with a new shift, when some ||T_k(...) x||
+    exceeds ||x||: x excites part of the spectrum outside the interval.
+    system is the route taken, and terms is None on an eigensystem.
     """
 
     def __init__(self, system: EigenSystem | ChebyshevOperator, gamma: float, times: np.ndarray):
@@ -368,48 +372,41 @@ class Propagator:
         gamma, times = self._gamma, self._times
         if not es.complete:
             self._factors = np.exp(propagator_exponents(es, gamma, times))
-            self._shift = _guard_rate(es, gamma) * times
+            self.shift = _guard_rate(es, gamma) * times
             return
         low = -gamma * times
-        self._shift = np.maximum(gamma * (es.n - 1) * times, low)
+        self.shift = np.maximum(gamma * (es.n - 1) * times, low)
         gap = gamma * es.n * times
-        self._a = np.exp(low - self._shift)
+        self._a = np.exp(low - self.shift)
         self._b = -np.expm1(-np.abs(gap)) * np.sign(gap)
 
     def _expand(self, op: ChebyshevOperator) -> bool:
-        """Slice the horizon and take the Bessel coefficients of one slice.
+        """Take the Bessel coefficients of one expansion for the whole horizon.
 
-        Returns whether the slices * terms matrix products stay within the
-        budget of _PRODUCTS_PER_NODE * n. Every slice takes at least one
-        product, so a slice count past the budget, or one too large to count,
-        returns False before any coefficient is computed.
+        Returns whether its rounding loss stays within _MAX_LOSS and its terms
+        within _PRODUCTS_PER_NODE * n products. It takes at least 8*sqrt(z)
+        terms (measured for z = 0.01..1e5), so a z past the budget by that
+        count, or one too large to count, returns False before any coefficient.
         """
         gamma, times = self._gamma, self._times
+        lo, hi = op.interval(gamma)
         self.system = op
-        self._center = 0.5 * (op.hi + op.lo)
-        self._radius = 0.5 * (op.hi - op.lo)
-        self._rate = _guard_rate(op, gamma)
-        overshoot = op.hi - op.ritz_hi if gamma >= 0.0 else op.ritz_lo - op.lo
-        end = float(times.max())
+        self._center, self._radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        self.shift = max(gamma * hi, gamma * lo) * times
+        reach = abs(gamma) * float(times.max())
+        overshoot = hi - op.ritz_hi if gamma >= 0.0 else op.ritz_lo - lo
         budget = _PRODUCTS_PER_NODE * op.n
-        slices = abs(gamma) * end * max(self._radius / _SLICE_Z, overshoot / _SLICE_LOSS)
-        if not slices <= budget:  # also an inf or nan count
+        if not (8.0 * math.sqrt(reach * self._radius) <= budget  # also inf or nan
+                and reach * overshoot <= _MAX_LOSS):
             return False
-        self._slices = max(1, math.ceil(slices))
-        self._tau = end / self._slices
-        index = np.minimum(times // self._tau, self._slices - 1) if end > 0.0 else 0.0 * times
-        self._index = index.astype(int)
-        self._offsets = np.maximum(times - self._index * self._tau, 0.0)
-        # one column per sample, then one for the end of a slice
-        z = abs(gamma) * self._radius * np.append(self._offsets, self._tau)
-        coeffs = _scaled_bessel(z)
+        coeffs = _scaled_bessel(abs(gamma) * self._radius * times)
         coeffs[1:] *= 2.0
-        tail = np.cumsum(coeffs[::-1, np.argmax(z)])[::-1]  # the largest z needs most terms
+        tail = np.cumsum(coeffs[::-1, np.argmax(times)])[::-1]  # the last sample needs most terms
         self.terms = int(np.count_nonzero(tail > np.finfo(float).eps / 2))
         self._coeffs = coeffs[:self.terms]
         if gamma < 0.0:
             self._coeffs[1::2] *= -1.0
-        return self._slices * self.terms <= budget
+        return self.terms <= budget
 
     def __call__(self, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x0, es = np.asarray(x0, dtype=complex), self.system
@@ -419,35 +416,19 @@ class Propagator:
             if es.complete:
                 states = np.multiply.outer(self._a, x0)
                 states += (self._b * x0.mean())[:, None]
-                return states, self._shift
+                return states, self.shift
             if es.source == "cdt":  # U x is fft(x)/sqrt(n), U^H y is ifft(y)*sqrt(n)
                 y = self._factors * np.fft.fft(x0, norm="ortho")
-                return np.fft.ifft(y, norm="ortho", out=y), self._shift
+                return np.fft.ifft(y, norm="ortho", out=y), self.shift
             # one column per sample, laid out for the product with the eigenvectors
             y = np.multiply(self._factors.T, _real_matmul(es.vectors.T, x0)[:, None], order="C")
-            return _real_matmul(es.vectors, y).T, self._shift
-        coeffs = self._coeffs
-        states = np.empty((self._offsets.size, es.n), dtype=complex)
-        shift = self._rate * self._offsets
-        state, base = x0, 0.0
-        for j in range(self._slices):
-            vecs = self._chebyshev_vectors(state)
-            norms = np.linalg.norm(vecs, axis=1)
-            if norms.max() > (1.0 + _INTERVAL_TOLERANCE) * norms[0]:
-                self._decompose(eigendecompose_symmetric(es.graph))
-                return self(x0)
-            vecs = vecs.view(float)
-            rows = np.flatnonzero(self._index == j)
-            states[rows] = (coeffs[:, rows].T @ vecs).view(complex)
-            shift[rows] += base
-            if j + 1 < self._slices:
-                state = (coeffs[:, -1] @ vecs).view(complex)
-                scale = float(np.abs(state).max())
-                if scale > 0.0:  # a zero state stays zero
-                    state /= scale
-                    base += math.log(scale)
-                base += self._rate * self._tau
-        return states, shift
+            return _real_matmul(es.vectors, y).T, self.shift
+        vecs = self._chebyshev_vectors(x0)
+        norms = np.linalg.norm(vecs, axis=1)
+        if norms.max() > (1.0 + _INTERVAL_TOLERANCE) * norms[0]:
+            self._decompose(eigendecompose_symmetric(es.graph))
+            return self(x0)
+        return (self._coeffs.T @ vecs.view(float)).view(complex), self.shift
 
     def _chebyshev_vectors(self, x: np.ndarray) -> np.ndarray:
         """T_k(B) x for k < terms as the rows of a complex array, B = (A - c*I)/r."""

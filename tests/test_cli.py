@@ -1,14 +1,19 @@
 """End-to-end CLI behavior: artifacts, exit codes, manifests, reproducibility."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import kurasim
 from kurasim import spectral
@@ -127,6 +132,24 @@ def test_simulate_complete_graph_long_horizon_overflow_exits_3(tmp_path, capsys)
     assert "enable the overflow guard" in capsys.readouterr().err
 
 
+def test_no_guard_overflow_exits_before_any_sample(tmp_path, capsys, monkeypatch):
+    # every route fixes its guard shift when the propagator is built, so an
+    # overflowing unguarded run fails before the propagator is ever called:
+    # on the complete graph, and on a WS graph whose expansion fits the budget
+    def refuse(self, x0):
+        raise AssertionError("a sample was evaluated")
+
+    monkeypatch.setattr(spectral.Propagator, "__call__", refuse)
+    for graph in (["complete", "--n", 200, "--kappa", 50, "--t-end", 10],
+                  ["ws", "--n", 1500, "--k", 10, "--q", 0.1, "--kappa", 60,
+                   "--record-every", 1000]):
+        code = _run(["simulate", "--graph", *graph, "--method", "analytic", "--no-guard",
+                     "--out", tmp_path])
+        assert code == 3
+        assert "enable the overflow guard" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_astronomical_exponent_is_reported_in_one_short_line(tmp_path, capsys):
     # gamma * t is about 6e299 here; the exponent prints in six significant digits
     assert _run(["figure", "4", "--kappa", 1e300, "--out", tmp_path]) == 3
@@ -174,6 +197,39 @@ def test_unknown_graph_source_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--graph", "ring", "--n", 10, "--k", 2, "--q", 0.5, "--kappa", 1], "--q"),
+    (["simulate", "--graph", "ring", "--n", 10, "--k", 2, "--p", 0.5, "--kappa", 1], "--p"),
+    (["simulate", "--graph", "complete", "--n", 5, "--k", 2, "--kappa", 1], "--k"),
+    (["spectrum", "--graph", "er", "--n", 10, "--p", 0.5, "--q", 0.1], "--q"),
+    (["spectrum", "--graph", "er", "--n", 10, "--p", 0.5, "--k", 3], "--k"),
+    (["simulate", "--graph", "ws", "--n", 10, "--k", 2, "--q", 0.1, "--p", 0.5,
+      "--kappa", 1], "--p"),
+    (["graph", "ring", "--n", 10, "--k", 2, "--q", 0.5], "--q"),
+    (["graph", "complete", "--n", 10, "--p", 0.5], "--p"),
+    (["spectrum", "--graph", "FILE", "--n", 7], "--n"),
+    (["simulate", "--graph", "FILE", "--k", 2, "--kappa", 1], "--k"),
+])
+def test_source_flags_the_graph_does_not_read_exit_2(tmp_path, capsys, argv, flag):
+    write_edge_list(gen_ring(12, 2), tmp_path / "ring.edges")
+    argv = [tmp_path / "ring.edges" if a == "FILE" else a for a in argv]
+    assert _run([*argv, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("method", ["numerical", "analytic"])
+def test_phases_past_float_resolution_exit_2(tmp_path, capsys, method):
+    # |omega| * t_end past 1/eps rad leaves no bits of a phase below 2*pi
+    argv = ["simulate", "--graph", "ring", "--n", 6, "--k", 1, "--kappa", 1,
+            "--method", method, "--out", tmp_path]
+    assert _run([*argv, "--omega-hz", 1e300]) == 2
+    assert "float resolution" in capsys.readouterr().err
+    assert _run([*argv, "--omega-hz", 8e14]) == 2  # 5.0e15 rad at t_end = 1 s
+    assert _run([*argv, "--omega-hz", 1e14, "--t-end", 0.01, "--dt", 1e-3]) == 0
+
+
 def test_negative_seed_exits_2(tmp_path):
     assert _run(["simulate", "--graph", "complete", "--n", 3, "--kappa", 1,
                  "--seed", -1, "--out", tmp_path]) == 2
@@ -191,10 +247,11 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("dt", ["1e-12", "1e-300"])
+@pytest.mark.parametrize("dt", ["1e-12", "1e-300", "1e-320"])
 def test_run_too_large_for_memory_exits_2(tmp_path, dt):
     # dt = 1e-12 asks for 10^12 recorded samples (7.28 TiB of sample times);
-    # dt = 1e-300 for more than numpy can index
+    # dt = 1e-300 for more than numpy can index, dt = 1e-320 for a step count
+    # past the float range
     src = str(Path(kurasim.__file__).resolve().parents[1])
     argv = ["simulate", "--graph", "complete", "--n", "3", "--kappa", "1",
             "--dt", dt, "--t-end", "1", "--out", str(tmp_path)]
@@ -553,3 +610,86 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("kurasim")
+
+
+# ------------------------------------------------------- exit-code property
+
+# finite extremes and non-finite values; hypothesis adds its own floats
+_EXTREME = st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 1e-300, 1e15, 1e300, 1.7e308, -1e-3,
+                            -1e300, math.inf, -math.inf, math.nan]) | st.floats()
+
+
+@st.composite
+def _argv(draw):
+    """A graph, spectrum or simulate command on a generated graph of at most 50 nodes.
+
+    One value in four is drawn from its extreme or invalid range, the rest
+    from an ordinary one, so that every exit code is reached.
+    """
+    def value(ordinary, extreme=_EXTREME):
+        return draw(extreme if draw(st.sampled_from([0, 0, 0, 1])) else ordinary)
+
+    command = draw(st.sampled_from(["graph", "spectrum", "simulate"]))
+    kind = draw(st.sampled_from(["ring", "complete", "er", "ws"]))
+    argv = ["graph", kind] if command == "graph" else [command, "--graph", kind]
+    n = value(st.integers(2, 50), st.integers(-1, 1))
+    argv += ["--n", n, "--seed", value(st.integers(0, 2**32), st.integers(-1, 2**64))]
+    # the source flags the generator reads, now and then one that it does not
+    flags = {"ring": "k", "complete": "", "er": "p", "ws": "kq"}[kind]
+    for flag in "kpq" if draw(st.sampled_from([0] * 7 + [1])) else flags:
+        if flag == "k":
+            argv += ["--k", value(st.integers(1, max(1, (n - 1) // 2)), st.integers(-1, 25))]
+        else:
+            argv += [f"--{flag}", value(st.floats(0.0, 1.0))]
+    if command == "spectrum":
+        argv += ["--mode", draw(st.sampled_from(["cdt", "numerical", "both"]))]
+    if command == "simulate":
+        dt = value(st.sampled_from([1e-3, 0.01, 0.1]))
+        t_end = value(st.sampled_from([0.0, 0.01, 0.5, 1.0, 2.0]))
+        with np.errstate(all="ignore"):
+            steps = np.float64(t_end) / np.float64(dt)
+        assume(not (np.isfinite(steps) and abs(steps) > 2000))  # at most 2000 steps
+        argv += ["--kappa", value(st.floats(-20.0, 20.0)),
+                 "--omega-hz", value(st.floats(-100.0, 100.0)),
+                 "--dt", dt, "--t-end", t_end,
+                 "--record-every", value(st.integers(1, 3), st.integers(-1, 0)),
+                 "--method", draw(st.sampled_from(["numerical", "analytic"])),
+                 "--integrator", draw(st.sampled_from(["euler", "rk4"]))]
+        if draw(st.booleans()):
+            argv.append("--no-guard")
+    return [str(a) for a in argv]
+
+
+def _finite_number(text):
+    value = float(text)
+    assert math.isfinite(value), text
+    return value
+
+
+@settings(max_examples=150, deadline=None)
+@example(["simulate", "--graph", "complete", "--n", "3", "--kappa", "1", "--dt", "1e-320"])
+@given(_argv())
+def test_every_command_exits_0_2_or_3_with_finite_artifacts(argv):
+    with tempfile.TemporaryDirectory() as out:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:  # an exception escaping main is the traceback a user would see
+                code = main([*argv, "--out", out])
+            except SystemExit as exc:  # argparse rejects an argument
+                code = exc.code
+        assert code in (0, 2, 3), (code, stderr.getvalue())
+        if code != 0:
+            assert stderr.getvalue().rstrip().splitlines()[-1].startswith(
+                ("error: ", "usage: ", "kurasim")), stderr.getvalue()
+            return
+        lines = stdout.getvalue().splitlines()
+        paths = [Path(p) for p in lines if Path(p).is_absolute()]
+        assert paths and paths[-1].name == "manifest.json" and not lines[0].startswith("/")
+        for path in paths:
+            if path.suffix == ".csv":
+                for row in path.read_text().splitlines()[1:]:
+                    [_finite_number(v) for v in row.split(",")]
+            elif path.suffix in (".json", ".meta"):
+                json.loads(path.read_text(), parse_constant=_finite_number)
+            elif path.suffix == ".edges":
+                [int(v) for v in path.read_text().split()]

@@ -1,5 +1,6 @@
 """Phase wrapping, integration, the closed-form trajectory, and order parameter."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -26,8 +27,9 @@ from kurasim.dynamics import (
 from kurasim.graphs import (gen_complete, gen_erdos_renyi, gen_ring,
                             gen_watts_strogatz, read_edge_list,
                             ring_generating_vector, write_edge_list)
-from kurasim.spectral import (apply_propagator, cdt_eigensystem, chebyshev_operator,
-                              eigendecompose_symmetric, eigensystem_for,
+from kurasim import spectral
+from kurasim.spectral import (SpectralError, apply_propagator, cdt_eigensystem,
+                              chebyshev_operator, eigendecompose_symmetric, eigensystem_for,
                               eigenvalues_symmetric)
 
 K3 = gen_complete(3)
@@ -456,6 +458,22 @@ def test_amplitudes_late_time_mean_projection():
     values, _ = analytic_amplitudes(es, cfg, th0, t=20.0)
     expect = -np.log(np.abs(np.exp(1j * th0).mean()))
     assert np.abs(values - expect).max() < 1e-8
+
+
+def test_no_guard_overflow_after_a_fallback_to_eigh_is_reported(monkeypatch):
+    # an interval whose guard end misses lambda_max passes the overflow check
+    # at build; the fallback to eigh then lifts the shift past float range
+    monkeypatch.setattr(spectral, "_PRODUCTS_PER_NODE", math.inf)
+    graph = gen_watts_strogatz(60, 4, 0.2, 0)
+    op = chebyshev_operator(graph)
+    bad = dataclasses.replace(op, hi=op.ritz_hi - 1.0)
+    gamma = 700.0 / bad.hi  # gamma * hi * t_end = 700, gamma * lambda_max * t_end > 800
+    cfg = _cfg(graph=graph, kappa=gamma * math.pi / 2, dt=0.25)
+    theta0 = initial_phases(60, 0)
+    with pytest.raises(SpectralError, match="enable the overflow guard"):
+        analytic_trajectory(bad, cfg, theta0, guard=False)
+    traj = analytic_trajectory(bad, cfg, theta0)
+    assert traj.diagnostics["route"] == "numerical"
 
 
 def test_amplitudes_report_the_guard_shift():

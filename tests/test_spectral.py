@@ -376,7 +376,7 @@ CHEBYSHEV_CASES = {
     "repulsive": (lambda tmp: gen_erdos_renyi(200, 0.2, 2), -50 / 200, 1.0, 1e-3, 1),
     # Gershgorin puts hi at n - 1 = 399, lambda_max is sqrt(399) = 19.97
     "star": (lambda tmp: _star(400), 1.0, 2.0, 1e-2, 1),
-    # |gamma| * t_end * radius is in the thousands: only time slices keep it accurate
+    # |gamma| * t_end * radius is in the thousands: one expansion of a few hundred terms
     "long": (lambda tmp: gen_watts_strogatz(200, 10, 0.1, 0), np.pi / 2, 100.0, 0.1, 1),
     "long_repulsive": (lambda tmp: gen_erdos_renyi(200, 0.2, 0), -np.pi / 2, 20.0, 0.1, 1),
 }
@@ -400,9 +400,11 @@ def test_chebyshev_phases_match_eigh_oracle(case, tmp_path, expansion_only):
     oracle = analytic_trajectory(eigendecompose_symmetric(graph), cfg, theta0)
     assert _wrapped_gap(cheb.states, oracle.states) <= 1e-10
     diag = cheb.diagnostics
-    assert diag["route"] == "chebyshev" and diag["interval"] == [op.lo, op.hi]
-    # each slice needs few terms, however long the horizon
-    assert diag["chebyshev_terms"] <= 64
+    lo, hi = op.interval(cfg.gamma)
+    assert diag["route"] == "chebyshev" and diag["interval"] == [lo, hi]
+    # the one expansion's terms grow like sqrt(z), z = |gamma| * t_end * radius
+    z = abs(cfg.gamma) * t_end * 0.5 * (hi - lo)
+    assert diag["chebyshev_terms"] <= 12 * np.sqrt(z) + 32
     if case == "star":
         assert op.hi - np.sqrt(399.0) < 1e-9 and np.sqrt(399.0) + op.lo < 1e-9
 
@@ -410,13 +412,22 @@ def test_chebyshev_phases_match_eigh_oracle(case, tmp_path, expansion_only):
 @pytest.mark.parametrize("graph", [
     *(gen_erdos_renyi(100, 0.1, s) for s in range(5)),
     *(gen_watts_strogatz(100, 3, 0.3, s) for s in range(5)),
-    gen_ring(50, 4), _star(50), gen_erdos_renyi(30, 0.0, 0)])
+    gen_ring(50, 4), _star(50), gen_erdos_renyi(30, 0.0, 0),
+    *(gen_erdos_renyi(200, 0.2, s) for s in range(3)),
+    *(gen_watts_strogatz(200, 10, 0.1, s) for s in range(3)),
+    gen_watts_strogatz(200, 2, 0.5, 2), gen_erdos_renyi(1500, 0.02, 1),
+    # the large-graph family, seed 16 included, where the tight lower end misses
+    *(gen_watts_strogatz(1500, 10, 0.1, s) for s in (0, 1, 2, 16))])
 def test_chebyshev_interval_holds_the_spectrum(graph):
     op = chebyshev_operator(graph)
     lam = eigenvalues_symmetric(graph).real
     degree = graph.degrees().max()
     assert -degree <= op.lo <= lam.min() <= op.ritz_lo + 1e-9
     assert op.ritz_hi - 1e-9 <= lam.max() <= op.hi <= degree
+    # the end the guard reads for gamma >= 0, tightened by its Ritz residual
+    up, down = op.interval(1.0), op.interval(-1.0)
+    assert up[0] == op.lo and lam.max() <= up[1] + 1e-9 and up[1] <= op.hi
+    assert down[1] == op.hi and op.lo <= down[0] <= op.ritz_lo
 
 
 def test_chebyshev_guard_shift_and_unguarded_values(expansion_only):
@@ -427,8 +438,9 @@ def test_chebyshev_guard_shift_and_unguarded_values(expansion_only):
     times = np.linspace(0.0, 1.0, 6)
     for gamma in (0.5, -0.5):
         states, shift = Propagator(op, gamma, times)(x0)
-        # one slice: the guard drops exactly t * max(gamma*hi, gamma*lo)
-        assert np.array_equal(shift, max(gamma * op.hi, gamma * op.lo) * times)
+        # the guard drops exactly t * max(gamma*hi, gamma*lo) of the interval expanded over
+        lo, hi = op.interval(gamma)
+        assert np.array_equal(shift, max(gamma * hi, gamma * lo) * times)
         assert np.all(shift >= (gamma * es.eigenvalues.real).max() * times)
         want = unguarded(*Propagator(es, gamma, times)(x0))
         raw = unguarded(states, shift)
@@ -444,7 +456,7 @@ def test_propagator_takes_the_cheaper_route():
     op = chebyshev_operator(graph)
     x0 = np.exp(1j * initial_phases(200, 5))
     short = Propagator(op, 0.2, np.linspace(0.0, 1.0, 11))
-    assert short.system is op and short._slices * short.terms <= spectral._PRODUCTS_PER_NODE * 200
+    assert short.system is op and short.terms <= spectral._PRODUCTS_PER_NODE * 200
     # |gamma| * t_end = 50 needs hundreds of matrix products, more than one eigh costs
     times = np.linspace(0.0, 25.0, 11)
     long = Propagator(op, 2.0, times)
@@ -464,7 +476,7 @@ def test_zero_state_stays_zero(expand, monkeypatch):
         monkeypatch.setattr(spectral, "_PRODUCTS_PER_NODE", math.inf)
     op = chebyshev_operator(gen_erdos_renyi(40, 0.3, 1))
     prop = Propagator(op, 50.0, [10.0])
-    assert (prop.terms is not None) == expand and (prop._slices > 1 if expand else True)
+    assert (prop.terms is not None) == expand
     states, shift = prop(np.zeros(40))
     assert not states.any() and np.all(np.isfinite(shift))
     assert not Propagator(eigendecompose_symmetric(op.graph), 50.0, [10.0])(np.zeros(40))[0].any()
@@ -493,6 +505,25 @@ def test_interval_that_misses_the_spectrum_falls_back_to_eigh(gamma, expansion_o
     assert good.system is op
 
 
+def test_lanczos_miss_of_the_guard_end_falls_back_to_eigh():
+    # 20 Lanczos steps leave this graph's lowest Ritz value far from lambda_min,
+    # and its residual does not reach it: the tight lower end misses the spectrum
+    graph = gen_watts_strogatz(200, 2, 0.5, 2)
+    op = chebyshev_operator(graph)
+    lam_min = eigenvalues_symmetric(graph).real.min()
+    assert op.interval(-1.0)[0] > lam_min >= op.lo
+    times = np.linspace(0.0, 1.0, 11)
+    x0 = np.exp(1j * initial_phases(200, 0))  # excites lambda_min's mode enough to show
+    prop = Propagator(op, -1.0, times)
+    assert prop.system is op and prop.terms is not None
+    states, shift = prop(x0)
+    # the norm check finds x0 outside the interval and takes eigh instead
+    assert prop.system.source == "numerical" and prop.terms is None
+    want, want_shift = Propagator(eigendecompose_symmetric(graph), -1.0, times)(x0)
+    assert np.array_equal(states, want) and np.array_equal(shift, want_shift)
+    assert np.array_equal(np.angle(states), np.angle(want))
+
+
 def test_chebyshev_on_an_empty_graph_is_the_identity():
     op = chebyshev_operator(gen_erdos_renyi(10, 0.0, 0))
     assert (op.lo, op.hi) == (0.0, 0.0)
@@ -501,11 +532,11 @@ def test_chebyshev_on_an_empty_graph_is_the_identity():
     assert np.array_equal(states, np.vstack([x0, x0])) and not shift.any()
 
 
-@pytest.mark.parametrize("case", ["complete", "cdt", "chebyshev", "chebyshev_sliced", "eigh"])
+@pytest.mark.parametrize("case", ["complete", "cdt", "chebyshev", "chebyshev_long", "eigh"])
 def test_every_route_returns_one_state_row_per_sample(case, monkeypatch):
     graph = {"complete": gen_complete(50), "cdt": gen_ring(40, 3)}.get(
         case, gen_watts_strogatz(60, 4, 0.2, 6))
-    gamma, t_end = (2.0, 20.0) if case in ("chebyshev_sliced", "eigh") else (0.5, 2.0)
+    gamma, t_end = (2.0, 20.0) if case in ("chebyshev_long", "eigh") else (0.5, 2.0)
     if case.startswith("chebyshev"):
         monkeypatch.setattr(spectral, "_PRODUCTS_PER_NODE", math.inf)
     times = np.linspace(0.0, t_end, 9)
@@ -516,7 +547,7 @@ def test_every_route_returns_one_state_row_per_sample(case, monkeypatch):
     route = {"complete": "cdt", "cdt": "cdt", "eigh": "numerical"}.get(case, "chebyshev")
     assert prop.system.source == route
     assert getattr(prop.system, "complete", False) == (case == "complete")
-    assert (prop.terms is not None and prop._slices > 1) == (case == "chebyshev_sliced")
+    assert (prop.terms is not None) == case.startswith("chebyshev")
     # the eigh reference, one row per sample
     vals, vecs = np.linalg.eigh(graph.entries)
     want = (vecs @ (np.exp(gamma * np.outer(vals, times)) * (vecs.T @ x0)[:, None])).T
@@ -585,8 +616,8 @@ def test_generating_vector_names_the_route_eigensystem_for_builds(tmp_path):
 
 
 def test_expansion_cost_is_checked_before_its_coefficients(monkeypatch):
-    # at gamma = 1e300 the slice count alone is far past the product budget;
-    # no slice index or Bessel table may be built for it
+    # at gamma = 1e300 the least term count, 8 * sqrt(z), is far past the
+    # product budget; no Bessel table may be built for it
     def refuse(z):
         raise AssertionError("Bessel coefficients were computed")
 
