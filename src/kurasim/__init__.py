@@ -19,21 +19,21 @@ from .graphs import (AdjacencyMatrix, circulant, gen_complete,
                      gen_erdos_renyi, gen_ring, gen_watts_strogatz,
                      read_edge_list, ring_generating_vector, write_edge_list)
 from .seeding import rng_for
-from .spectral import (ChebyshevOperator, EigenSystem, Propagator,
+from .spectral import (EigenSystem, LanczosOperator, Propagator,
                        SpectralError, apply_propagator, cdt_eigensystem,
-                       cdt_eigenvalues, cdt_fourier_matrix, chebyshev_operator,
+                       cdt_eigenvalues, cdt_fourier_matrix,
                        eigendecompose_symmetric, eigensystem_for,
-                       eigenvalues_symmetric, unguarded)
+                       eigenvalues_symmetric, lanczos_operator, unguarded)
 
 __all__ = [
     "__version__",
     "AdjacencyMatrix", "circulant", "gen_complete",
     "gen_erdos_renyi", "gen_ring", "gen_watts_strogatz", "read_edge_list",
     "ring_generating_vector", "write_edge_list",
-    "ChebyshevOperator", "EigenSystem", "Propagator", "SpectralError",
+    "EigenSystem", "LanczosOperator", "Propagator", "SpectralError",
     "apply_propagator", "cdt_eigensystem", "cdt_eigenvalues",
-    "cdt_fourier_matrix", "chebyshev_operator", "eigendecompose_symmetric",
-    "eigensystem_for", "eigenvalues_symmetric", "unguarded",
+    "cdt_fourier_matrix", "eigendecompose_symmetric", "eigensystem_for",
+    "eigenvalues_symmetric", "lanczos_operator", "unguarded",
     "IntegrationError", "SimulationConfig", "Trajectory",
     "analytic_amplitudes", "analytic_trajectory", "initial_phases",
     "integrate_numerical", "km_rhs", "order_parameter", "read_trajectory_csv",

@@ -21,7 +21,7 @@ import numpy as np
 from ._text import read_json, read_table, write_json, write_table
 from .graphs import AdjacencyMatrix
 from .seeding import rng_for
-from .spectral import ChebyshevOperator, EigenSystem, Propagator, unguarded
+from .spectral import EigenSystem, LanczosOperator, Propagator, unguarded
 
 __all__ = [
     "IntegrationError",
@@ -274,14 +274,15 @@ def integrate_numerical(cfg: SimulationConfig, theta0: np.ndarray) -> Trajectory
     out = np.empty((record.size, *theta0.shape))
     out[0] = theta0
     nxt = 1
-    for step, state in step_states(cfg, theta0):
-        if nxt < record.size and step == record[nxt]:
-            out[nxt] = state
-            nxt += 1
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step raises instead
+        for step, state in step_states(cfg, theta0):
+            if nxt < record.size and step == record[nxt]:
+                out[nxt] = state
+                nxt += 1
     return Trajectory(times=record * cfg.dt, states=wrap_phase(out), source="numerical")
 
 
-def analytic_trajectory(es: EigenSystem | ChebyshevOperator, cfg: SimulationConfig,
+def analytic_trajectory(es: EigenSystem | LanczosOperator, cfg: SimulationConfig,
                         theta0: np.ndarray, guard: bool = True) -> Trajectory:
     """Closed-form phases arg(exp(gamma*t*A) e^{i*theta0}) + omega*t.
 
@@ -290,28 +291,29 @@ def analytic_trajectory(es: EigenSystem | ChebyshevOperator, cfg: SimulationConf
     arbitrary. The overflow guard rescales moduli per sample and never
     changes an argument; guard=False reads the same phases, but raises where
     x(t) itself overflows, before any sample is evaluated where it can. The
-    diagnostics record the route Propagator took (cdt, chebyshev, or
-    numerical where a Chebyshev operator fell back to eigh), the Chebyshev
-    terms and interval on that route, the guard shift at the last sample,
-    and the smallest min_i |x_i| / max_j |x_j| over the samples, where the
-    phase readout loses meaning as it nears 0.
+    diagnostics record the route Propagator took (cdt, lanczos, or
+    numerical where a Lanczos operator fell back to eigh), on the Lanczos
+    route the operator's guard ends as interval and the krylov_dimension m,
+    the guard shift at the last sample, and the smallest
+    min_i |x_i| / max_j |x_j| over the samples, where the phase readout
+    loses meaning as it nears 0.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if es.n != cfg.graph.n or theta0.shape != (es.n,):
         raise ValueError("eigensystem, graph and theta0 sizes must agree")
     times = cfg.sample_times()
     prop = Propagator(es, cfg.gamma, times)
-    if not guard:  # the shift is known before any sample is evaluated
+    if not guard:  # a bound on the shift is known before any sample is evaluated
         unguarded(np.empty((times.size, 0)), prop.shift)
     states, shift = prop(np.exp(1j * theta0))
     diagnostics = {"route": prop.system.source}
-    if prop.terms is not None:
-        diagnostics.update(chebyshev_terms=prop.terms, interval=list(es.interval(cfg.gamma)))
+    if prop.krylov_dimension is not None:
+        diagnostics.update(krylov_dimension=prop.krylov_dimension, interval=[es.lo, es.hi])
     del prop  # its factors: one (samples, n) array fewer while the phases are read out
     # one (samples, n) array holds the moduli, then the phases, in place
     phases = np.abs(states, out=np.empty((times.size, es.n)))
     top = phases.max(axis=1)
-    if not guard:  # x(t)'s largest moduli, once more after a fallback to eigh
+    if not guard:  # x(t)'s largest moduli, with the shift the call took
         unguarded(top[:, None], shift)
         shift = np.zeros_like(shift)
     relative = np.divide(phases.min(axis=1), top, out=np.zeros_like(top), where=top > 0.0)
@@ -326,7 +328,7 @@ def analytic_trajectory(es: EigenSystem | ChebyshevOperator, cfg: SimulationConf
     return Trajectory(times=times, states=phases, source="analytic", diagnostics=diagnostics)
 
 
-def analytic_amplitudes(es: EigenSystem | ChebyshevOperator, cfg: SimulationConfig,
+def analytic_amplitudes(es: EigenSystem | LanczosOperator, cfg: SimulationConfig,
                         theta0: np.ndarray, t: float) -> tuple[np.ndarray, float]:
     """Imaginary phase components at one time: (values, shift), as Propagator returns.
 

@@ -6,17 +6,17 @@ gets its spectrum in closed form, one FFT of the generating vector, and
 stores no basis at all; where every pair is coupled, A = J - I has two
 eigenspaces and its exponential needs no transform either. Any other
 graph's adjacency matrix needs no eigenvectors: its exponential is applied
-as a Chebyshev expansion over an interval that holds the spectrum, bounded
-by Gershgorin discs and tightened by a few Lanczos steps. The numerical
+to a state from the state's own Lanczos basis. The numerical
 eigendecomposition, which keeps its real eigenvectors, is the reference the
-tests compare against, and the route a Chebyshev operator falls back to when
-a long horizon would need more matrix products than it costs. Propagator is
-the one evaluator for all of them, guarded; unguarded undoes the guard.
+tests compare against, and the route a Lanczos operator falls back to when
+a state's Krylov space would need more matrix products than it costs.
+Propagator is the one evaluator for all of them, guarded; unguarded undoes
+the guard.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,8 +34,8 @@ __all__ = [
     "cdt_eigensystem",
     "eigendecompose_symmetric",
     "eigenvalues_symmetric",
-    "ChebyshevOperator",
-    "chebyshev_operator",
+    "LanczosOperator",
+    "lanczos_operator",
     "eigensystem_for",
     "Propagator",
     "unguarded",
@@ -46,25 +46,23 @@ __all__ = [
 
 SPECTRUM_HEADER = "lambda_re,lambda_im"
 
+_FLOAT_MAX = float(np.finfo(float).max)
+_EPS = float(np.finfo(float).eps)
 # log(float64 max); exponents beyond this overflow exp() to inf
-_EXP_LIMIT = float(np.log(np.finfo(float).max))
-# Lanczos steps that tighten the Gershgorin interval of a Chebyshev operator
-_LANCZOS_STEPS = 20
-# On the Chebyshev route, at most this |gamma|*t_end*(guard's interval end -
-# its Ritz value), the log of the factor by which rounding errors may grow
-# relative to the dominant mode.
-_MAX_LOSS = 4.0
-# The Chebyshev route costs one product with the n x n matrix per term,
-# the eigendecomposition about as much as this many products per node; past
+_EXP_LIMIT = float(np.log(_FLOAT_MAX))
+# Lanczos steps that find the guard ends of a Lanczos operator
+_GUARD_STEPS = 20
+# The Lanczos route checks its error estimate after every this many steps.
+# Each check is an eigendecomposition of T_m: checking after every step made
+# a figure-4 call (n = 200) about a quarter slower, though it stopped sooner.
+_CHECK_EVERY = 4
+# The Lanczos route costs one product with the n x n matrix per step, the
+# eigendecomposition about as much as this many products per node; past
 # that count the numerical eigensystem is the cheaper route. Measured with
 # OpenBLAS on 2 cores for n = 800..2500, where one eigh cost 0.21 to 0.28
 # products per node (0.45 s against 1.4 ms per product at n = 1500); for
 # n <= 400 the ratio is nearer 0.9, but there eigh takes milliseconds.
 _PRODUCTS_PER_NODE = 0.25
-# On the Chebyshev route no ||T_k(B) x|| may exceed ||x|| by more than this
-# relative amount: a larger one means x excites part of the spectrum outside
-# the interval, where the truncated expansion is not accurate.
-_INTERVAL_TOLERANCE = 1e-8
 
 
 class SpectralError(RuntimeError):
@@ -155,92 +153,93 @@ def eigenvalues_symmetric(graph: AdjacencyMatrix) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class ChebyshevOperator:
-    """A graph and bounds on its adjacency spectrum, for the Chebyshev route.
+class LanczosOperator:
+    """A graph and two guard ends of its adjacency spectrum, for the Lanczos route.
 
-    [lo, hi] holds the spectrum; ritz_lo and ritz_hi are the extreme Lanczos
-    Ritz values, which lie inside it, and residual_lo and residual_hi their
-    residuals. Propagator expands exp(gamma*t*A) over interval(gamma) with
-    matrix products only, or uses eigendecompose_symmetric where that is
-    cheaper or the interval wrong.
+    hi and lo are the extreme Ritz values of _GUARD_STEPS Lanczos steps from
+    a fixed start vector, widened by their residuals (Parlett's bound places
+    an eigenvalue that close, but does not rule one out further away) and
+    clipped at the Gershgorin bounds +-(max degree). Propagator evaluates
+    exp(gamma*t*A) x0 from the Lanczos basis of x0 itself, with matrix
+    products only, or through eigendecompose_symmetric where that is cheaper;
+    the guard ends bound its overflow guard before any product is made.
     """
 
     n: int
     graph: AdjacencyMatrix
     lo: float
     hi: float
-    ritz_lo: float
-    ritz_hi: float
-    residual_lo: float
-    residual_hi: float
-    source = "chebyshev"
-
-    def interval(self, gamma: float) -> tuple[float, float]:
-        """[lo, hi] with the end the guard reads (hi for gamma >= 0, else lo)
-        cut to its Ritz value widened by its residual: Parlett's bound places
-        an eigenvalue that close, but does not rule one out further away."""
-        if gamma >= 0.0:
-            return self.lo, min(self.ritz_hi + self.residual_hi, self.hi)
-        return max(self.ritz_lo - self.residual_lo, self.lo), self.hi
+    source = "lanczos"
 
 
-def _lanczos_extremes(entries: np.ndarray, steps: int) -> tuple[list, list, float]:
-    """([smallest, largest] Ritz value, [their residuals], last beta) after Lanczos steps.
+def _lanczos(entries: np.ndarray, x: np.ndarray, steps: int) -> Iterator[tuple]:
+    """Yield (basis, alphas, betas) after each of at most steps Lanczos steps from x.
 
-    The start vector is a fixed pseudo-random one, which meets every
-    eigenspace; beta reaches 0 once the Krylov space is invariant, and then
-    the Ritz values are exact. A Ritz value's residual is |beta * s|, s the
-    last component of its eigenvector of the tridiagonal matrix.
+    basis holds the orthonormal Krylov vectors of the steps taken as rows;
+    alphas and betas are the diagonal and the off-diagonal of the tridiagonal
+    T_m = basis^H A basis, with betas[-1] the norm of the next residual. Each
+    new vector is orthogonalised against every earlier one, twice, so the
+    basis stays orthonormal to rounding level however many steps run. The
+    steps stop once beta vanishes, which it does at m = n at the latest: the
+    Krylov space is invariant, and T_m holds the part of the spectrum x
+    excites exactly. A beta at rounding level is reported as 0.
     """
-    n = entries.shape[0]
-    v = rng_for(0, "lanczos").standard_normal(n)
-    v /= np.linalg.norm(v)
-    v_prev = np.zeros(n)
+    basis = np.empty((min(steps, x.size), x.size), dtype=x.dtype)
+    basis[0] = x / np.linalg.norm(x)
     alphas, betas = [], []
-    beta = 0.0
-    for _ in range(min(steps, n)):
-        w = entries @ v - beta * v_prev
-        alpha = float(v @ w)
-        w -= alpha * v
+    for m in range(1, basis.shape[0] + 1):
+        done = basis[:m]
+        w = _real_matmul(entries, done[-1])
+        h = (done @ w.conj()).conj()
+        w -= h @ done
+        h2 = (done @ w.conj()).conj()
+        w -= h2 @ done
+        alphas.append(float((h[-1] + h2[-1]).real))
         beta = float(np.linalg.norm(w))
-        alphas.append(alpha)
+        if beta <= 1e-12 * max(1.0, abs(alphas[-1])) or m == x.size:
+            beta = 0.0
         betas.append(beta)
-        if beta <= 1e-12 * max(1.0, abs(alpha)):
-            break
-        v_prev, v = v, w / beta
+        yield done, alphas, betas
+        if not beta or m == basis.shape[0]:
+            return
+        basis[m] = w / beta
+
+
+def _ritz(alphas: list, betas: list) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvector columns of the tridiagonal T_m."""
     tri = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
-    ritz, vecs = np.linalg.eigh(tri)
-    return ritz[[0, -1]].tolist(), np.abs(beta * vecs[-1, [0, -1]]).tolist(), beta
+    return np.linalg.eigh(tri)
 
 
-def chebyshev_operator(graph: AdjacencyMatrix) -> ChebyshevOperator:
-    """The Chebyshev route for a graph, with no eigendecomposition.
+def lanczos_operator(graph: AdjacencyMatrix) -> LanczosOperator:
+    """The Lanczos route for a graph, with no eigendecomposition.
 
-    The interval starts from the Gershgorin discs, which for a 0/1 matrix
-    with a zero diagonal are +-(max degree), and is tightened to the extreme
-    Ritz values of a few Lanczos steps widened by the last |beta| (the
-    Zhou-Li estimate), never beyond the Gershgorin bounds.
+    The guard ends come from _GUARD_STEPS Lanczos steps from a fixed
+    pseudo-random start vector, which meets every eigenspace: the extreme
+    Ritz values widened by their residuals |beta * s|, s the last component
+    of the Ritz vector in T_m's eigenbasis, never beyond +-(max degree).
     """
-    degree = graph.degrees().max()
-    (ritz_lo, ritz_hi), (residual_lo, residual_hi), beta = _lanczos_extremes(
-        graph.entries, _LANCZOS_STEPS)
-    return ChebyshevOperator(n=graph.n, graph=graph, lo=max(ritz_lo - beta, float(-degree)),
-                             hi=min(ritz_hi + beta, float(degree)),
-                             ritz_lo=ritz_lo, ritz_hi=ritz_hi,
-                             residual_lo=residual_lo, residual_hi=residual_hi)
+    degree = float(graph.degrees().max())
+    start = rng_for(0, "lanczos").standard_normal(graph.n)
+    *_, (_, alphas, betas) = _lanczos(graph.entries, start, _GUARD_STEPS)
+    ritz, vecs = _ritz(alphas, betas)
+    residual = np.abs(betas[-1] * vecs[-1, [0, -1]])
+    return LanczosOperator(n=graph.n, graph=graph,
+                           lo=max(float(ritz[0] - residual[0]), -degree),
+                           hi=min(float(ritz[-1] + residual[1]), degree))
 
 
-def eigensystem_for(graph: AdjacencyMatrix) -> EigenSystem | ChebyshevOperator:
+def eigensystem_for(graph: AdjacencyMatrix) -> EigenSystem | LanczosOperator:
     """The closed form's route for graph, read from its edges.
 
     A circulant graph gets the cdt eigensystem of graph.generating_vector(),
     marked complete where every pair is coupled; any other graph gets the
-    Chebyshev operator, which needs no eigenvectors until Propagator finds a
-    horizon long enough to make the eigendecomposition the cheaper route.
+    Lanczos operator, which needs no eigenvectors until Propagator finds the
+    Krylov space of a state too large to be the cheaper route.
     """
     c = graph.generating_vector()
     if c is None:
-        return chebyshev_operator(graph)
+        return lanczos_operator(graph)
     es = cdt_eigensystem(c)
     es.complete = graph.is_complete
     return es
@@ -253,69 +252,44 @@ def _guard_rate(es: EigenSystem, gamma: float) -> float:
 
 
 def propagator_exponents(es: EigenSystem, gamma: float, times: np.ndarray) -> np.ndarray:
-    """Guarded eigenmode exponents gamma*t*lambda, one row per time.
+    """Guarded eigenmode exponents t*(gamma*lambda - rate), one row per time.
 
-    The guard subtracts t * max_r Re(gamma*lambda_r) from every exponent:
-    gamma*lambda_max*t for gamma >= 0 and gamma*lambda_min*t for gamma < 0,
-    a uniform rescaling of moduli that leaves every argument untouched and
-    puts the dominant mode's exponent at 0. Raises where rounding still
-    lifts one past the floating-point range.
+    rate = max_r Re(gamma*lambda_r) is gamma*lambda_max for gamma >= 0 and
+    gamma*lambda_min for gamma < 0: the guard subtracts t*rate from every
+    exponent, a uniform rescaling of moduli that leaves every argument
+    untouched and puts the dominant mode's exponent at exactly 0.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    expo = gamma * np.outer(times, es.eigenvalues) - _guard_rate(es, gamma) * times[:, None]
-    _check_exponent(expo.real.max() if expo.size else 0.0)
-    return expo
-
-
-def _check_exponent(peak: float, hint: str = "") -> None:
-    """Raise SpectralError when exp(peak) would overflow."""
-    if peak > _EXP_LIMIT:
-        raise SpectralError(f"propagator overflow: exponent {peak:.6g} exceeds "
-                            f"the floating-point range{hint}")
+    return np.outer(times, gamma * es.eigenvalues - _guard_rate(es, gamma))
 
 
 def unguarded(states: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """x(t) = e^shift * states from Propagator's pair; raises where x(t) overflows."""
-    _check_exponent(float(np.max(shift)), "; enable the overflow guard")
+    peak = float(np.max(shift))
+    if peak > _EXP_LIMIT:
+        raise SpectralError(f"propagator overflow: exponent {peak:.6g}; "
+                            "enable the overflow guard")
     return states * np.exp(shift)[:, None]
 
 
 def _real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x for a real matrix m and a complex x shaped (n,) or (n, k).
+    """m @ x for a real matrix m and an x shaped (n,) or (n, k).
 
-    Viewing x as interleaved real and imaginary parts turns the product into
-    one real matrix product, with no complex copy of m.
+    Viewing a complex x as interleaved real and imaginary parts turns the
+    product into one real matrix product, with no complex copy of m.
     """
-    x = np.ascontiguousarray(x, dtype=complex)
+    if not np.iscomplexobj(x):
+        return m @ x
+    x = np.ascontiguousarray(x)
     return (m @ x.reshape(x.shape[0], -1).view(float)).view(complex).reshape(x.shape)
-
-
-def _scaled_bessel(z: np.ndarray) -> np.ndarray:
-    """e^{-z} I_k(z) for k = 0, 1, ..., shaped (orders, z.size), for z >= 0.
-
-    Miller's backward recurrence, in its ratio form r_k = I_k / I_{k-1} =
-    z / (2k + z r_{k+1}), started at r = 0 well above the O(sqrt(z)) orders
-    that reach rounding level; the generating-function identity e^z = I_0(z)
-    + 2 sum_k I_k(z) then normalises the terms. Every term is positive, so
-    neither step cancels, and z = 0 gives exactly 1, 0, 0, ...
-    """
-    orders = int(12.0 * math.sqrt(float(z.max()))) + 32
-    ratios = np.empty((orders - 1, z.size))
-    r = np.zeros(z.size)
-    for k in range(orders - 1, 0, -1):
-        r = z / (2.0 * k + z * r)
-        ratios[k - 1] = r
-    rel = np.cumprod(ratios, axis=0)  # I_k / I_0 for k >= 1
-    i0 = 1.0 / (1.0 + 2.0 * rel.sum(axis=0))
-    return np.vstack([i0, rel * i0])
 
 
 class Propagator:
     """x(t) = exp(gamma*t*A) x0 at fixed sample times, for any initial state x0.
 
     What does not depend on x0 is computed once, when the propagator is
-    built: the exp() factors of an eigensystem, or the Bessel coefficients of
-    a Chebyshev operator. Calling it with x0 returns (states, shift): states
+    built: the exp() factors of an eigensystem, or the guard shift of a
+    Lanczos operator. Calling it with x0 returns (states, shift): states
     shaped (samples, n) and, per sample, what the overflow guard subtracted
     from every log-modulus, so x(t) = unguarded(states, shift) =
     exp(shift) * states. The guard never changes an argument.
@@ -327,36 +301,44 @@ class Propagator:
     products on the real and imaginary parts. The eigensystem of a complete
     graph is applied through its two eigenspaces instead, in O(n) per
     sample, and its guard takes the exact eigenvalues n - 1 and -1:
-    t * max(gamma*(n - 1), -gamma). On a
-    Chebyshev operator with interval(gamma) = [lo, hi], centre c and
-    half-width r, exp(gamma*t*A) = e^{gamma*t*c + z} sum_k a_k T_k((A - c*I)/r)
-    with z = |gamma|*t*r, a_0 = e^{-z} I_0(z) and a_k = 2 sign(gamma)^k e^{-z} I_k(z),
-    one expansion for the whole horizon, summed until the coefficient tail
-    is below rounding level, so the number of terms grows like sqrt(z). The
-    guard drops the leading factor, t * max(gamma*hi, gamma*lo). The vectors
-    T_k(...) x0 are computed once per call, and each sample combines them.
+    t * max(gamma*(n - 1), -gamma).
 
-    Every route fixes shift when it is built. A Chebyshev operator is
-    evaluated through eigendecompose_symmetric of its graph instead when
-    the expansion needs more matrix products than that costs, when rounding
-    errors, which grow like e^{|gamma|*t*d} for d the distance from the
-    guard's interval end to the spectrum, may pass e^_MAX_LOSS, and, found
-    only on a call and then with a new shift, when some ||T_k(...) x||
-    exceeds ||x||: x excites part of the spectrum outside the interval.
-    system is the route taken, and terms is None on an eigensystem.
+    On a Lanczos operator each call builds the Lanczos basis V_m of x0, one
+    product with the n x n matrix per step, and evaluates every sample as
+    ||x0|| V_m exp(gamma*t*(T_m - s)) e_1 (Saad 1992; Hochbruck and Lubich
+    1997), gamma*s the largest gamma*theta over the Ritz values theta of T_m,
+    so the guard subtracts t * gamma*s. Every _CHECK_EVERY steps, Saad's
+    estimate of the error at the last sample, beta_m |e_m^T y| with
+    y = exp(gamma*t*(T_m - s)) e_1, is compared with its own rounding level,
+    beta_m * m * eps * ||y||, and the steps stop once it is there. The shift
+    known when built, t * gamma times the guard end (hi for gamma >= 0, else
+    lo), bounds the call's, as x0's Ritz values lie inside the spectrum,
+    unless lo misses lambda_min. A call past _PRODUCTS_PER_NODE * n steps
+    evaluates this and every later x0 through eigendecompose_symmetric of
+    the graph. system is the route taken; krylov_dimension is m after a call
+    on the Lanczos route, else None.
     """
 
-    def __init__(self, system: EigenSystem | ChebyshevOperator, gamma: float, times: np.ndarray):
+    def __init__(self, system: EigenSystem | LanczosOperator, gamma: float, times: np.ndarray):
         if not np.isfinite(gamma):
             raise ValueError(f"gamma must be finite, got {gamma}")
         times = np.atleast_1d(np.asarray(times, dtype=float))
         if not np.all(np.isfinite(times) & (times >= 0.0)):
             raise ValueError(f"times must be finite and >= 0, got {times}")
+        # |gamma| * t * (lambda_max - lambda_min) bounds every exponent and
+        # shift; past float max they cannot be formed. Perron-Frobenius puts
+        # the spectral radius of an adjacency matrix at lambda_max <= hi.
+        radius = (max(system.hi, -system.lo) if system.source == "lanczos"
+                  else float(np.abs(system.eigenvalues).max()))
+        spread = abs(float(gamma)) * float(times.max(initial=0.0)) * 2.0 * radius
+        if not spread <= _FLOAT_MAX:
+            raise SpectralError(f"propagator overflow: |gamma| * t * 2 * rho(A) = {spread:.6g} "
+                                "exceeds the floating-point range")
         self._gamma, self._times = gamma, times
-        if system.source == "chebyshev":
-            if self._expand(system):
-                return
-            system = eigendecompose_symmetric(system.graph)
+        if system.source == "lanczos":
+            self.system, self.krylov_dimension = system, None
+            self.shift = gamma * (system.hi if gamma >= 0.0 else system.lo) * times
+            return
         self._decompose(system)
 
     def _decompose(self, es: EigenSystem) -> None:
@@ -368,7 +350,7 @@ class Propagator:
         divided by the guard's e^{shift}, the larger of the two exponentials;
         b is then 1 - e^{-|gamma*n*t|}, signed, through expm1.
         """
-        self.system, self.terms = es, None
+        self.system, self.krylov_dimension = es, None
         gamma, times = self._gamma, self._times
         if not es.complete:
             self._factors = np.exp(propagator_exponents(es, gamma, times))
@@ -380,68 +362,52 @@ class Propagator:
         self._a = np.exp(low - self.shift)
         self._b = -np.expm1(-np.abs(gap)) * np.sign(gap)
 
-    def _expand(self, op: ChebyshevOperator) -> bool:
-        """Take the Bessel coefficients of one expansion for the whole horizon.
-
-        Returns whether its rounding loss stays within _MAX_LOSS and its terms
-        within _PRODUCTS_PER_NODE * n products. It takes at least 8*sqrt(z)
-        terms (measured for z = 0.01..1e5), so a z past the budget by that
-        count, or one too large to count, returns False before any coefficient.
-        """
-        gamma, times = self._gamma, self._times
-        lo, hi = op.interval(gamma)
-        self.system = op
-        self._center, self._radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        self.shift = max(gamma * hi, gamma * lo) * times
-        reach = abs(gamma) * float(times.max())
-        overshoot = hi - op.ritz_hi if gamma >= 0.0 else op.ritz_lo - lo
-        budget = _PRODUCTS_PER_NODE * op.n
-        if not (8.0 * math.sqrt(reach * self._radius) <= budget  # also inf or nan
-                and reach * overshoot <= _MAX_LOSS):
-            return False
-        coeffs = _scaled_bessel(abs(gamma) * self._radius * times)
-        coeffs[1:] *= 2.0
-        tail = np.cumsum(coeffs[::-1, np.argmax(times)])[::-1]  # the last sample needs most terms
-        self.terms = int(np.count_nonzero(tail > np.finfo(float).eps / 2))
-        self._coeffs = coeffs[:self.terms]
-        if gamma < 0.0:
-            self._coeffs[1::2] *= -1.0
-        return self.terms <= budget
-
     def __call__(self, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x0, es = np.asarray(x0, dtype=complex), self.system
-        if x0.shape != (es.n,):
-            raise ValueError(f"state shape {x0.shape} does not match dimension {es.n}")
-        if self.terms is None:
-            if es.complete:
-                states = np.multiply.outer(self._a, x0)
-                states += (self._b * x0.mean())[:, None]
-                return states, self.shift
-            if es.source == "cdt":  # U x is fft(x)/sqrt(n), U^H y is ifft(y)*sqrt(n)
-                y = self._factors * np.fft.fft(x0, norm="ortho")
-                return np.fft.ifft(y, norm="ortho", out=y), self.shift
-            # one column per sample, laid out for the product with the eigenvectors
-            y = np.multiply(self._factors.T, _real_matmul(es.vectors.T, x0)[:, None], order="C")
-            return _real_matmul(es.vectors, y).T, self.shift
-        vecs = self._chebyshev_vectors(x0)
-        norms = np.linalg.norm(vecs, axis=1)
-        if norms.max() > (1.0 + _INTERVAL_TOLERANCE) * norms[0]:
-            self._decompose(eigendecompose_symmetric(es.graph))
-            return self(x0)
-        return (self._coeffs.T @ vecs.view(float)).view(complex), self.shift
+        x0 = np.asarray(x0, dtype=complex)
+        if x0.shape != (self.system.n,):
+            raise ValueError(f"state shape {x0.shape} does not match dimension {self.system.n}")
+        if self.system.source == "lanczos":
+            result = self._krylov(x0)
+            if result is not None:
+                return result
+            self._decompose(eigendecompose_symmetric(self.system.graph))
+        es = self.system
+        if es.complete:
+            states = np.multiply.outer(self._a, x0)
+            states += (self._b * x0.mean())[:, None]
+            return states, self.shift
+        if es.source == "cdt":  # U x is fft(x)/sqrt(n), U^H y is ifft(y)*sqrt(n)
+            y = self._factors * np.fft.fft(x0, norm="ortho")
+            return np.fft.ifft(y, norm="ortho", out=y), self.shift
+        # one column per sample, laid out for the product with the eigenvectors
+        y = np.multiply(self._factors.T, _real_matmul(es.vectors.T, x0)[:, None], order="C")
+        return _real_matmul(es.vectors, y).T, self.shift
 
-    def _chebyshev_vectors(self, x: np.ndarray) -> np.ndarray:
-        """T_k(B) x for k < terms as the rows of a complex array, B = (A - c*I)/r."""
-        entries, center, radius = self.system.graph.entries, self._center, self._radius
-        vecs = np.empty((self.terms, x.size), dtype=complex)
-        vecs[0] = x
-        for k in range(1, self.terms):
-            bx = (_real_matmul(entries, vecs[k - 1]) - center * vecs[k - 1]) / radius
-            vecs[k] = bx if k == 1 else 2.0 * bx - vecs[k - 2]
-        return vecs
+    def _krylov(self, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """(states, shift) from the Lanczos basis of x0, or None past the product budget."""
+        gamma, times, n = self._gamma, self._times, self.system.n
+        norm = np.linalg.norm(x0)
+        if norm == 0.0:
+            self.krylov_dimension = 0
+            return np.zeros((times.size, n), dtype=complex), self.shift
+        steps = max(1, int(min(n, _PRODUCTS_PER_NODE * n)))
+        for basis, alphas, betas in _lanczos(self.system.graph.entries, x0, steps):
+            m = len(alphas)
+            if m % _CHECK_EVERY and m < steps and betas[-1]:
+                continue
+            ritz, vecs = _ritz(alphas, betas)
+            rates = gamma * ritz
+            top = rates.max()
+            at_end = vecs @ (np.exp(times.max() * (rates - top)) * vecs[0])
+            # Saad's error estimate at the last sample against its rounding level
+            if betas[-1] * abs(at_end[-1]) <= betas[-1] * m * _EPS * np.linalg.norm(at_end):
+                self.krylov_dimension = m
+                coeffs = (np.exp(np.outer(times, rates - top)) * (norm * vecs[0])) @ vecs.T
+                return (coeffs @ basis.view(float)).view(complex), top * times
+        return None
 
 
-def apply_propagator(system: EigenSystem | ChebyshevOperator, gamma: float, t: float,
+def apply_propagator(system: EigenSystem | LanczosOperator, gamma: float, t: float,
                      x0: np.ndarray) -> np.ndarray:
     """x(t) = exp(gamma*t*A) x0 itself, on any route; raises where it overflows."""
     return unguarded(*Propagator(system, gamma, [t])(x0))[0]

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from kurasim import spectral
 from kurasim._text import read_json
 from kurasim.cli import build_parser, main
 from kurasim.dynamics import read_trajectory_csv
-from kurasim.graphs import gen_complete, gen_ring, write_edge_list
+from kurasim.graphs import gen_complete, gen_ring, gen_watts_strogatz, write_edge_list
 
 
 def _run(argv):
@@ -135,7 +136,7 @@ def test_simulate_complete_graph_long_horizon_overflow_exits_3(tmp_path, capsys)
 def test_no_guard_overflow_exits_before_any_sample(tmp_path, capsys, monkeypatch):
     # every route fixes its guard shift when the propagator is built, so an
     # overflowing unguarded run fails before the propagator is ever called:
-    # on the complete graph, and on a WS graph whose expansion fits the budget
+    # on the complete graph, and on a WS graph on the Lanczos route
     def refuse(self, x0):
         raise AssertionError("a sample was evaluated")
 
@@ -151,8 +152,10 @@ def test_no_guard_overflow_exits_before_any_sample(tmp_path, capsys, monkeypatch
 
 
 def test_astronomical_exponent_is_reported_in_one_short_line(tmp_path, capsys):
-    # gamma * t is about 6e299 here; the exponent prints in six significant digits
-    assert _run(["figure", "4", "--kappa", 1e300, "--out", tmp_path]) == 3
+    # gamma * lambda_max * t is about 1.7e301 here; the exponent prints in six
+    # significant digits
+    assert _run(["simulate", "--graph", "er", "--n", 50, "--p", 0.5, "--kappa", 1e300,
+                 "--method", "analytic", "--no-guard", "--out", tmp_path]) == 3
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: propagator overflow: exponent ") and len(line) < 100
 
@@ -174,8 +177,8 @@ def test_simulate_repulsive_coupling_guard(tmp_path, monkeypatch):
 @pytest.mark.parametrize("graph, route", [
     (["--graph", "ring", "--n", 40, "--k", 3, "--kappa", 1], "cdt"),
     (["--graph", "complete", "--n", 200, "--kappa", -5, "--t-end", 2], "cdt"),
-    (["--graph", "ws", "--n", 200, "--k", 4, "--q", 0.2, "--kappa-over-n", 50], "chebyshev"),
-    # |gamma| * t_end = 64 costs more products than eigh
+    (["--graph", "ws", "--n", 200, "--k", 4, "--q", 0.2, "--kappa-over-n", 50], "lanczos"),
+    # |gamma| * t_end = 64: x0's Krylov space costs more products than eigh
     (["--graph", "ws", "--n", 200, "--k", 4, "--q", 0.2, "--kappa", 10, "--t-end", 10,
       "--record-every", 100], "numerical"),
 ], ids=["ring", "complete", "ws", "eigh"])
@@ -228,6 +231,35 @@ def test_phases_past_float_resolution_exit_2(tmp_path, capsys, method):
     assert "float resolution" in capsys.readouterr().err
     assert _run([*argv, "--omega-hz", 8e14]) == 2  # 5.0e15 rad at t_end = 1 s
     assert _run([*argv, "--omega-hz", 1e14, "--t-end", 0.01, "--dt", 1e-3]) == 0
+
+
+def test_coupled_phases_past_float_resolution_exit_2(tmp_path, capsys):
+    # a numerical run's phases can reach (|omega| + |kappa| * max degree) * t_end
+    argv = ["simulate", "--graph", "complete", "--n", 3, "--kappa", 1e300, "--out", tmp_path]
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    assert "max degree" in err and "float resolution" in err
+    assert not (tmp_path / "trajectory.csv").exists()
+    # 2.5e15 rad passes; the closed form keeps the omega rule
+    assert _run(["simulate", "--graph", "complete", "--n", 3, "--kappa", 1.25e15,
+                 "--dt", 0.5, "--out", tmp_path]) == 3  # past Euler's stability bound
+    assert _run([*argv, "--method", "analytic"]) == 0
+
+
+@pytest.mark.parametrize("integrator, kappa, code", [
+    ("euler", 10, 0), ("euler", 12, 3), ("rk4", 12, 0), ("rk4", 14, 3)])
+def test_integrator_stability_bound(tmp_path, capsys, integrator, kappa, code):
+    # dt * |kappa| * n on K200: 2.0 sits on Euler's bound and passes, 2.4 is
+    # past it; RK4's bound is 2.785
+    argv = ["simulate", "--graph", "complete", "--n", 200, "--kappa", kappa,
+            "--integrator", integrator, "--out", tmp_path]
+    assert _run(argv) == code
+    if code == 3:
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "stability bound" in line and not (tmp_path / "trajectory.csv").exists()
+    else:
+        diag = read_json(tmp_path / "manifest.json")["diagnostics"]
+        assert diag == {"step_stability": 1e-3 * kappa * 200}
 
 
 def test_negative_seed_exits_2(tmp_path):
@@ -361,14 +393,14 @@ def test_analytic_trajectory_of_a_ring_file_is_the_generated_rings(tmp_path):
 @pytest.mark.parametrize("mode", ["cdt", "both"])
 def test_spectrum_cdt_rejects_non_circulant_without_building_the_route(tmp_path, capsys,
                                                                        monkeypatch, mode):
-    # the route is read from the graph's structure; the Chebyshev operator
+    # the route is read from the graph's structure; the Lanczos operator
     # (a dense matrix and Lanczos steps) is never built to be rejected
     assert _run(["graph", "er", "--n", 60, "--p", 0.1, "--out", tmp_path]) == 0
 
     def refuse(graph):
-        raise AssertionError("the Chebyshev operator was built")
+        raise AssertionError("the Lanczos operator was built")
 
-    monkeypatch.setattr(spectral, "chebyshev_operator", refuse)
+    monkeypatch.setattr(spectral, "lanczos_operator", refuse)
     capsys.readouterr()
     assert _run(["spectrum", "--graph", tmp_path / "graph.edges", "--mode", mode,
                  "--out", tmp_path / "spec"]) == 2
@@ -547,11 +579,13 @@ def test_simulate_analytic_manifest_diagnostics(tmp_path):
     assert _run(["simulate", *ws, "--method", "analytic", "--out", tmp_path / "ws"]) == 0
     manifest = read_json(tmp_path / "ws" / "manifest.json")
     diag = manifest["diagnostics"]
-    assert diag["route"] == "chebyshev"
+    assert diag["route"] == "lanczos"
     lo, hi = diag["interval"]
-    assert lo < 0.0 < hi and diag["chebyshev_terms"] >= 1
-    # one slice: the guard shift at t_end = 1 s is max(gamma*hi, gamma*lo)
-    assert abs(diag["guard_shift"] - 2 * (50 / 200) / np.pi * hi) < 1e-12
+    assert lo < 0.0 < hi and 1 <= diag["krylov_dimension"] <= 50
+    # the guard shift at t_end = 1 s is gamma times x0's largest Ritz value,
+    # which the guard end hi bounds
+    gamma = 2 * (50 / 200) / np.pi
+    assert 0.0 < diag["guard_shift"] <= gamma * hi
     assert 0.0 < diag["min_relative_modulus"] <= 1.0
     assert manifest["artifacts"] == ["trajectory.csv", "trajectory.meta"]
     meta = json.loads((tmp_path / "ws" / "trajectory.meta").read_text())
@@ -568,8 +602,12 @@ def test_simulate_analytic_manifest_diagnostics(tmp_path):
                  "--t-end", 10, "--method", "analytic", "--out", tmp_path / "strong"]) == 0
     diag = read_json(tmp_path / "strong" / "manifest.json")["diagnostics"]
     assert diag["route"] == "numerical" and "interval" not in diag
+    assert "krylov_dimension" not in diag
+    # a numerical run records dt * |kappa| * 2 * max degree, its step's stability number
     assert _run(["simulate", *ws, "--out", tmp_path / "num"]) == 0
-    assert "diagnostics" not in read_json(tmp_path / "num" / "manifest.json")
+    diag = read_json(tmp_path / "num" / "manifest.json")["diagnostics"]
+    degree = int(gen_watts_strogatz(200, 4, 0.2, 0).degrees().max())
+    assert diag == {"step_stability": 1e-3 * (50 / 200) * (2 * degree)}
 
 
 def test_manifest_replays_to_identical_artifacts(tmp_path):
@@ -666,21 +704,26 @@ def _finite_number(text):
     return value
 
 
-@settings(max_examples=150, deadline=None)
-@example(["simulate", "--graph", "complete", "--n", "3", "--kappa", "1", "--dt", "1e-320"])
-@given(_argv())
-def test_every_command_exits_0_2_or_3_with_finite_artifacts(argv):
+def _exits_0_2_or_3_with_finite_artifacts(argv):
+    """Run argv through main; a failure is one stderr line, and a success
+    writes only finite numbers. A numpy warning counts as stderr."""
     with tempfile.TemporaryDirectory() as out:
         stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             try:  # an exception escaping main is the traceback a user would see
                 code = main([*argv, "--out", out])
             except SystemExit as exc:  # argparse rejects an argument
                 code = exc.code
-        assert code in (0, 2, 3), (code, stderr.getvalue())
+                assert stderr.getvalue().rstrip().splitlines()[-1].startswith(
+                    ("usage: ", "kurasim")), stderr.getvalue()
+                return
+        err = stderr.getvalue() + "".join(
+            warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
+        assert code in (0, 2, 3), (code, err)
         if code != 0:
-            assert stderr.getvalue().rstrip().splitlines()[-1].startswith(
-                ("error: ", "usage: ", "kurasim")), stderr.getvalue()
+            assert err.startswith("error: ") and err.count("\n") == 1, err
             return
         lines = stdout.getvalue().splitlines()
         paths = [Path(p) for p in lines if Path(p).is_absolute()]
@@ -693,3 +736,35 @@ def test_every_command_exits_0_2_or_3_with_finite_artifacts(argv):
                 json.loads(path.read_text(), parse_constant=_finite_number)
             elif path.suffix == ".edges":
                 [int(v) for v in path.read_text().split()]
+
+
+@settings(max_examples=150, deadline=None)
+@example(["simulate", "--graph", "complete", "--n", "3", "--kappa", "1", "--dt", "1e-320"])
+@example(["simulate", "--graph", "er", "--n", "20", "--p", "0.5", "--kappa", "1.7e308",
+          "--t-end", "2"])
+@given(_argv())
+def test_every_command_exits_0_2_or_3_with_finite_artifacts(argv):
+    _exits_0_2_or_3_with_finite_artifacts(argv)
+
+
+@st.composite
+def _figure_argv(draw):
+    """figure 1, 2 or 4: figure 1 with a --t-end of at most 2 s, figure 4
+    with --kappa drawn from extreme floats. Figure 3 is left out: a sweep
+    takes seconds."""
+    figure = draw(st.sampled_from(["1", "2", "4"]))
+    argv = ["figure", figure, "--seed", draw(st.integers(0, 3))]
+    if figure == "1":
+        argv += ["--t-end", draw(st.sampled_from([0.0, 0.001, 0.5, 2.0])
+                                 | st.floats(max_value=2.0))]
+    if figure == "4":
+        argv += ["--variant", draw(st.sampled_from(["er", "ws"])),
+                 "--kappa", draw(_EXTREME | st.floats(-100.0, 100.0))]
+    return [str(a) for a in argv]
+
+
+@settings(max_examples=20, deadline=None)
+@example(["figure", "4", "--kappa", "1e300"])
+@given(_figure_argv())
+def test_every_figure_exits_0_2_or_3_with_finite_artifacts(argv):
+    _exits_0_2_or_3_with_finite_artifacts(argv)

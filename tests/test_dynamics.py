@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,13 +25,13 @@ from kurasim.dynamics import (
     wrap_phase,
     write_trajectory_csv,
 )
+from kurasim.experiments import _sweep_task
 from kurasim.graphs import (gen_complete, gen_erdos_renyi, gen_ring,
                             gen_watts_strogatz, read_edge_list,
                             ring_generating_vector, write_edge_list)
-from kurasim import spectral
 from kurasim.spectral import (SpectralError, apply_propagator, cdt_eigensystem,
-                              chebyshev_operator, eigendecompose_symmetric, eigensystem_for,
-                              eigenvalues_symmetric)
+                              eigendecompose_symmetric, eigensystem_for,
+                              eigenvalues_symmetric, lanczos_operator)
 
 K3 = gen_complete(3)
 ES3 = cdt_eigensystem(ring_generating_vector(3, 1))
@@ -234,6 +235,17 @@ def test_integration_aborts_on_non_finite():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationError, match="step"):
             integrate_numerical(cfg, initial_phases(3, 0))
+
+
+def test_non_finite_state_is_reported_without_numpy_warnings():
+    # the overflow that makes a state non-finite warns nowhere: the error is all
+    cfg = _cfg(graph=gen_erdos_renyi(20, 0.5, 0), kappa=1.7e308, t_end=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="non-finite state at step 1$"):
+            integrate_numerical(cfg, initial_phases(20, 0))
+        with pytest.raises(IntegrationError, match="non-finite state at step 1$"):
+            _sweep_task((20, [1.7e308], [0, 1], 1e-3, 0.01))
 
 
 def _first_non_finite_step(cfg, theta0, kappa):
@@ -460,13 +472,13 @@ def test_amplitudes_late_time_mean_projection():
     assert np.abs(values - expect).max() < 1e-8
 
 
-def test_no_guard_overflow_after_a_fallback_to_eigh_is_reported(monkeypatch):
-    # an interval whose guard end misses lambda_max passes the overflow check
-    # at build; the fallback to eigh then lifts the shift past float range
-    monkeypatch.setattr(spectral, "_PRODUCTS_PER_NODE", math.inf)
+def test_no_guard_overflow_after_a_fallback_to_eigh_is_reported():
+    # a guard end that misses lambda_max passes the overflow check at build;
+    # past the product budget, the fallback to eigh then lifts the shift
+    # past float range
     graph = gen_watts_strogatz(60, 4, 0.2, 0)
-    op = chebyshev_operator(graph)
-    bad = dataclasses.replace(op, hi=op.ritz_hi - 1.0)
+    op = lanczos_operator(graph)
+    bad = dataclasses.replace(op, hi=op.hi - 1.0)
     gamma = 700.0 / bad.hi  # gamma * hi * t_end = 700, gamma * lambda_max * t_end > 800
     cfg = _cfg(graph=graph, kappa=gamma * math.pi / 2, dt=0.25)
     theta0 = initial_phases(60, 0)
@@ -477,11 +489,11 @@ def test_no_guard_overflow_after_a_fallback_to_eigh_is_reported(monkeypatch):
 
 
 def test_amplitudes_report_the_guard_shift():
-    # Chebyshev route, guard on: values - shift are the unguarded -ln|x_i(t)|
+    # Lanczos route, guard on: values - shift are the unguarded -ln|x_i(t)|
     g = gen_watts_strogatz(80, 4, 0.2, 3)
     th0 = initial_phases(80, 2)
     cfg = SimulationConfig(graph=g, kappa=1.0, dt=1e-3, t_end=1.0, seed=2)
-    values, shift = analytic_amplitudes(chebyshev_operator(g), cfg, th0, t=2.5)
+    values, shift = analytic_amplitudes(lanczos_operator(g), cfg, th0, t=2.5)
     ref = -np.log(np.abs(apply_propagator(eigendecompose_symmetric(g), cfg.gamma, 2.5,
                                           np.exp(1j * th0))))
     assert shift > 0.0

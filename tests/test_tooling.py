@@ -13,9 +13,9 @@ import kurasim
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Imports every kurasim module, runs every route of the closed form (the
-# Chebyshev expansion, the complete-graph form, the ring FFT, and the eigh
-# fallback of a long horizon, gamma*t = 30) and one figure-3 sweep row once,
-# and reports whether scipy was loaded along the way: it is installed next to
+# Lanczos basis, the complete-graph form, the ring FFT, and the eigh
+# fallback of a long repulsive horizon, gamma*t = -30) and one figure-3 sweep
+# row once, and reports whether scipy was loaded along the way: it is installed next to
 # numpy on many hosts but is not a dependency of the package.
 _PROBE = """
 import importlib, pkgutil, sys
@@ -26,9 +26,9 @@ for mod in pkgutil.iter_modules(kurasim.__path__):
 from kurasim.experiments import _sweep_task
 from kurasim.graphs import gen_complete, gen_erdos_renyi, gen_ring, gen_watts_strogatz
 from kurasim.spectral import Propagator, eigensystem_for
-for graph, gamma_t, source in ((gen_watts_strogatz(200, 2, 0.3, 0), 0.5, "chebyshev"),
+for graph, gamma_t, source in ((gen_watts_strogatz(200, 2, 0.3, 0), 0.5, "lanczos"),
                                (gen_complete(200), 0.5, "cdt"), (gen_ring(200, 5), 0.5, "cdt"),
-                               (gen_erdos_renyi(200, 0.1, 0), 30.0, "numerical")):
+                               (gen_erdos_renyi(200, 0.1, 0), -30.0, "numerical")):
     prop = Propagator(eigensystem_for(graph), gamma_t, np.linspace(0.0, 1.0, 5))
     states, _ = prop(np.ones(200, dtype=complex))
     assert prop.system.source == source and np.all(np.isfinite(states))
