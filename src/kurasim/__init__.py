@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 from .dynamics import (IntegrationError, SimulationConfig, Trajectory,
                        analytic_amplitudes, analytic_trajectory,
                        initial_phases, integrate_numerical, km_rhs,
-                       order_parameter, read_trajectory_csv, wrap_phase,
-                       write_trajectory_csv)
+                       order_parameter, read_trajectory_csv, simulate,
+                       wrap_phase, write_trajectory_csv)
 from .experiments import (ComparisonReport, FigureOutput, SweepResult,
                           compare_trajectories, run_fig1, run_fig2, run_fig3,
                           run_fig4, write_pgm)
@@ -37,7 +37,7 @@ __all__ = [
     "IntegrationError", "SimulationConfig", "Trajectory",
     "analytic_amplitudes", "analytic_trajectory", "initial_phases",
     "integrate_numerical", "km_rhs", "order_parameter", "read_trajectory_csv",
-    "wrap_phase", "write_trajectory_csv",
+    "simulate", "wrap_phase", "write_trajectory_csv",
     "ComparisonReport", "FigureOutput", "SweepResult", "compare_trajectories",
     "run_fig1", "run_fig2", "run_fig3", "run_fig4", "write_pgm",
     "rng_for",

@@ -13,14 +13,11 @@ import numpy as np
 
 from . import __version__
 from ._text import fmt, write_json
-from .dynamics import (IntegrationError, SimulationConfig, analytic_trajectory,
-                       initial_phases, integrate_numerical, order_parameter,
-                       write_trajectory_csv)
+from .dynamics import SimulationConfig, order_parameter, simulate, write_trajectory_csv
 from .experiments import run_fig1, run_fig2, run_fig3, run_fig4, write_pgm
 from .graphs import (gen_complete, gen_erdos_renyi, gen_ring,
                      gen_watts_strogatz, read_edge_list, write_edge_list)
-from .spectral import (cdt_eigenvalues, eigensystem_for, eigenvalues_symmetric,
-                       write_spectrum_csv)
+from .spectral import cdt_eigenvalues, eigenvalues_symmetric, write_spectrum_csv
 
 # generator -> the source flags it reads; an edge-list file reads none of them
 _SOURCE_FLAGS = {"ring": ("n", "k"), "complete": ("n",), "er": ("n", "p"), "ws": ("n", "k", "q")}
@@ -97,11 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The largest dt*|kappa|*rho(L) at which each fixed step is stable near
-# synchrony, where the Jacobian is -kappa*L, L the graph Laplacian: the ends
-# of the Euler and RK4 stability regions on the negative real axis.
-_STABILITY_LIMITS = {"euler": 2.0, "rk4": 2.785}
-
 # figure-only flag -> (the figure that reads it, its value when absent; run_fig4
 # derives kappa = 50/N)
 _FIGURE_FLAGS = {"t_end": (1, 1.0), "kappa": (4, None), "points": (3, 100),
@@ -142,31 +134,7 @@ def cmd_simulate(args):
     cfg = SimulationConfig(graph=graph, kappa=kappa, omega=2.0 * np.pi * args.omega_hz,
                            dt=args.dt, t_end=args.t_end, seed=args.seed,
                            integrator=args.integrator, record_every=args.record_every)
-    # the largest phase a run can reach; past 1/eps rad no bits are left below 2*pi
-    if args.method == "numerical":
-        degree = int(graph.degrees().max())
-        bound = "(|omega| + |kappa| * max degree) * t_end"
-        reach = (abs(cfg.omega) + abs(cfg.kappa) * degree) * cfg.t_end
-    else:
-        bound, reach = "|omega| * t_end", abs(cfg.omega) * cfg.t_end
-    if reach > 1.0 / np.finfo(float).eps:
-        raise ValueError(f"{bound} = {reach:.6g} rad is past float resolution; "
-                         "every wrapped phase would be rounding noise")
-    theta0 = initial_phases(graph.n, args.seed)
-    if args.method == "numerical":
-        # rho bounds the Laplacian's spectral radius: n on a complete graph,
-        # where it is exact, and 2 * max degree (Gershgorin) on any other
-        stability = cfg.dt * abs(cfg.kappa) * (graph.n if graph.is_complete else 2 * degree)
-        limit = _STABILITY_LIMITS[cfg.integrator]
-        if stability > limit:
-            raise IntegrationError(f"dt * |kappa| * rho = {stability:.6g} is past the "
-                                   f"{cfg.integrator} stability bound {limit}; reduce --dt")
-        traj = integrate_numerical(cfg, theta0)
-        diagnostics = {"step_stability": stability}
-    else:
-        traj = analytic_trajectory(eigensystem_for(graph), cfg, theta0,
-                                   guard=not args.no_guard)
-        diagnostics = traj.diagnostics
+    traj = simulate(cfg, args.method, guard=not args.no_guard)
     path = args.out / "trajectory.csv"
     write_trajectory_csv(traj, cfg, path,
                          extra_meta={"method": args.method, "guard": not args.no_guard})
@@ -175,7 +143,7 @@ def cmd_simulate(args):
         artifacts.append(write_pgm(traj.states, args.out / "trajectory.pgm"))
     r_final = abs(order_parameter(traj.states[-1]))
     lines = [f"simulate: {traj.times.size} samples, final |r| = {fmt(r_final)}"]
-    return artifacts, lines, {"diagnostics": diagnostics}
+    return artifacts, lines, {"diagnostics": traj.diagnostics}
 
 
 def _sorted_desc(values: np.ndarray) -> np.ndarray:
@@ -206,6 +174,8 @@ def cmd_spectrum(args):
 
 
 def cmd_figure(args):
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.full and args.points is not None:
         raise ValueError("--full sets 1000 kappa points; give --points or --full, not both")
     for dest, (figure, default) in _FIGURE_FLAGS.items():

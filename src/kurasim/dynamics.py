@@ -6,7 +6,7 @@ batch of rows at a time, through a coupling kernel chosen once per graph.
 The analytic side evaluates x(t) = exp(gamma*t*A) e^{i*theta0} with the
 rescaled coupling gamma = 2*kappa/pi on the route spectral picks for the
 graph, takes arguments, and restores the omega*t drift that the rotating
-frame removed.
+frame removed. simulate checks and runs one seeded config either way.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import numpy as np
 from ._text import read_json, read_table, write_json, write_table
 from .graphs import AdjacencyMatrix
 from .seeding import rng_for
-from .spectral import EigenSystem, LanczosOperator, Propagator, unguarded
+from .spectral import (EigenSystem, LanczosOperator, Propagator, eigensystem_for,
+                       unguarded)
 
 __all__ = [
     "IntegrationError",
@@ -35,6 +36,7 @@ __all__ = [
     "integrate_numerical",
     "analytic_trajectory",
     "analytic_amplitudes",
+    "simulate",
     "order_parameter",
     "write_trajectory_csv",
     "read_trajectory_csv",
@@ -141,8 +143,8 @@ class Trajectory:
     initial states integrated together; the CSV writer and
     compare_trajectories take single runs.
 
-    An analytic trajectory also carries the closed form's numerical
-    diagnostics (see analytic_trajectory).
+    Diagnostics: the closed form's on an analytic trajectory (see
+    analytic_trajectory), step_stability on a numerical run of simulate.
     """
 
     times: np.ndarray
@@ -344,6 +346,42 @@ def analytic_amplitudes(es: EigenSystem | LanczosOperator, cfg: SimulationConfig
     with np.errstate(divide="ignore"):
         values = -np.log(np.abs(states[0]))
     return values, float(shift[0])
+
+
+# The largest dt*|kappa|*rho(L) at which each fixed step is stable near
+# synchrony, where the Jacobian is -kappa*L, L the graph Laplacian: the ends
+# of the Euler and RK4 stability regions on the negative real axis.
+_STABILITY_LIMITS = {"euler": 2.0, "rk4": 2.785}
+
+
+def simulate(cfg: SimulationConfig, method: str = "numerical", guard: bool = True) -> Trajectory:
+    """One run of cfg from initial_phases(n, cfg.seed), checked before it starts.
+
+    Raises ValueError where a phase can pass 1/eps, and IntegrationError where
+    the fixed step is past its stability bound; a value on a bound passes.
+    """
+    if method not in ("numerical", "analytic"):
+        raise ValueError(f"unknown method {method!r}, expected 'numerical' or 'analytic'")
+    graph, numerical = cfg.graph, method == "numerical"
+    degree = int(graph.degrees().max())
+    # the largest phase a run can reach: a node sums at most max-degree coupling terms
+    reach = (abs(cfg.omega) + (abs(cfg.kappa) * degree if numerical else 0.0)) * cfg.t_end
+    if reach > 1.0 / np.finfo(float).eps:
+        bound = "(|omega| + |kappa| * max degree)" if numerical else "|omega|"
+        raise ValueError(f"{bound} * t_end = {reach:.6g} rad is past float resolution; "
+                         "every wrapped phase would be rounding noise")
+    theta0 = initial_phases(graph.n, cfg.seed)
+    if not numerical:
+        return analytic_trajectory(eigensystem_for(graph), cfg, theta0, guard=guard)
+    # rho bounds the Laplacian's spectral radius: n on K_n, where exact, else 2 * max degree
+    stability = cfg.dt * abs(cfg.kappa) * (graph.n if graph.is_complete else 2 * degree)
+    limit = _STABILITY_LIMITS[cfg.integrator]
+    if stability > limit:
+        raise IntegrationError(f"dt * |kappa| * rho = {stability:.6g} is past the "
+                               f"{cfg.integrator} stability bound {limit}")
+    traj = integrate_numerical(cfg, theta0)
+    traj.diagnostics = {"step_stability": stability}
+    return traj
 
 
 def order_parameter(theta: np.ndarray):

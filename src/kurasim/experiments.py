@@ -17,9 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from ._text import fmt, parse_table, read_json, read_table, write_json, write_table
-from .dynamics import (SimulationConfig, Trajectory, analytic_trajectory,
-                       initial_phases, integrate_numerical, order_parameter,
-                       step_states, wrap_phase, write_trajectory_csv)
+from .dynamics import (SimulationConfig, Trajectory, initial_phases, order_parameter,
+                       simulate, step_states, wrap_phase, write_trajectory_csv)
 from .graphs import gen_complete, gen_erdos_renyi, gen_watts_strogatz
 from .spectral import Propagator, eigensystem_for
 
@@ -123,17 +122,14 @@ def write_pgm(states: np.ndarray, path: str | Path) -> Path:
     return path
 
 
-def _run_comparison(graph, kappa, omega, seed, t_end, dt, out_dir, rasters) -> FigureOutput:
-    """Euler integration against the closed form from shared initial phases.
+def _run_comparison(graph, kappa, omega, seed, t_end, out_dir, rasters) -> FigureOutput:
+    """Euler at dt = 1 ms against the closed form, both run by simulate from one seed.
 
     With out_dir given, writes the report, both trajectories with their
     sidecars and, with rasters, a PGM of each.
     """
-    theta0 = initial_phases(graph.n, seed)
-    cfg = SimulationConfig(graph=graph, kappa=kappa, omega=omega, dt=dt,
-                           t_end=t_end, seed=seed, integrator="euler")
-    num = integrate_numerical(cfg, theta0)
-    ana = analytic_trajectory(eigensystem_for(graph), cfg, theta0)
+    cfg = SimulationConfig(graph=graph, kappa=kappa, omega=omega, dt=1e-3, t_end=t_end, seed=seed)
+    num, ana = simulate(cfg, "numerical"), simulate(cfg, "analytic")
     report = compare_trajectories(num, ana)
     artifacts = []
     if out_dir is not None:
@@ -150,42 +146,38 @@ def _run_comparison(graph, kappa, omega, seed, t_end, dt, out_dir, rasters) -> F
     return FigureOutput(report, num, ana, artifacts)
 
 
-def run_fig1(seed: int = 0, t_end: float = 1.0, dt: float = 1e-3,
-             out_dir=None) -> FigureOutput:
+def run_fig1(seed: int = 0, t_end: float = 1.0, out_dir=None) -> FigureOutput:
     """Three fully coupled oscillators at kappa=1, omega/2pi = 10 Hz.
 
     Euler integration against the closed form from shared uniform initial
     conditions; the headline metric is the maximum wrapped deviation.
     """
-    return _run_comparison(gen_complete(3), 1.0, 2.0 * math.pi * 10.0, seed, t_end, dt,
+    return _run_comparison(gen_complete(3), 1.0, 2.0 * math.pi * 10.0, seed, t_end,
                            out_dir, rasters=False)
 
 
-def run_fig2(seed: int = 0, n: int = 200, kappa: float | None = None,
-             t_end: float = 1.0, dt: float = 1e-3, out_dir=None) -> FigureOutput:
-    """Complete graph on 200 nodes at kappa = 6/N, emitted with rasters.
+def run_fig2(seed: int = 0, kappa: float = 6.0 / 200, out_dir=None) -> FigureOutput:
+    """Complete graph on 200 nodes at kappa = 6/N over 1 s, emitted with rasters.
 
     The analytic path uses the closed-form circulant spectrum of the
     complete graph rather than a numerical decomposition.
     """
-    kappa = 6.0 / n if kappa is None else kappa
-    return _run_comparison(gen_complete(n), kappa, 0.0, seed, t_end, dt, out_dir,
-                           rasters=True)
+    return _run_comparison(gen_complete(200), kappa, 0.0, seed, 1.0, out_dir, rasters=True)
 
 
-def run_fig4(variant: str, seed: int = 0, n: int = 200, kappa: float | None = None,
-             p: float = 0.2, k: int = 10, q: float = 0.1,
-             t_end: float = 1.0, dt: float = 1e-3, out_dir=None) -> FigureOutput:
-    """Random-graph pipeline: Erdos-Renyi or Watts-Strogatz at kappa = 50/N.
+def run_fig4(variant: str, seed: int = 0, kappa: float | None = None,
+             t_end: float = 1.0, out_dir=None) -> FigureOutput:
+    """Random-graph pipeline at kappa = 50/N: ER (p = 0.2) or WS (k = 10, q = 0.1), N = 200.
 
     Neither random family is circulant, so the closed form takes the
     Lanczos route, which needs no eigendecomposition.
     """
     if variant not in ("er", "ws"):
         raise ValueError(f"unknown variant {variant!r}, expected 'er' or 'ws'")
-    graph = gen_erdos_renyi(n, p, seed) if variant == "er" else gen_watts_strogatz(n, k, q, seed)
-    kappa = 50.0 / n if kappa is None else kappa
-    return _run_comparison(graph, kappa, 0.0, seed, t_end, dt, out_dir, rasters=True)
+    graph = (gen_erdos_renyi(200, 0.2, seed) if variant == "er"
+             else gen_watts_strogatz(200, 10, 0.1, seed))
+    kappa = 50.0 / 200 if kappa is None else kappa
+    return _run_comparison(graph, kappa, 0.0, seed, t_end, out_dir, rasters=True)
 
 
 # At most this many values (points x seeds x nodes) in one sweep chunk's

@@ -418,6 +418,36 @@ def test_figure1_reports_deviation(tmp_path, capsys):
     assert (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("method", ["numerical", "analytic"])
+def test_figure1_runs_what_simulate_runs(tmp_path, method):
+    # one seeded run path: figure 1's trajectories are simulate's, byte for byte
+    assert _run(["figure", "1", "--seed", 7, "--out", tmp_path / "fig"]) == 0
+    assert _run(["simulate", "--graph", "complete", "--n", 3, "--kappa", 1, "--omega-hz", 10,
+                 "--seed", 7, "--method", method, "--out", tmp_path / "sim"]) == 0
+    figure = (tmp_path / "fig" / f"trajectory_{method}.csv").read_bytes()
+    assert figure == (tmp_path / "sim" / "trajectory.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv, code, reason", [
+    # dt * |kappa| * 2 * max degree = 2.12 on this ER graph, past Euler's 2
+    (["--variant", "er", "--kappa", 20], 3, "stability bound"),
+    (["--kappa", 1e300], 2, "float resolution"),
+])
+def test_figure4_exits_as_simulate_does(tmp_path, capsys, argv, code, reason):
+    assert _run(["figure", 4, *argv, "--out", tmp_path]) == code
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and reason in line and "--" not in line
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fig, jobs", [(1, 0), (4, -3)])
+def test_every_figure_rejects_jobs_below_one(tmp_path, capsys, fig, jobs):
+    assert _run(["figure", fig, "--jobs", jobs, "--out", tmp_path]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "--jobs" in line
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_figure1_late_time_wander_is_deterministic(tmp_path, capsys):
     # seed 11 locks to a mean phase visibly off the spectral prediction;
     # the run must reproduce that wander exactly, not hide it
@@ -765,6 +795,7 @@ def _figure_argv(draw):
 
 @settings(max_examples=20, deadline=None)
 @example(["figure", "4", "--kappa", "1e300"])
+@example(["figure", "4", "--variant", "er", "--kappa", "20"])
 @given(_figure_argv())
 def test_every_figure_exits_0_2_or_3_with_finite_artifacts(argv):
     _exits_0_2_or_3_with_finite_artifacts(argv)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kurasim import dynamics
 from kurasim.dynamics import (
     IntegrationError,
     SimulationConfig,
@@ -21,6 +22,7 @@ from kurasim.dynamics import (
     km_rhs,
     order_parameter,
     read_trajectory_csv,
+    simulate,
     step_states,
     wrap_phase,
     write_trajectory_csv,
@@ -29,7 +31,7 @@ from kurasim.experiments import _sweep_task
 from kurasim.graphs import (gen_complete, gen_erdos_renyi, gen_ring,
                             gen_watts_strogatz, read_edge_list,
                             ring_generating_vector, write_edge_list)
-from kurasim.spectral import (SpectralError, apply_propagator, cdt_eigensystem,
+from kurasim.spectral import (Propagator, SpectralError, apply_propagator, cdt_eigensystem,
                               eigendecompose_symmetric, eigensystem_for,
                               eigenvalues_symmetric, lanczos_operator)
 
@@ -521,6 +523,52 @@ def test_order_parameter_batched():
     assert r.shape == (2,)
     assert abs(r[0]) == pytest.approx(1.0, abs=1e-15)
     assert abs(r[1]) < 1e-16
+
+
+# ------------------------------------------------------------- entry point
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a step or a sample was evaluated")
+
+
+@pytest.mark.parametrize("kw, method, error, match", [
+    # (|omega| + |kappa| * max degree) * t_end = 2e300 rad
+    (dict(kappa=1e300), "numerical", ValueError, "max degree.*float resolution"),
+    (dict(omega=1e300), "analytic", ValueError, r"\|omega\| \* t_end.*float resolution"),
+    # dt * |kappa| * n = 2.4 on K200, past Euler's 2; 2.8 past RK4's 2.785
+    (dict(graph=gen_complete(200), kappa=12.0), "numerical", IntegrationError,
+     "euler stability bound 2.0$"),
+    (dict(graph=gen_complete(200), kappa=-14.0, integrator="rk4"), "numerical",
+     IntegrationError, "rk4 stability bound 2.785$"),
+    (dict(), "exact", ValueError, "unknown method"),
+])
+def test_simulate_rejects_a_run_before_any_step_or_sample(monkeypatch, kw, method, error, match):
+    monkeypatch.setattr(dynamics, "integrate_numerical", _refuse)
+    monkeypatch.setattr(Propagator, "__call__", _refuse)
+    with pytest.raises(error, match=match):
+        simulate(_cfg(**kw), method)
+
+
+@pytest.mark.parametrize("graph", [gen_complete(200), gen_watts_strogatz(50, 4, 0.2, 3)],
+                         ids=["complete", "ws"])
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_simulate_runs_the_seeded_state_and_reports_its_stability(graph, integrator):
+    cfg = _cfg(graph=graph, kappa=-0.5, seed=5, t_end=0.1, integrator=integrator)
+    theta0 = initial_phases(graph.n, 5)
+    traj = simulate(cfg)
+    want = integrate_numerical(cfg, theta0)
+    assert np.array_equal(traj.states, want.states) and traj.source == "numerical"
+    rho = graph.n if graph.is_complete else 2 * int(graph.degrees().max())
+    assert traj.diagnostics == {"step_stability": 1e-3 * 0.5 * rho}
+    ana = simulate(cfg, "analytic", guard=False)
+    want = analytic_trajectory(eigensystem_for(graph), cfg, theta0, guard=False)
+    assert np.array_equal(ana.states, want.states) and ana.diagnostics == want.diagnostics
+
+
+def test_simulate_passes_a_step_on_its_stability_bound():
+    # dt * kappa * n = 1e-3 * 10 * 200 = 2.0, exactly Euler's bound
+    traj = simulate(_cfg(graph=gen_complete(200), kappa=10.0, t_end=0.01))
+    assert traj.diagnostics == {"step_stability": 2.0}
 
 
 # ---------------------------------------------------------------------- I/O
