@@ -40,19 +40,16 @@ def build_parser() -> argparse.ArgumentParser:
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--graph", required=True, metavar="KIND_OR_FILE",
                         help="ring | complete | er | ws, or an edge-list path")
-    source.add_argument("--n", type=int, help="node count (generators)")
-    source.add_argument("--k", type=int, help="neighbor radius (ring, ws)")
-    source.add_argument("--p", type=float, help="edge probability (er)")
-    source.add_argument("--q", type=float, help="rewiring probability (ws)")
+    flags = argparse.ArgumentParser(add_help=False)  # checked against _SOURCE_FLAGS
+    flags.add_argument("--n", type=int, help="node count (generators)")
+    flags.add_argument("--k", type=int, help="neighbor radius (ring, ws)")
+    flags.add_argument("--p", type=float, help="edge probability (er)")
+    flags.add_argument("--q", type=float, help="rewiring probability (ws)")
 
-    p_graph = sub.add_parser("graph", parents=[common], help="generate a graph edge list")
+    p_graph = sub.add_parser("graph", parents=[common, flags], help="generate a graph edge list")
     p_graph.add_argument("kind", choices=GENERATORS)
-    p_graph.add_argument("--n", type=int, required=True)
-    p_graph.add_argument("--k", type=int)
-    p_graph.add_argument("--p", type=float)
-    p_graph.add_argument("--q", type=float)
 
-    p_sim = sub.add_parser("simulate", parents=[common, source],
+    p_sim = sub.add_parser("simulate", parents=[common, source, flags],
                            help="run one trajectory and write it as CSV")
     coupling = p_sim.add_mutually_exclusive_group(required=True)
     coupling.add_argument("--kappa", type=float, help="coupling strength (1/s)")
@@ -69,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--no-guard", action="store_true",
                        help="disable the overflow guard of the analytic method")
 
-    p_spec = sub.add_parser("spectrum", parents=[common, source],
+    p_spec = sub.add_parser("spectrum", parents=[common, source, flags],
                             help="write adjacency eigenvalues as CSV")
     p_spec.add_argument("--mode", choices=["cdt", "numerical", "both"], default="numerical")
 
@@ -87,16 +84,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--variant", choices=["er", "ws"],
                        help="random graph family for figure 4 (default er)")
     p_fig.add_argument("--kappa", type=float,
-                       help="coupling override for figure 4 (default 50/N)")
+                       help="coupling override for figure 4 (default 50/N = 0.25)")
     # read -5, -.5, -1e6 and -2.5E+1 as values; argparse's own pattern has no exponents
     for p in (parser, *sub.choices.values()):
         p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     return parser
 
 
-# figure-only flag -> (the figure that reads it, its value when absent; run_fig4
-# derives kappa = 50/N)
-_FIGURE_FLAGS = {"t_end": (1, 1.0), "kappa": (4, None), "points": (3, 100),
+# figure-only flag -> (the figure that reads it, its value when absent)
+_FIGURE_FLAGS = {"t_end": (1, 1.0), "kappa": (4, 50.0 / 200), "points": (3, 100),
                  "realizations": (3, 10), "full": (3, False), "variant": (4, "er")}
 
 
@@ -206,7 +202,8 @@ def cmd_figure(args):
         lines.append(f"mean |r| gap = {fmt(report.mean_abs_order_gap)}")
     if args.id == 4:
         lines.insert(0, f"final numerical |r| = {fmt(report.order_param_series_numerical[-1])}")
-    return out.artifacts, lines, {}
+    diagnostics = {"numerical": out.numerical.diagnostics, "analytic": out.analytic.diagnostics}
+    return out.artifacts, lines, {"diagnostics": diagnostics}
 
 
 _DISPATCH = {"graph": cmd_graph, "simulate": cmd_simulate,

@@ -165,7 +165,7 @@ def run_fig2(seed: int = 0, kappa: float = 6.0 / 200, out_dir=None) -> FigureOut
     return _run_comparison(gen_complete(200), kappa, 0.0, seed, 1.0, out_dir, rasters=True)
 
 
-def run_fig4(variant: str, seed: int = 0, kappa: float | None = None,
+def run_fig4(variant: str, seed: int = 0, kappa: float = 50.0 / 200,
              t_end: float = 1.0, out_dir=None) -> FigureOutput:
     """Random-graph pipeline at kappa = 50/N: ER (p = 0.2) or WS (k = 10, q = 0.1), N = 200.
 
@@ -176,7 +176,6 @@ def run_fig4(variant: str, seed: int = 0, kappa: float | None = None,
         raise ValueError(f"unknown variant {variant!r}, expected 'er' or 'ws'")
     graph = (gen_erdos_renyi(200, 0.2, seed) if variant == "er"
              else gen_watts_strogatz(200, 10, 0.1, seed))
-    kappa = 50.0 / 200 if kappa is None else kappa
     return _run_comparison(graph, kappa, 0.0, seed, t_end, out_dir, rasters=True)
 
 

@@ -54,8 +54,14 @@ def test_graph_er_p0_writes_empty_edge_list(tmp_path):
     assert (tmp_path / "graph.edges").read_text() == "10 0\n"
 
 
-def test_graph_missing_parameter_exits_2(tmp_path):
+def test_graph_missing_parameter_exits_2(tmp_path, capsys):
     assert _run(["graph", "ring", "--n", 5, "--out", tmp_path]) == 2
+    capsys.readouterr()
+    # a missing --n reads as simulate's one error line, not argparse's usage message
+    assert _run(["graph", "ring", "--k", 2, "--out", tmp_path]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "--n" in line
+    assert not (tmp_path / "manifest.json").exists()
 
 
 # ---------------------------------------------------------------- simulate
@@ -426,6 +432,8 @@ def test_figure1_runs_what_simulate_runs(tmp_path, method):
                  "--seed", 7, "--method", method, "--out", tmp_path / "sim"]) == 0
     figure = (tmp_path / "fig" / f"trajectory_{method}.csv").read_bytes()
     assert figure == (tmp_path / "sim" / "trajectory.csv").read_bytes()
+    diagnostics = read_json(tmp_path / "fig" / "manifest.json")["diagnostics"]
+    assert diagnostics[method] == read_json(tmp_path / "sim" / "manifest.json")["diagnostics"]
 
 
 @pytest.mark.parametrize("argv, code, reason", [
@@ -498,6 +506,10 @@ def test_figure_manifest_records_the_values_used(tmp_path):
     params = read_json(tmp_path / "f3" / "manifest.json")["params"]
     assert (params["points"], params["full"], params["jobs"]) == (2, False, 1)
     assert params["t_end"] is params["kappa"] is params["variant"] is None
+    assert _run(["figure", "4", "--out", tmp_path / "f4"]) == 0
+    params = read_json(tmp_path / "f4" / "manifest.json")["params"]
+    assert (params["kappa"], params["variant"]) == (0.25, "er")
+    assert params["t_end"] is params["points"] is params["realizations"] is params["full"] is None
 
 
 @pytest.mark.parametrize("argv, dest, want", [
@@ -772,6 +784,7 @@ def _exits_0_2_or_3_with_finite_artifacts(argv):
 @example(["simulate", "--graph", "complete", "--n", "3", "--kappa", "1", "--dt", "1e-320"])
 @example(["simulate", "--graph", "er", "--n", "20", "--p", "0.5", "--kappa", "1.7e308",
           "--t-end", "2"])
+@example(["graph", "ring", "--k", "2"])
 @given(_argv())
 def test_every_command_exits_0_2_or_3_with_finite_artifacts(argv):
     _exits_0_2_or_3_with_finite_artifacts(argv)

@@ -4,13 +4,15 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import kurasim
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 # Imports every kurasim module, runs every route of the closed form (the
 # Lanczos basis, the complete-graph form, the ring FFT, and the eigh
@@ -65,3 +67,23 @@ def test_every_exported_name_resolves():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), (module.__name__, name)
+
+
+def test_package_re_exports_every_module_all():
+    # each module's __all__ is the one list of its public names
+    assert len(kurasim.__all__) == len(set(kurasim.__all__))
+    for short in ("graphs", "spectral", "dynamics", "experiments", "seeding"):
+        module = importlib.import_module(f"kurasim.{short}")
+        for name in module.__all__:
+            assert name in kurasim.__all__ and getattr(kurasim, name) is getattr(module, name), \
+                (short, name)
+
+
+def test_readme_library_block_runs():
+    readme = (ROOT / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"^```python\n(.*?)^```$", library, re.S | re.M)
+    src = str(Path(kurasim.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.returncode == 0, out.stderr
