@@ -18,6 +18,13 @@ def fmt(x) -> str:
     return repr(float(x))
 
 
+def ensure_parent(path: str | Path) -> Path:
+    """path, its directory made if missing: a run's --out comes with its first artifact."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def write_table(path: str | Path, header: str | None, table, sep: str = ",") -> Path:
     """Write the header line, then the rows of a 2-d array, a block at a time.
 
@@ -25,7 +32,7 @@ def write_table(path: str | Path, header: str | None, table, sep: str = ",") -> 
     float as its repr and a Python int as %d, which tolist() makes of a
     float or an int array.
     """
-    path = Path(path)
+    path = ensure_parent(path)
     table = np.asarray(table)
     rows, width = table.shape
     step = max(1, BLOCK_VALUES // width)
@@ -39,27 +46,22 @@ def write_table(path: str | Path, header: str | None, table, sep: str = ",") -> 
     return path
 
 
-def parse_table(lines, path) -> tuple[str, np.ndarray]:
-    """Header ("" if none) and float rows of a CSV's lines, converted a row at a time."""
-    lines = iter(lines)
-    header = next(lines, "").rstrip("\n")
-    width = len(header.split(","))
-    rows = []
-    for i, ln in enumerate(lines):
-        row = ln.rstrip("\n").split(",")
-        if len(row) != width:
-            raise ValueError(f"row {i} of {path} has {len(row)} fields, expected {width}")
-        rows.append(np.array(row, dtype=float))
+def read_table(path: str | Path) -> tuple[str, np.ndarray]:
+    """Header ("" if none) and float rows of a CSV, converted a row at a time."""
+    with Path(path).open(encoding="ascii") as fh:
+        header = next(fh, "").rstrip("\n")
+        width = len(header.split(","))
+        rows = []
+        for i, ln in enumerate(fh):
+            row = ln.rstrip("\n").split(",")
+            if len(row) != width:
+                raise ValueError(f"row {i} of {path} has {len(row)} fields, expected {width}")
+            rows.append(np.array(row, dtype=float))
     return header, np.array(rows).reshape(len(rows), width)
 
 
-def read_table(path: str | Path) -> tuple[str, np.ndarray]:
-    with Path(path).open(encoding="ascii") as fh:
-        return parse_table(fh, path)
-
-
 def write_json(path: str | Path, obj) -> Path:
-    path = Path(path)
+    path = ensure_parent(path)
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="ascii")
     return path
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import re
 import sys
@@ -75,25 +76,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("id", type=int, choices=[1, 2, 3, 4])
     p_fig.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                        help="worker pool size for the sweep (default: all cores)")
-    # figure-only flags default to None, see _FIGURE_FLAGS
-    p_fig.add_argument("--t-end", type=float, help="duration for figure 1 (default 1 s)")
-    p_fig.add_argument("--points", type=int, help="kappa grid size (figure 3, default 100)")
-    p_fig.add_argument("--realizations", type=int, help="seeds per kappa (figure 3, default 10)")
-    p_fig.add_argument("--full", action="store_true", default=None,
-                       help="figure 3 long mode: 1000 kappa points")
-    p_fig.add_argument("--variant", choices=["er", "ws"],
-                       help="random graph family for figure 4 (default er)")
-    p_fig.add_argument("--kappa", type=float,
-                       help="coupling override for figure 4 (default 50/N = 0.25)")
+
+    def figure_flag(dest, text, **kwargs):  # None when absent, see _FIGURE_FLAGS
+        p_fig.add_argument("--" + dest.replace("_", "-"), **kwargs, help=f"{text} (figure "
+                           f"{_FIGURE_FLAGS[dest]}, default {_FLAG_DEFAULTS[dest]})")
+    figure_flag("t_end", "duration in seconds", type=float)
+    figure_flag("points", "kappa grid size", type=int)
+    figure_flag("realizations", "seeds per kappa", type=int)
+    figure_flag("full", "long mode: 1000 kappa points", action="store_true", default=None)
+    figure_flag("variant", "random graph family", choices=["er", "ws"])
+    figure_flag("kappa", "coupling strength", type=float)
     # read -5, -.5, -1e6 and -2.5E+1 as values; argparse's own pattern has no exponents
     for p in (parser, *sub.choices.values()):
         p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     return parser
 
 
-# figure-only flag -> (the figure that reads it, its value when absent)
-_FIGURE_FLAGS = {"t_end": (1, 1.0), "kappa": (4, 50.0 / 200), "points": (3, 100),
-                 "realizations": (3, 10), "full": (3, False), "variant": (4, "er")}
+# figure-only flag -> the figure that reads it. Each but --full is a parameter of
+# that figure's function, and takes the function's default when absent.
+_FIGURE_FLAGS = {"t_end": 1, "kappa": 4, "points": 3, "realizations": 3, "full": 3, "variant": 4}
+_FIGURES = {1: run_fig1, 2: run_fig2, 3: run_fig3, 4: run_fig4}
+_FLAG_DEFAULTS = {"full": False, **{dest: inspect.signature(_FIGURES[fig]).parameters[dest].default
+                                    for dest, fig in _FIGURE_FLAGS.items() if dest != "full"}}
 
 
 def _graph_from_args(args):
@@ -174,28 +178,23 @@ def cmd_figure(args):
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.full and args.points is not None:
         raise ValueError("--full sets 1000 kappa points; give --points or --full, not both")
-    for dest, (figure, default) in _FIGURE_FLAGS.items():
+    for dest, figure in _FIGURE_FLAGS.items():
         if getattr(args, dest) is None:
             if args.id == figure:
-                setattr(args, dest, default)  # so the manifest records the value used
+                setattr(args, dest, _FLAG_DEFAULTS[dest])  # so the manifest records the value used
         elif args.id != figure:
             flag = "--" + dest.replace("_", "-")
             raise ValueError(f"{flag} applies to figure {figure} only, not figure {args.id}")
     if args.id == 3:
         args.points = 1000 if args.full else args.points
         path = args.out / "sweep.csv"
-        result = run_fig3(points=args.points, realizations=args.realizations,
-                          seed=args.seed, jobs=args.jobs, out_csv=path)
+        result = run_fig3(args.points, args.realizations, args.seed, args.jobs, out_csv=path)
         gap = float(np.abs(result.mean_abs_r_numerical - result.mean_abs_r_analytic).mean())
         lines = [f"sweep: {args.points} kappa points x {args.realizations} realizations, "
                  f"mean |r| gap = {fmt(gap)}"]
         return [path], lines, {}
-    if args.id == 1:
-        out = run_fig1(seed=args.seed, t_end=args.t_end, out_dir=args.out)
-    elif args.id == 2:
-        out = run_fig2(seed=args.seed, out_dir=args.out)
-    else:
-        out = run_fig4(args.variant, seed=args.seed, kappa=args.kappa, out_dir=args.out)
+    flags = {dest: getattr(args, dest) for dest, fig in _FIGURE_FLAGS.items() if fig == args.id}
+    out = _FIGURES[args.id](seed=args.seed, out_dir=args.out, **flags)
     report = out.report
     lines = [f"max wrapped deviation = {fmt(report.max_wrapped_deviation)}"]
     if args.id == 2:
@@ -224,7 +223,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        args.out.mkdir(parents=True, exist_ok=True)
         # a command returns its artifacts, its summary lines and extra manifest keys
         artifacts, lines, extra = _DISPATCH[args.command](args)
     except (ValueError, OSError) as exc:  # invalid input, or a path that cannot be used

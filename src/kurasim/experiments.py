@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._text import fmt, parse_table, read_json, read_table, write_json, write_table
+from ._text import ensure_parent, fmt, read_json, read_table, write_json, write_table
 from .dynamics import (SimulationConfig, Trajectory, initial_phases, order_parameter,
                        simulate, step_states, wrap_phase, write_trajectory_csv)
 from .graphs import gen_complete, gen_erdos_renyi, gen_watts_strogatz
@@ -38,6 +38,10 @@ __all__ = [
 
 SWEEP_HEADER = "kappa,mean_r_num,std_r_num,mean_r_ana,std_r_ana"
 REPORT_HEADER = "t,max_dev,abs_r_num,abs_r_ana"
+
+# The paper's fixed settings: every figure steps Euler at DT for T_END seconds
+# (figure 1 by default), and figures 2 to 4 run on N nodes.
+DT, T_END, N = 1e-3, 1.0, 200
 
 
 @dataclass(eq=False)
@@ -61,14 +65,6 @@ class SweepResult:
     std_numerical: np.ndarray
     mean_abs_r_analytic: np.ndarray
     std_analytic: np.ndarray
-    realizations: int
-    seeds: list = field(default_factory=list)
-
-    @classmethod
-    def from_rows(cls, rows, realizations: int = 0, seeds=()) -> SweepResult:
-        """From rows of the five SWEEP_HEADER columns."""
-        cols = np.asarray(rows, dtype=float).reshape(-1, 5).T
-        return cls(*cols, realizations=realizations, seeds=list(seeds))
 
 
 @dataclass(eq=False)
@@ -113,7 +109,7 @@ def write_pgm(states: np.ndarray, path: str | Path) -> Path:
     along the vertical. Phases map linearly from (-pi, pi] to 0..255, so
     values near -pi come out dark and values near +pi come out light.
     """
-    path = Path(path)
+    path = ensure_parent(path)
     arr = np.asarray(states, dtype=float)
     gray = np.rint((arr + np.pi) / (2.0 * np.pi) * 255.0)
     gray = np.clip(gray, 0, 255).astype(np.uint8)
@@ -123,18 +119,17 @@ def write_pgm(states: np.ndarray, path: str | Path) -> Path:
 
 
 def _run_comparison(graph, kappa, omega, seed, t_end, out_dir, rasters) -> FigureOutput:
-    """Euler at dt = 1 ms against the closed form, both run by simulate from one seed.
+    """Euler at DT against the closed form, both run by simulate from one seed.
 
     With out_dir given, writes the report, both trajectories with their
     sidecars and, with rasters, a PGM of each.
     """
-    cfg = SimulationConfig(graph=graph, kappa=kappa, omega=omega, dt=1e-3, t_end=t_end, seed=seed)
+    cfg = SimulationConfig(graph=graph, kappa=kappa, omega=omega, dt=DT, t_end=t_end, seed=seed)
     num, ana = simulate(cfg, "numerical"), simulate(cfg, "analytic")
     report = compare_trajectories(num, ana)
     artifacts = []
     if out_dir is not None:
         out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         artifacts.append(write_report_csv(report, out_dir / "report.csv"))
         for traj in (num, ana):
             p = write_trajectory_csv(traj, cfg, out_dir / f"trajectory_{traj.source}.csv",
@@ -146,7 +141,7 @@ def _run_comparison(graph, kappa, omega, seed, t_end, out_dir, rasters) -> Figur
     return FigureOutput(report, num, ana, artifacts)
 
 
-def run_fig1(seed: int = 0, t_end: float = 1.0, out_dir=None) -> FigureOutput:
+def run_fig1(seed: int = 0, t_end: float = T_END, out_dir=None) -> FigureOutput:
     """Three fully coupled oscillators at kappa=1, omega/2pi = 10 Hz.
 
     Euler integration against the closed form from shared uniform initial
@@ -156,17 +151,17 @@ def run_fig1(seed: int = 0, t_end: float = 1.0, out_dir=None) -> FigureOutput:
                            out_dir, rasters=False)
 
 
-def run_fig2(seed: int = 0, kappa: float = 6.0 / 200, out_dir=None) -> FigureOutput:
-    """Complete graph on 200 nodes at kappa = 6/N over 1 s, emitted with rasters.
+def run_fig2(seed: int = 0, out_dir=None) -> FigureOutput:
+    """Complete graph on N = 200 nodes at kappa = 6/N over 1 s, emitted with rasters.
 
     The analytic path uses the closed-form circulant spectrum of the
     complete graph rather than a numerical decomposition.
     """
-    return _run_comparison(gen_complete(200), kappa, 0.0, seed, 1.0, out_dir, rasters=True)
+    return _run_comparison(gen_complete(N), 6.0 / N, 0.0, seed, T_END, out_dir, rasters=True)
 
 
-def run_fig4(variant: str, seed: int = 0, kappa: float = 50.0 / 200,
-             t_end: float = 1.0, out_dir=None) -> FigureOutput:
+def run_fig4(variant: str = "er", seed: int = 0, kappa: float = 50.0 / N,
+             out_dir=None) -> FigureOutput:
     """Random-graph pipeline at kappa = 50/N: ER (p = 0.2) or WS (k = 10, q = 0.1), N = 200.
 
     Neither random family is circulant, so the closed form takes the
@@ -174,9 +169,9 @@ def run_fig4(variant: str, seed: int = 0, kappa: float = 50.0 / 200,
     """
     if variant not in ("er", "ws"):
         raise ValueError(f"unknown variant {variant!r}, expected 'er' or 'ws'")
-    graph = (gen_erdos_renyi(200, 0.2, seed) if variant == "er"
-             else gen_watts_strogatz(200, 10, 0.1, seed))
-    return _run_comparison(graph, kappa, 0.0, seed, t_end, out_dir, rasters=True)
+    graph = (gen_erdos_renyi(N, 0.2, seed) if variant == "er"
+             else gen_watts_strogatz(N, 10, 0.1, seed))
+    return _run_comparison(graph, kappa, 0.0, seed, T_END, out_dir, rasters=True)
 
 
 # At most this many values (points x seeds x nodes) in one sweep chunk's
@@ -231,11 +226,15 @@ def _mean_abs_r_of(x):
     return np.abs(x.mean(axis=1)).mean()
 
 
-def read_sweep_csv(path: str | Path) -> SweepResult:
+def _sweep_table(path: str | Path) -> np.ndarray:
     header, table = read_table(path)
     if header != SWEEP_HEADER:
         raise ValueError(f"not a sweep CSV: {path}")
-    return SweepResult.from_rows(table)
+    return table
+
+
+def read_sweep_csv(path: str | Path) -> SweepResult:
+    return SweepResult(*_sweep_table(path).T)
 
 
 def _resume_sweep(path: Path, config: dict) -> list:
@@ -253,27 +252,23 @@ def _resume_sweep(path: Path, config: dict) -> list:
                          f"this run has {config}")
     data = path.read_bytes()
     keep = data[:data.rfind(b"\n") + 1]
-    lines = keep.decode("ascii").splitlines()
-    if len(lines) > 1 and len(lines[-1].split(",")) != 5:
-        keep = keep[:-len(lines.pop()) - 1]
+    lines = keep.splitlines(keepends=True)
+    if len(lines) > 1 and len(lines[-1].split(b",")) != 5:
+        keep = keep[:-len(lines[-1])]
     if keep != data:
         with path.open("r+b") as fh:
             fh.truncate(len(keep))
-    header, table = parse_table(lines, path)
-    if header != SWEEP_HEADER:
-        raise ValueError(f"not a sweep CSV: {path}")
-    return table.tolist()
+    return _sweep_table(path).tolist()
 
 
-def run_fig3(points: int = 100, realizations: int = 10, seed: int = 0,
-             n: int = 200, kappa_lo: float = 1e-3, kappa_hi: float = 10.0,
-             t_end: float = 1.0, dt: float = 1e-3, jobs: int = 1,
+def run_fig3(points: int = 100, realizations: int = 10, seed: int = 0, jobs: int = 1,
              out_csv=None) -> SweepResult:
     """Synchronization transition: time-averaged |r| over a log kappa grid.
 
-    For each kappa, `realizations` shared-seed numerical/analytic pairs run
-    on the complete graph; |r(t)| is averaged over every recorded sample of
-    the 1-second run, transient included, then aggregated across
+    For each of `points` kappas from 1e-3 to 10, `realizations` shared-seed
+    numerical/analytic pairs run on the complete graph on N = 200 nodes;
+    |r(t)| is averaged over every recorded sample of the 1-second run at
+    dt = 1 ms, transient included, then aggregated across
     realizations. Consecutive kappa points are stepped together in chunks
     of at most _CHUNK_VALUES state values (see _sweep_task); with jobs > 1
     at least `jobs` chunks are spread over a process pool. No row depends
@@ -285,14 +280,15 @@ def run_fig3(points: int = 100, realizations: int = 10, seed: int = 0,
     if points < 1 or realizations < 1 or jobs < 1:
         raise ValueError(f"points, realizations and jobs must be positive, got {points}, "
                          f"{realizations} and {jobs}")
+    kappa_lo, kappa_hi = 1e-3, 10.0
     kappas = np.logspace(math.log10(kappa_lo), math.log10(kappa_hi), points)
     seeds = [seed + r for r in range(realizations)]
     rows = []
     if out_csv is not None:
         out_csv = Path(out_csv)
-        config = {"n": int(n), "seed": int(seed), "realizations": int(realizations),
-                  "dt": float(dt), "t_end": float(t_end), "kappa_lo": float(kappa_lo),
-                  "kappa_hi": float(kappa_hi), "points": int(points)}
+        config = {"n": N, "seed": int(seed), "realizations": int(realizations), "dt": DT,
+                  "t_end": T_END, "kappa_lo": kappa_lo, "kappa_hi": kappa_hi,
+                  "points": int(points)}
         if out_csv.exists():
             rows = _resume_sweep(out_csv, config)
             if len(rows) > points:
@@ -307,10 +303,10 @@ def run_fig3(points: int = 100, realizations: int = 10, seed: int = 0,
             write_json(out_csv.with_suffix(".meta"), {"config": config})
             write_table(out_csv, SWEEP_HEADER, np.empty((0, 5)))
     todo = [float(k) for k in kappas[len(rows):]]
-    size = max(1, _CHUNK_VALUES // (realizations * n))
+    size = max(1, _CHUNK_VALUES // (realizations * N))
     if jobs > 1:  # at least one chunk per worker
         size = max(1, min(size, math.ceil(len(todo) / jobs)))
-    tasks = [(n, todo[i:i + size], seeds, dt, t_end) for i in range(0, len(todo), size)]
+    tasks = [(N, todo[i:i + size], seeds, DT, T_END) for i in range(0, len(todo), size)]
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and len(tasks) > 1 else None
     try:
         for chunk in pool.map(_sweep_task, tasks) if pool else map(_sweep_task, tasks):
@@ -320,4 +316,4 @@ def run_fig3(points: int = 100, realizations: int = 10, seed: int = 0,
     finally:
         if pool is not None:
             pool.shutdown()
-    return SweepResult.from_rows(rows, realizations, seeds)
+    return SweepResult(*np.reshape(rows, (-1, 5)).T)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: artifacts, exit codes, manifests, reproducibility."""
 
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -19,7 +20,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import kurasim
 from kurasim import spectral
 from kurasim._text import read_json
-from kurasim.cli import build_parser, main
+from kurasim.cli import _FIGURE_FLAGS, _FIGURES, build_parser, main
 from kurasim.dynamics import read_trajectory_csv
 from kurasim.graphs import gen_complete, gen_ring, gen_watts_strogatz, write_edge_list
 
@@ -300,6 +301,19 @@ def test_run_too_large_for_memory_exits_2(tmp_path, dt):
     assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["graph", "ring", "--k", 2], 2),
+    (["simulate", "--graph", "complete", "--n", 200, "--kappa", 12], 3),
+    (["graph", "ring", "--n", 5, "--k", 1], 0),
+    (["figure", 3, "--points", 1, "--realizations", 1, "--jobs", 1], 0),
+])
+def test_out_directory_comes_with_the_first_artifact(tmp_path, argv, code):
+    # a rejected run leaves no trace of a nested --out; a run that writes makes it
+    assert _run([*argv, "--out", tmp_path / "new" / "out"]) == code
+    assert (tmp_path / "new").exists() == (code == 0)
+    assert (tmp_path / "new" / "out" / "manifest.json").exists() == (code == 0)
+
+
 def test_out_below_regular_file_exits_2(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory\n")
@@ -498,18 +512,24 @@ def test_figure3_rejects_points_with_full(tmp_path, capsys):
 
 def test_figure_manifest_records_the_values_used(tmp_path):
     assert _run(["figure", "1", "--out", tmp_path / "f1"]) == 0
-    params = read_json(tmp_path / "f1" / "manifest.json")["params"]
-    assert params["t_end"] == 1.0
-    assert params["points"] is params["full"] is params["variant"] is None
-    assert _run(["figure", "3", "--points", 2, "--realizations", 1, "--jobs", 1,
-                 "--out", tmp_path / "f3"]) == 0
-    params = read_json(tmp_path / "f3" / "manifest.json")["params"]
-    assert (params["points"], params["full"], params["jobs"]) == (2, False, 1)
-    assert params["t_end"] is params["kappa"] is params["variant"] is None
+    params = {1: read_json(tmp_path / "f1" / "manifest.json")["params"]}
+    assert params[1]["t_end"] == 1.0
+    assert params[1]["points"] is params[1]["full"] is params[1]["variant"] is None
+    assert _run(["figure", "3", "--points", 2, "--jobs", 1, "--out", tmp_path / "f3"]) == 0
+    params[3] = read_json(tmp_path / "f3" / "manifest.json")["params"]
+    assert (params[3]["points"], params[3]["realizations"], params[3]["full"],
+            params[3]["jobs"]) == (2, 10, False, 1)
+    assert params[3]["t_end"] is params[3]["kappa"] is params[3]["variant"] is None
     assert _run(["figure", "4", "--out", tmp_path / "f4"]) == 0
-    params = read_json(tmp_path / "f4" / "manifest.json")["params"]
-    assert (params["kappa"], params["variant"]) == (0.25, "er")
-    assert params["t_end"] is params["points"] is params["realizations"] is params["full"] is None
+    params[4] = read_json(tmp_path / "f4" / "manifest.json")["params"]
+    assert (params[4]["kappa"], params[4]["variant"]) == (0.25, "er")
+    assert (params[4]["t_end"] is params[4]["points"] is params[4]["realizations"]
+            is params[4]["full"] is None)
+    # an absent flag records its figure function's default (figure 2 has no flags)
+    for figure, recorded in params.items():
+        defaults = inspect.signature(_FIGURES[figure]).parameters
+        for dest in defaults.keys() & (_FIGURE_FLAGS.keys() - {"points"}):
+            assert recorded[dest] == defaults[dest].default, (figure, dest)
 
 
 @pytest.mark.parametrize("argv, dest, want", [

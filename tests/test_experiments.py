@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kurasim._text import write_json
 from kurasim.dynamics import (
     SimulationConfig,
     Trajectory,
@@ -13,6 +14,7 @@ from kurasim.dynamics import (
     initial_phases,
     integrate_numerical,
     order_parameter,
+    simulate,
     step_states,
     wrap_phase,
 )
@@ -132,9 +134,10 @@ def test_fig2_analytic_route_is_solver_independent():
 
 
 def test_fig2_zero_coupling_routes_agree_exactly():
-    out = run_fig2(seed=3, kappa=0.0)
-    assert out.report.max_wrapped_deviation < 1e-9
-    assert np.abs(np.diff(out.report.order_param_series_numerical)).max() < 1e-12
+    cfg = SimulationConfig(graph=gen_complete(200), kappa=0.0, dt=1e-3, t_end=1.0, seed=3)
+    report = compare_trajectories(simulate(cfg, "numerical"), simulate(cfg, "analytic"))
+    assert report.max_wrapped_deviation < 1e-9
+    assert np.abs(np.diff(report.order_param_series_numerical)).max() < 1e-12
 
 
 def test_fig2_rasters(tmp_path):
@@ -149,13 +152,12 @@ def test_fig2_rasters(tmp_path):
 # ------------------------------------------------------------------- fig 3
 
 def test_fig3_smoke_and_resume(tmp_path):
-    full_csv = tmp_path / "full.csv"
+    full_csv = tmp_path / "new" / "full.csv"  # the sweep makes its directory
     res = run_fig3(points=5, realizations=2, seed=0, out_csv=full_csv)
     assert res.kappas.shape == (5,)
     assert np.all((res.mean_abs_r_numerical >= 0) & (res.mean_abs_r_numerical <= 1))
     assert np.all((res.mean_abs_r_analytic >= 0) & (res.mean_abs_r_analytic <= 1))
     assert np.all(res.std_numerical >= 0)
-    assert res.seeds == [0, 1]
 
     # interrupting after three grid points and rerunning yields identical bytes
     want = full_csv.read_bytes()
@@ -172,28 +174,35 @@ def test_fig3_smoke_and_resume(tmp_path):
     assert np.array_equal(back.mean_abs_r_numerical, res.mean_abs_r_numerical)
 
 
+_SMALL_SWEEP = dict(points=3, realizations=1, seed=0)
+
+
 def test_fig3_rejects_foreign_grid(tmp_path):
-    csv = tmp_path / "sweep.csv"
-    run_fig3(points=3, realizations=1, seed=0, out_csv=csv)
-    with pytest.raises(ValueError):
-        run_fig3(points=3, realizations=1, seed=0, kappa_hi=5.0, out_csv=csv)
-
-
-_SMALL_SWEEP = dict(points=3, realizations=1, seed=0, n=20, t_end=0.1)
-
-
-@pytest.mark.parametrize("change", [{"seed": 99}, {"realizations": 4}, {"n": 50},
-                                    {"t_end": 0.2}, {"dt": 5e-4}])
-def test_fig3_refuses_resume_with_other_parameters(tmp_path, change):
+    # rows of another kappa grid under this run's sidecar
     csv = tmp_path / "sweep.csv"
     run_fig3(**_SMALL_SWEEP, out_csv=csv)
     lines = csv.read_text(encoding="ascii").splitlines(keepends=True)
+    lines[2] = "0.5" + lines[2][lines[2].index(","):]
+    csv.write_text("".join(lines), encoding="ascii")
+    with pytest.raises(ValueError, match="existing sweep row 1 has kappa 0.5"):
+        run_fig3(**_SMALL_SWEEP, out_csv=csv)
+
+
+@pytest.mark.parametrize("change", [{"seed": 99}, {"realizations": 4}, {"n": 50},
+                                    {"t_end": 0.2}, {"dt": 5e-4}, {"kappa_lo": 1e-2},
+                                    {"kappa_hi": 5.0}])
+def test_fig3_refuses_resume_with_other_parameters(tmp_path, change):
+    csv, meta = tmp_path / "sweep.csv", tmp_path / "sweep.meta"
+    run_fig3(**_SMALL_SWEEP, out_csv=csv)
+    lines = csv.read_text(encoding="ascii").splitlines(keepends=True)
     csv.write_text("".join(lines[:2]), encoding="ascii")  # interrupted after one row
-    before = csv.read_bytes()
+    args = {key: value for key, value in change.items() if key in _SMALL_SWEEP}
+    if not args:  # a fixed setting: the file comes from a run that had another
+        write_json(meta, {"config": {**json.loads(meta.read_text())["config"], **change}})
+    before = csv.read_bytes(), meta.read_bytes()
     with pytest.raises(ValueError, match="cannot resume"):
-        run_fig3(**{**_SMALL_SWEEP, **change}, out_csv=csv)
-    assert csv.read_bytes() == before
-    assert json.loads(csv.with_suffix(".meta").read_text())["config"]["seed"] == 0
+        run_fig3(**{**_SMALL_SWEEP, **args}, out_csv=csv)
+    assert (csv.read_bytes(), meta.read_bytes()) == before
 
 
 def test_fig3_refuses_resume_without_sidecar(tmp_path):
@@ -253,27 +262,27 @@ def test_sweep_numerical_r_matches_order_parameter_of_the_states():
 
 
 @settings(max_examples=12, deadline=None)
-@given(points=st.integers(1, 6), realizations=st.integers(1, 4), n=st.integers(2, 30),
-       jobs=st.sampled_from([1, 2]), chunk_values=st.integers(1, 400))
-def test_sweep_rows_do_not_depend_on_chunking(points, realizations, n, jobs, chunk_values):
+@given(points=st.integers(1, 6), realizations=st.integers(1, 4),
+       jobs=st.sampled_from([1, 2]), chunk_values=st.integers(1, 6 * 4 * experiments.N))
+def test_sweep_rows_do_not_depend_on_chunking(points, realizations, jobs, chunk_values):
     # any chunking of the grid, serial or pooled, gives each row bit for bit
     # the row of a chunk holding its kappa alone
-    sweep = dict(points=points, realizations=realizations, seed=3, n=n, t_end=0.05)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "_CHUNK_VALUES", chunk_values)
-        res = run_fig3(**sweep, jobs=jobs)
+        res = run_fig3(points, realizations, seed=3, jobs=jobs)
     seeds = [3 + r for r in range(realizations)]
     for i, kappa in enumerate(res.kappas):
-        (row,) = _sweep_task((n, [float(kappa)], seeds, 1e-3, 0.05))
+        (row,) = _sweep_task((experiments.N, [float(kappa)], seeds, experiments.DT,
+                              experiments.T_END))
         got = (res.kappas[i], res.mean_abs_r_numerical[i], res.std_numerical[i],
                res.mean_abs_r_analytic[i], res.std_analytic[i])
         assert got == row, i
 
 
 def test_fig3_resume_inside_a_chunk(tmp_path, monkeypatch):
-    # 6 points x 2 seeds x 20 nodes is 240 values; 160 puts 4 points in a chunk
-    monkeypatch.setattr(experiments, "_CHUNK_VALUES", 160)
-    sweep = dict(points=6, realizations=2, seed=0, n=20, t_end=0.1)
+    # 6 points x 2 seeds x 200 nodes is 2400 values; 1600 puts 4 points in a chunk
+    monkeypatch.setattr(experiments, "_CHUNK_VALUES", 1600)
+    sweep = dict(points=6, realizations=2, seed=0)
     full = tmp_path / "full.csv"
     run_fig3(**sweep, out_csv=full)
     want = full.read_bytes()

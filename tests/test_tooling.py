@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import re
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 import kurasim
+from kurasim import cli, experiments
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -77,6 +79,19 @@ def test_package_re_exports_every_module_all():
         for name in module.__all__:
             assert name in kurasim.__all__ and getattr(kurasim, name) is getattr(module, name), \
                 (short, name)
+
+
+def test_figure_functions_take_exactly_their_flags():
+    # each run_figN parameter but the seed, the pool size and the output target
+    # is a flag of `figure N`, and each flag but --full is such a parameter
+    cli_only = set()
+    for figure, run in cli._FIGURES.items():
+        assert run is getattr(experiments, f"run_fig{figure}")
+        params = inspect.signature(run).parameters.keys() - {"seed", "jobs", "out_dir", "out_csv"}
+        flags = {dest for dest, fig in cli._FIGURE_FLAGS.items() if fig == figure}
+        assert params <= flags, figure
+        cli_only |= flags - params
+    assert cli_only == {"full"}
 
 
 def test_readme_library_block_runs():
