@@ -174,7 +174,7 @@ def coupling_kernel(graph: AdjacencyMatrix) -> Callable[[np.ndarray], tuple]:
     row sums minus the node's own term, and the own terms cancel, so the
     kernel is Kuramoto's mean-field form at O(n) per row; sums is then
     (sum cos theta, sum sin theta) over the last axis, with the axis kept.
-    Any other graph takes two real matrix products, and sums is None.
+    Any other graph takes two graph.product calls, and sums is None.
     The coupling is a new array each call.
     """
     if graph.is_complete:
@@ -185,12 +185,15 @@ def coupling_kernel(graph: AdjacencyMatrix) -> Callable[[np.ndarray], tuple]:
             s *= sum_c
             return c - s, (sum_c, sum_s)
     else:
-        entries = graph.entries
+        rows = (-1, graph.n)
 
         def kernel(theta):
             c, s = np.cos(theta), np.sin(theta)
-            # A is symmetric, so x @ A applies it to every row of a batch
-            return c * (s @ entries) - s * (c @ entries), None
+            # one state as a batch of one row: a dense product then applies A
+            # to rows (x @ A) for a state and a batch alike
+            a_s = graph.product(s.reshape(rows)).reshape(s.shape)
+            a_c = graph.product(c.reshape(rows)).reshape(c.shape)
+            return c * a_s - s * a_c, None
     return kernel
 
 

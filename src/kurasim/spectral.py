@@ -9,7 +9,7 @@ graph's adjacency matrix needs no eigenvectors: its exponential is applied
 to a state from the state's own Lanczos basis. The numerical
 eigendecomposition, which keeps its real eigenvectors, is the reference the
 tests compare against, and the route a Lanczos operator falls back to when
-a state's Krylov space would need more matrix products than it costs.
+a state's Lanczos steps would cost more than it does.
 Propagator is the one evaluator for all of them, guarded; unguarded undoes
 the guard.
 """
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ._text import read_table, write_table
-from .graphs import AdjacencyMatrix
+from .graphs import AdjacencyMatrix, _real_matmul
 from .seeding import rng_for
 
 __all__ = [
@@ -56,13 +56,18 @@ _GUARD_STEPS = 20
 # Each check is an eigendecomposition of T_m: checking after every step made
 # a figure-4 call (n = 200) about a quarter slower, though it stopped sooner.
 _CHECK_EVERY = 4
-# The Lanczos route costs one product with the n x n matrix per step, the
-# eigendecomposition about as much as this many products per node; past
-# that count the numerical eigensystem is the cheaper route. Measured with
-# OpenBLAS on 2 cores for n = 800..2500, where one eigh cost 0.21 to 0.28
-# products per node (0.45 s against 1.4 ms per product at n = 1500); for
-# n <= 400 the ratio is nearer 0.9, but there eigh takes milliseconds.
-_PRODUCTS_PER_NODE = 0.25
+# Measured costs, in ns, with OpenBLAS on 2 cores, that decide when the
+# Lanczos route has cost as much as the eigendecomposition it avoids. eigh of
+# an n x n matrix: _EIGH_NS * n^3 (0.13 to 0.15 for n = 800..1500; 0.58 at
+# n = 200, so small graphs fall back early, where eigh takes milliseconds).
+# Lanczos step m: one graph.product (AdjacencyMatrix.product_ns), _STEP_NS,
+# and _ORTH_NS per entry of the m x n basis it is orthogonalised against.
+# The error check at step m, an eigh of the m x m tridiagonal T_m:
+# _RITZ_NS * m^2 (90 to 130 for m = 50..400).
+_EIGH_NS = 0.13
+_STEP_NS = 15000.0
+_ORTH_NS = 2.0
+_RITZ_NS = 100.0
 
 
 class SpectralError(RuntimeError):
@@ -172,24 +177,26 @@ class LanczosOperator:
     source = "lanczos"
 
 
-def _lanczos(entries: np.ndarray, x: np.ndarray, steps: int) -> Iterator[tuple]:
+def _lanczos(graph: AdjacencyMatrix, x: np.ndarray, steps: int) -> Iterator[tuple]:
     """Yield (basis, alphas, betas) after each of at most steps Lanczos steps from x.
 
     basis holds the orthonormal Krylov vectors of the steps taken as rows;
     alphas and betas are the diagonal and the off-diagonal of the tridiagonal
     T_m = basis^H A basis, with betas[-1] the norm of the next residual. Each
-    new vector is orthogonalised against every earlier one, twice, so the
-    basis stays orthonormal to rounding level however many steps run. The
-    steps stop once beta vanishes, which it does at m = n at the latest: the
-    Krylov space is invariant, and T_m holds the part of the spectrum x
+    step is one graph.product. Each new vector is orthogonalised against
+    every earlier one, twice, so the basis stays orthonormal to rounding
+    level however many steps run; its storage doubles as the steps need it.
+    The steps stop once beta vanishes, which it does at m = n at the latest:
+    the Krylov space is invariant, and T_m holds the part of the spectrum x
     excites exactly. A beta at rounding level is reported as 0.
     """
-    basis = np.empty((min(steps, x.size), x.size), dtype=x.dtype)
+    steps = min(steps, x.size)
+    basis = np.empty((min(steps, 2 * _CHECK_EVERY), x.size), dtype=x.dtype)
     basis[0] = x / np.linalg.norm(x)
     alphas, betas = [], []
-    for m in range(1, basis.shape[0] + 1):
+    for m in range(1, steps + 1):
         done = basis[:m]
-        w = _real_matmul(entries, done[-1])
+        w = graph.product(done[-1])
         h = (done @ w.conj()).conj()
         w -= h @ done
         h2 = (done @ w.conj()).conj()
@@ -200,8 +207,10 @@ def _lanczos(entries: np.ndarray, x: np.ndarray, steps: int) -> Iterator[tuple]:
             beta = 0.0
         betas.append(beta)
         yield done, alphas, betas
-        if not beta or m == basis.shape[0]:
+        if not beta or m == steps:
             return
+        if m == basis.shape[0]:
+            basis = np.concatenate((basis, np.empty_like(basis[:min(m, steps - m)])))
         basis[m] = w / beta
 
 
@@ -221,7 +230,7 @@ def lanczos_operator(graph: AdjacencyMatrix) -> LanczosOperator:
     """
     degree = float(graph.degrees().max())
     start = rng_for(0, "lanczos").standard_normal(graph.n)
-    *_, (_, alphas, betas) = _lanczos(graph.entries, start, _GUARD_STEPS)
+    *_, (_, alphas, betas) = _lanczos(graph, start, _GUARD_STEPS)
     ritz, vecs = _ritz(alphas, betas)
     residual = np.abs(betas[-1] * vecs[-1, [0, -1]])
     return LanczosOperator(n=graph.n, graph=graph,
@@ -272,18 +281,6 @@ def unguarded(states: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return states * np.exp(shift)[:, None]
 
 
-def _real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x for a real matrix m and an x shaped (n,) or (n, k).
-
-    Viewing a complex x as interleaved real and imaginary parts turns the
-    product into one real matrix product, with no complex copy of m.
-    """
-    if not np.iscomplexobj(x):
-        return m @ x
-    x = np.ascontiguousarray(x)
-    return (m @ x.reshape(x.shape[0], -1).view(float)).view(complex).reshape(x.shape)
-
-
 class Propagator:
     """x(t) = exp(gamma*t*A) x0 at fixed sample times, for any initial state x0.
 
@@ -304,7 +301,7 @@ class Propagator:
     t * max(gamma*(n - 1), -gamma).
 
     On a Lanczos operator each call builds the Lanczos basis V_m of x0, one
-    product with the n x n matrix per step, and evaluates every sample as
+    graph.product per step, and evaluates every sample as
     ||x0|| V_m exp(gamma*t*(T_m - s)) e_1 (Saad 1992; Hochbruck and Lubich
     1997), gamma*s the largest gamma*theta over the Ritz values theta of T_m,
     so the guard subtracts t * gamma*s. Every _CHECK_EVERY steps, Saad's
@@ -313,10 +310,11 @@ class Propagator:
     beta_m * m * eps * ||y||, and the steps stop once it is there. The shift
     known when built, t * gamma times the guard end (hi for gamma >= 0, else
     lo), bounds the call's, as x0's Ritz values lie inside the spectrum,
-    unless lo misses lambda_min. A call past _PRODUCTS_PER_NODE * n steps
-    evaluates this and every later x0 through eigendecompose_symmetric of
-    the graph. system is the route taken; krylov_dimension is m after a call
-    on the Lanczos route, else None.
+    unless lo misses lambda_min. A call whose steps have cost more than one
+    eigh would, by the measured estimates (_EIGH_NS), evaluates this and
+    every later x0 through eigendecompose_symmetric of the graph. system is
+    the route taken; krylov_dimension is m after a call on the Lanczos
+    route, else None.
     """
 
     def __init__(self, system: EigenSystem | LanczosOperator, gamma: float, times: np.ndarray):
@@ -384,17 +382,21 @@ class Propagator:
         return _real_matmul(es.vectors, y).T, self.shift
 
     def _krylov(self, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """(states, shift) from the Lanczos basis of x0, or None past the product budget."""
+        """(states, shift) from the Lanczos basis of x0, or None once the steps
+        have cost, by the measured estimates, more than one eigh would."""
         gamma, times, n = self._gamma, self._times, self.system.n
         norm = np.linalg.norm(x0)
         if norm == 0.0:
             self.krylov_dimension = 0
             return np.zeros((times.size, n), dtype=complex), self.shift
-        steps = max(1, int(min(n, _PRODUCTS_PER_NODE * n)))
-        for basis, alphas, betas in _lanczos(self.system.graph.entries, x0, steps):
+        graph = self.system.graph
+        budget, spent = _EIGH_NS * float(n) ** 3, 0.0
+        for basis, alphas, betas in _lanczos(graph, x0, n):
             m = len(alphas)
-            if m % _CHECK_EVERY and m < steps and betas[-1]:
+            spent += graph.product_ns + _STEP_NS + _ORTH_NS * m * n
+            if m % _CHECK_EVERY and betas[-1] and spent <= budget:
                 continue
+            spent += _RITZ_NS * m * m
             ritz, vecs = _ritz(alphas, betas)
             rates = gamma * ritz
             top = rates.max()
@@ -404,7 +406,8 @@ class Propagator:
                 self.krylov_dimension = m
                 coeffs = (np.exp(np.outer(times, rates - top)) * (norm * vecs[0])) @ vecs.T
                 return (coeffs @ basis.view(float)).view(complex), top * times
-        return None
+            if spent > budget:
+                return None
 
 
 def apply_propagator(system: EigenSystem | LanczosOperator, gamma: float, t: float,

@@ -623,6 +623,23 @@ def test_ring_commands_allocate_no_dense_matrix(tmp_path, argv):
     assert peak < 2048 * n
 
 
+@pytest.mark.parametrize("method", ["numerical", "analytic"])
+def test_sparse_simulate_allocates_no_dense_matrix(tmp_path, method):
+    n = 20000
+    path = tmp_path / "ws.edges"
+    write_edge_list(gen_watts_strogatz(n, 3, 0.1, 0), path)
+    argv = ["simulate", "--graph", path, "--kappa", 1, "--method", method, "--t-end", 0.01]
+    tracemalloc.start()
+    try:
+        assert _run([*argv, "--out", tmp_path / "out"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # edge-array products and a Lanczos basis of the steps taken: O(edges)
+    # bytes, where one n x n float array takes 8 n^2
+    assert peak < 2048 * n
+
+
 # --------------------------------------------------------------- manifests
 
 def test_manifest_contents(tmp_path):

@@ -1,17 +1,21 @@
 """Graph generators, the circulant embedding, and edge-list I/O."""
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kurasim
+from kurasim import graphs
 from kurasim.graphs import (
     AdjacencyMatrix,
     circulant,
@@ -129,6 +133,55 @@ def test_edge_arrays_match_dense_construction(case):
     assert np.array_equal(h.rows, g.rows) and np.array_equal(h.cols, g.cols)
 
 
+# ------------------------------------------------------------------ product
+
+@settings(max_examples=150, deadline=None)
+@given(_FAMILIES, st.booleans(), st.sampled_from([(), (3,)]), st.booleans(), _SEEDS)
+@example((gen_erdos_renyi, _dense_erdos_renyi, (30, 0.02, 1)), False, (3,), True, 0)
+@example((gen_erdos_renyi, _dense_erdos_renyi, (12, 0.0, 0)), True, (), False, 0)
+def test_edge_product_matches_dense_product(case, from_file, batch, complex_, seed):
+    gen, dense_gen, args = case
+    g, dense = gen(*args), dense_gen(*args)
+    if from_file:
+        with tempfile.TemporaryDirectory() as tmp:
+            write_edge_list(g, Path(tmp) / "g.edges")
+            g = read_edge_list(Path(tmp) / "g.edges")
+    rng = rng_for(seed, "test_product")
+    x = rng.standard_normal((*batch, g.n))
+    if complex_:
+        x = x + 1j * rng.standard_normal(x.shape)
+    want = x @ dense
+    # the edge arrays, with whatever density: entries is never built
+    with mock.patch.object(graphs, "_DENSE_NS", math.inf):
+        assert g.sparse
+        got = g.product(x)
+    assert g._entries is None
+    # both sum a node's neighbours, in some order, so they differ by less
+    # than degree * eps times the sum of the magnitudes (per real part);
+    # an isolated node's sum is exactly 0
+    bound = g.degrees() * np.finfo(float).eps * ((np.abs(x.real) + np.abs(x.imag)) @ dense)
+    assert got.shape == x.shape and got.dtype == want.dtype
+    assert np.all(np.abs(got - want) <= bound)
+    with mock.patch.object(graphs, "_DENSE_NS", 0.0):
+        assert not g.sparse
+        assert np.all(np.abs(g.product(x) - want) <= bound)
+
+
+def test_product_route_follows_density():
+    # figure 4's graphs take dense products; the large-graph WS edge list does not
+    for seed in range(3):
+        assert not gen_erdos_renyi(200, 0.2, seed).sparse
+        assert not gen_watts_strogatz(200, 10, 0.1, seed).sparse
+        assert gen_watts_strogatz(1500, 10, 0.1, seed).sparse
+    empty = gen_erdos_renyi(2000, 0.0, 0)
+    assert empty.sparse and not empty.product(np.ones((2, 2000), dtype=complex)).any()
+    assert empty._entries is None
+    with pytest.raises(ValueError, match="node count"):
+        empty.product(np.ones(1999))
+    with pytest.raises(ValueError, match="node count"):
+        empty.product(np.ones((1, 1, 2000)))
+
+
 # ---------------------------------------------------------------------- ring
 
 def test_ring_n5_k1_first_row():
@@ -220,6 +273,20 @@ def test_er_edge_count_statistics():
     counts = np.array([gen_erdos_renyi(200, 0.2, s).edge_count for s in range(100)])
     assert abs(counts.mean() - 3980.0) < 4 * 56.4 / np.sqrt(100)
     assert counts.std() < 2 * 56.4
+
+
+def test_er_generation_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        g = gen_erdos_renyi(8000, 5 / 8000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block of about 2^18 pairs at a time (2 MiB of draws), then the
+    # edges: measured 2.7 MiB, where one draw over all 32 million pairs
+    # peaked at 763 MiB
+    assert g.edge_count == 20149
+    assert peak <= 4 * 2**20 + 8 * (g.rows.nbytes + g.cols.nbytes)
 
 
 def test_er_invalid_p():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kurasim.dynamics import (SimulationConfig, analytic_amplitudes, analytic_trajectory,
-                              coupling_kernel, initial_phases)
+                              coupling_kernel, initial_phases, simulate)
 from kurasim.graphs import (
     AdjacencyMatrix,
     circulant,
@@ -21,7 +21,7 @@ from kurasim.graphs import (
     ring_generating_vector,
     write_edge_list,
 )
-from kurasim import spectral
+from kurasim import graphs, spectral
 from kurasim.spectral import (
     LanczosOperator,
     Propagator,
@@ -392,7 +392,7 @@ LANCZOS_CASES = {
 @pytest.fixture
 def krylov_only(monkeypatch):
     """Keep Propagator on the Lanczos route however many products it needs."""
-    monkeypatch.setattr(spectral, "_PRODUCTS_PER_NODE", math.inf)
+    monkeypatch.setattr(spectral, "_EIGH_NS", math.inf)
 
 
 # The tests named for the Chebyshev route keep the names and cases under
@@ -462,9 +462,10 @@ def test_propagator_takes_the_cheaper_route():
     x0 = np.exp(1j * initial_phases(200, 5))
     short = Propagator(op, 0.2, np.linspace(0.0, 1.0, 11))
     short(x0)
-    assert short.system is op and short.krylov_dimension <= spectral._PRODUCTS_PER_NODE * 200
-    # |gamma| * t_end = 50, repulsive: x0's Krylov space needs more matrix
-    # products than one eigh costs
+    # as figure 4's runs: 20 steps, which cost less than one eigh
+    assert short.system is op and short.krylov_dimension == 20
+    # |gamma| * t_end = 50, repulsive: x0's Krylov space needs more Lanczos
+    # steps than one eigh costs
     times = np.linspace(0.0, 25.0, 11)
     long = Propagator(op, -2.0, times)
     states, shift = long(x0)
@@ -475,6 +476,42 @@ def test_propagator_takes_the_cheaper_route():
     # the eigendecomposition of the operator's graph, which later calls reuse
     assert np.array_equal(long.system.vectors, eigendecompose_symmetric(graph).vectors)
     assert np.array_equal(long(x0)[0], states)
+
+
+def test_lanczos_basis_grows_with_the_steps_taken():
+    n = 20000
+    graph = gen_ring(n, 3)
+    x = np.exp(1j * initial_phases(n, 0))
+
+    def steps(limit, count):
+        for basis, _, _ in spectral._lanczos(graph, x, limit):
+            if len(basis) == count:
+                return basis.copy()
+
+    # a budget of every node's worth of steps reserves no n x n basis
+    short, peak, _ = _peak_and_kept_bytes(lambda: steps(n, 12))
+    assert peak < 2048 * n
+    # and each row is the one a budget of exactly the steps taken gives
+    assert np.array_equal(short, steps(12, 12))
+
+
+@pytest.mark.parametrize("method", ["numerical", "analytic"])
+def test_sparse_graph_runs_on_edge_products(tmp_path, method, monkeypatch):
+    path = tmp_path / "ws.edges"
+    write_edge_list(gen_watts_strogatz(1500, 10, 0.1, 0), path)
+    graph = read_edge_list(path)
+    cfg = SimulationConfig(graph=graph, kappa=50 / 1500, dt=1e-3, t_end=0.2, seed=1,
+                           record_every=20)
+    traj = simulate(cfg, method)
+    assert graph.sparse and graph._entries is None
+    if method == "analytic":
+        assert traj.diagnostics["route"] == "lanczos"
+    # the same run on dense products moves only trailing bits
+    monkeypatch.setattr(graphs, "_EDGE_CALL_NS", math.inf)
+    dense = read_edge_list(path)
+    want = simulate(dataclasses.replace(cfg, graph=dense), method)
+    assert not dense.sparse and dense._entries is not None
+    assert _wrapped_gap(traj.states, want.states) <= 1e-13
 
 
 @pytest.mark.parametrize("expand", [False, True])
@@ -554,7 +591,7 @@ def test_every_route_returns_one_state_row_per_sample(case, monkeypatch):
         case, gen_watts_strogatz(60, 4, 0.2, 6))
     gamma, t_end = (2.0, 20.0) if case in ("chebyshev_long", "eigh") else (0.5, 2.0)
     if case.startswith("chebyshev"):
-        monkeypatch.setattr(spectral, "_PRODUCTS_PER_NODE", math.inf)
+        monkeypatch.setattr(spectral, "_EIGH_NS", math.inf)
     times = np.linspace(0.0, t_end, 9)
     x0 = np.exp(1j * initial_phases(graph.n, 5))
     prop = Propagator(eigensystem_for(graph), gamma, times)
