@@ -21,8 +21,7 @@ import numpy as np
 from ._text import read_json, read_table, write_json, write_table
 from .graphs import AdjacencyMatrix
 from .seeding import rng_for
-from .spectral import (EigenSystem, LanczosOperator, Propagator, eigensystem_for,
-                       unguarded)
+from .spectral import EigenSystem, Propagator, eigensystem_for, unguarded
 
 __all__ = [
     "IntegrationError",
@@ -287,19 +286,21 @@ def integrate_numerical(cfg: SimulationConfig, theta0: np.ndarray) -> Trajectory
     return Trajectory(times=record * cfg.dt, states=wrap_phase(out), source="numerical")
 
 
-def analytic_trajectory(es: EigenSystem | LanczosOperator, cfg: SimulationConfig,
+def analytic_trajectory(es: EigenSystem | AdjacencyMatrix, cfg: SimulationConfig,
                         theta0: np.ndarray, guard: bool = True) -> Trajectory:
     """Closed-form phases arg(exp(gamma*t*A) e^{i*theta0}) + omega*t.
 
-    es is the route from spectral.eigensystem_for, or any EigenSystem. Every
-    sample is evaluated without stepping error, so the sample grid is
-    arbitrary. The overflow guard rescales moduli per sample and never
-    changes an argument; guard=False reads the same phases, but raises where
-    x(t) itself overflows, before any sample is evaluated where it can. The
+    es is the route from spectral.eigensystem_for (an EigenSystem, or the
+    graph itself for the Lanczos route), or any EigenSystem. Every sample is
+    evaluated without stepping error, so the sample grid is arbitrary. The
+    overflow guard rescales moduli per sample and never changes an argument;
+    guard=False reads the same phases, but raises where x(t) itself
+    overflows, before any sample is formed where the guard shift already
+    does (see Propagator). The
     diagnostics record the route Propagator took (cdt, lanczos, or
-    numerical where a Lanczos operator fell back to eigh), on the Lanczos
-    route the operator's guard ends as interval and the krylov_dimension m,
-    the guard shift at the last sample, and the smallest
+    numerical for an eigensystem of eigendecompose_symmetric), on the
+    Lanczos route the krylov_dimension m and x0's extreme Ritz values as
+    interval, the guard shift at the last sample, and the smallest
     min_i |x_i| / max_j |x_j| over the samples, where the phase readout
     loses meaning as it nears 0.
     """
@@ -307,13 +308,11 @@ def analytic_trajectory(es: EigenSystem | LanczosOperator, cfg: SimulationConfig
     if es.n != cfg.graph.n or theta0.shape != (es.n,):
         raise ValueError("eigensystem, graph and theta0 sizes must agree")
     times = cfg.sample_times()
-    prop = Propagator(es, cfg.gamma, times)
-    if not guard:  # a bound on the shift is known before any sample is evaluated
-        unguarded(np.empty((times.size, 0)), prop.shift)
+    prop = Propagator(es, cfg.gamma, times, guard)
     states, shift = prop(np.exp(1j * theta0))
-    diagnostics = {"route": prop.system.source}
+    diagnostics = {"route": prop.route}
     if prop.krylov_dimension is not None:
-        diagnostics.update(krylov_dimension=prop.krylov_dimension, interval=[es.lo, es.hi])
+        diagnostics.update(krylov_dimension=prop.krylov_dimension, interval=prop.interval)
     del prop  # its factors: one (samples, n) array fewer while the phases are read out
     # one (samples, n) array holds the moduli, then the phases, in place
     phases = np.abs(states, out=np.empty((times.size, es.n)))
@@ -333,7 +332,7 @@ def analytic_trajectory(es: EigenSystem | LanczosOperator, cfg: SimulationConfig
     return Trajectory(times=times, states=phases, source="analytic", diagnostics=diagnostics)
 
 
-def analytic_amplitudes(es: EigenSystem | LanczosOperator, cfg: SimulationConfig,
+def analytic_amplitudes(es: EigenSystem | AdjacencyMatrix, cfg: SimulationConfig,
                         theta0: np.ndarray, t: float) -> tuple[np.ndarray, float]:
     """Imaginary phase components at one time: (values, shift), as Propagator returns.
 

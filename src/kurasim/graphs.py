@@ -54,7 +54,8 @@ def _real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     if not np.iscomplexobj(x):
         return m @ x
     x = np.ascontiguousarray(x)
-    return (m @ x.reshape(x.shape[0], -1).view(float)).view(complex).reshape(x.shape)
+    y = m @ x.reshape(x.shape[0], -1).view(float)
+    return y.view(complex).reshape(m.shape[0], *x.shape[1:])
 
 
 @dataclass(eq=False)
@@ -69,11 +70,11 @@ class AdjacencyMatrix:
     n x n float matrix of exact 0.0 and 1.0, is built from the arrays on
     first read and kept, read-only. from_dense builds a graph from such a
     matrix. product multiplies by the adjacency matrix, through the edge
-    arrays where the graph is sparse, that is where product_ns estimates
-    them to cost less than entries. is_complete (read by the coupling
-    kernel) and generating_vector (read by the closed form's route) come
-    from the edges alone; kind and params (k, p, q, seed as applicable) only
-    record the graph's provenance.
+    arrays where the graph is sparse, that is where the measured estimates
+    above find them to cost less than entries. is_complete (read by the
+    coupling kernel) and generating_vector (read by the closed form's route)
+    come from the edges alone; kind and params (k, p, q, seed as applicable)
+    only record the graph's provenance.
     """
 
     n: int
@@ -140,15 +141,10 @@ class AdjacencyMatrix:
         return self.rows.size
 
     @property
-    def product_ns(self) -> float:
-        """Estimated cost, in ns, of one product with a vector on the route
-        product takes: the cheaper of BLAS on entries and the edge-array sum."""
-        return min(_DENSE_NS * self.n * self.n, _EDGE_CALL_NS + _EDGE_NS * 2 * self.edge_count)
-
-    @property
     def sparse(self) -> bool:
-        """Whether product sums over the edge arrays instead of reading entries."""
-        return self.product_ns < _DENSE_NS * self.n * self.n
+        """Whether product sums over the edge arrays instead of reading entries:
+        where that is estimated to cost less than BLAS on entries."""
+        return _EDGE_CALL_NS + _EDGE_NS * 2 * self.edge_count < _DENSE_NS * self.n * self.n
 
     def product(self, x: np.ndarray) -> np.ndarray:
         """A x for x shaped (n,), or A applied to every row of x shaped (batch, n).

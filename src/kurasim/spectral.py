@@ -5,11 +5,10 @@ matrix is circulant (a ring, a complete graph, or an edge list of either)
 gets its spectrum in closed form, one FFT of the generating vector, and
 stores no basis at all; where every pair is coupled, A = J - I has two
 eigenspaces and its exponential needs no transform either. Any other
-graph's adjacency matrix needs no eigenvectors: its exponential is applied
-to a state from the state's own Lanczos basis. The numerical
-eigendecomposition, which keeps its real eigenvectors, is the reference the
-tests compare against, and the route a Lanczos operator falls back to when
-a state's Lanczos steps would cost more than it does.
+graph is its own route: its adjacency matrix needs no eigenvectors, as its
+exponential is applied to a state from the state's own Lanczos basis, with
+graph products only. The numerical eigendecomposition, which keeps its real
+eigenvectors, is the reference the tests compare against.
 Propagator is the one evaluator for all of them, guarded; unguarded undoes
 the guard.
 """
@@ -24,7 +23,6 @@ import numpy as np
 
 from ._text import read_table, write_table
 from .graphs import AdjacencyMatrix, _real_matmul
-from .seeding import rng_for
 
 __all__ = [
     "SpectralError",
@@ -34,8 +32,6 @@ __all__ = [
     "cdt_eigensystem",
     "eigendecompose_symmetric",
     "eigenvalues_symmetric",
-    "LanczosOperator",
-    "lanczos_operator",
     "eigensystem_for",
     "Propagator",
     "unguarded",
@@ -50,24 +46,10 @@ _FLOAT_MAX = float(np.finfo(float).max)
 _EPS = float(np.finfo(float).eps)
 # log(float64 max); exponents beyond this overflow exp() to inf
 _EXP_LIMIT = float(np.log(_FLOAT_MAX))
-# Lanczos steps that find the guard ends of a Lanczos operator
-_GUARD_STEPS = 20
 # The Lanczos route checks its error estimate after every this many steps.
 # Each check is an eigendecomposition of T_m: checking after every step made
 # a figure-4 call (n = 200) about a quarter slower, though it stopped sooner.
 _CHECK_EVERY = 4
-# Measured costs, in ns, with OpenBLAS on 2 cores, that decide when the
-# Lanczos route has cost as much as the eigendecomposition it avoids. eigh of
-# an n x n matrix: _EIGH_NS * n^3 (0.13 to 0.15 for n = 800..1500; 0.58 at
-# n = 200, so small graphs fall back early, where eigh takes milliseconds).
-# Lanczos step m: one graph.product (AdjacencyMatrix.product_ns), _STEP_NS,
-# and _ORTH_NS per entry of the m x n basis it is orthogonalised against.
-# The error check at step m, an eigh of the m x m tridiagonal T_m:
-# _RITZ_NS * m^2 (90 to 130 for m = 50..400).
-_EIGH_NS = 0.13
-_STEP_NS = 15000.0
-_ORTH_NS = 2.0
-_RITZ_NS = 100.0
 
 
 class SpectralError(RuntimeError):
@@ -157,26 +139,6 @@ def eigenvalues_symmetric(graph: AdjacencyMatrix) -> np.ndarray:
     return vals[::-1].astype(complex)
 
 
-@dataclass(eq=False)
-class LanczosOperator:
-    """A graph and two guard ends of its adjacency spectrum, for the Lanczos route.
-
-    hi and lo are the extreme Ritz values of _GUARD_STEPS Lanczos steps from
-    a fixed start vector, widened by their residuals (Parlett's bound places
-    an eigenvalue that close, but does not rule one out further away) and
-    clipped at the Gershgorin bounds +-(max degree). Propagator evaluates
-    exp(gamma*t*A) x0 from the Lanczos basis of x0 itself, with matrix
-    products only, or through eigendecompose_symmetric where that is cheaper;
-    the guard ends bound its overflow guard before any product is made.
-    """
-
-    n: int
-    graph: AdjacencyMatrix
-    lo: float
-    hi: float
-    source = "lanczos"
-
-
 def _lanczos(graph: AdjacencyMatrix, x: np.ndarray, steps: int) -> Iterator[tuple]:
     """Yield (basis, alphas, betas) after each of at most steps Lanczos steps from x.
 
@@ -220,35 +182,16 @@ def _ritz(alphas: list, betas: list) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(tri)
 
 
-def lanczos_operator(graph: AdjacencyMatrix) -> LanczosOperator:
-    """The Lanczos route for a graph, with no eigendecomposition.
-
-    The guard ends come from _GUARD_STEPS Lanczos steps from a fixed
-    pseudo-random start vector, which meets every eigenspace: the extreme
-    Ritz values widened by their residuals |beta * s|, s the last component
-    of the Ritz vector in T_m's eigenbasis, never beyond +-(max degree).
-    """
-    degree = float(graph.degrees().max())
-    start = rng_for(0, "lanczos").standard_normal(graph.n)
-    *_, (_, alphas, betas) = _lanczos(graph, start, _GUARD_STEPS)
-    ritz, vecs = _ritz(alphas, betas)
-    residual = np.abs(betas[-1] * vecs[-1, [0, -1]])
-    return LanczosOperator(n=graph.n, graph=graph,
-                           lo=max(float(ritz[0] - residual[0]), -degree),
-                           hi=min(float(ritz[-1] + residual[1]), degree))
-
-
-def eigensystem_for(graph: AdjacencyMatrix) -> EigenSystem | LanczosOperator:
+def eigensystem_for(graph: AdjacencyMatrix) -> EigenSystem | AdjacencyMatrix:
     """The closed form's route for graph, read from its edges.
 
     A circulant graph gets the cdt eigensystem of graph.generating_vector(),
-    marked complete where every pair is coupled; any other graph gets the
-    Lanczos operator, which needs no eigenvectors until Propagator finds the
-    Krylov space of a state too large to be the cheaper route.
+    marked complete where every pair is coupled; any other graph is returned
+    itself, for Propagator's Lanczos route, which needs no eigenvectors.
     """
     c = graph.generating_vector()
     if c is None:
-        return lanczos_operator(graph)
+        return graph
     es = cdt_eigensystem(c)
     es.complete = graph.is_complete
     return es
@@ -284,12 +227,15 @@ def unguarded(states: np.ndarray, shift: np.ndarray) -> np.ndarray:
 class Propagator:
     """x(t) = exp(gamma*t*A) x0 at fixed sample times, for any initial state x0.
 
-    What does not depend on x0 is computed once, when the propagator is
-    built: the exp() factors of an eigensystem, or the guard shift of a
-    Lanczos operator. Calling it with x0 returns (states, shift): states
-    shaped (samples, n) and, per sample, what the overflow guard subtracted
-    from every log-modulus, so x(t) = unguarded(states, shift) =
-    exp(shift) * states. The guard never changes an argument.
+    system is an eigensystem, or a graph (AdjacencyMatrix), which takes the
+    Lanczos route; route names which: cdt, numerical or lanczos. What does
+    not depend on x0 is computed once, when the propagator is built: the
+    exp() factors of an eigensystem and its guard shift. Calling it with x0
+    returns (states, shift): states shaped (samples, n) and, per sample,
+    what the overflow guard subtracted from every log-modulus, so
+    x(t) = unguarded(states, shift) = exp(shift) * states. The guard never
+    changes an argument. With guard=False the propagator raises
+    SpectralError through unguarded's check as soon as its shift is known.
 
     On an eigensystem V diag(exp(gamma*t*lambda)) V^{-1} x0 is evaluated per
     sample, and the guard subtracts t * max_r Re(gamma*lambda_r). A circulant
@@ -298,77 +244,69 @@ class Propagator:
     products on the real and imaginary parts. The eigensystem of a complete
     graph is applied through its two eigenspaces instead, in O(n) per
     sample, and its guard takes the exact eigenvalues n - 1 and -1:
-    t * max(gamma*(n - 1), -gamma).
+    t * max(gamma*(n - 1), -gamma). An eigensystem's shift is known, and
+    checked, when the propagator is built.
 
-    On a Lanczos operator each call builds the Lanczos basis V_m of x0, one
+    On a graph each call builds the Lanczos basis V_m of x0, one
     graph.product per step, and evaluates every sample as
     ||x0|| V_m exp(gamma*t*(T_m - s)) e_1 (Saad 1992; Hochbruck and Lubich
     1997), gamma*s the largest gamma*theta over the Ritz values theta of T_m,
     so the guard subtracts t * gamma*s. Every _CHECK_EVERY steps, Saad's
     estimate of the error at the last sample, beta_m |e_m^T y| with
     y = exp(gamma*t*(T_m - s)) e_1, is compared with its own rounding level,
-    beta_m * m * eps * ||y||, and the steps stop once it is there. The shift
-    known when built, t * gamma times the guard end (hi for gamma >= 0, else
-    lo), bounds the call's, as x0's Ritz values lie inside the spectrum,
-    unless lo misses lambda_min. A call whose steps have cost more than one
-    eigh would, by the measured estimates (_EIGH_NS), evaluates this and
-    every later x0 through eigendecompose_symmetric of the graph. system is
-    the route taken; krylov_dimension is m after a call on the Lanczos
-    route, else None.
+    beta_m * m * eps * ||y||, and the steps stop once it is there, or once
+    the Krylov space is invariant, at m = n at the latest, where T_m is
+    exact. The shift is checked once the Ritz values are known, before the
+    (samples, n) states are formed. After a call krylov_dimension is m and
+    interval is [theta_min, theta_max], x0's extreme Ritz values; on an
+    eigensystem both stay None.
     """
 
-    def __init__(self, system: EigenSystem | LanczosOperator, gamma: float, times: np.ndarray):
+    def __init__(self, system: EigenSystem | AdjacencyMatrix, gamma: float, times: np.ndarray,
+                 guard: bool = True):
         if not np.isfinite(gamma):
             raise ValueError(f"gamma must be finite, got {gamma}")
         times = np.atleast_1d(np.asarray(times, dtype=float))
         if not np.all(np.isfinite(times) & (times >= 0.0)):
             raise ValueError(f"times must be finite and >= 0, got {times}")
         # |gamma| * t * (lambda_max - lambda_min) bounds every exponent and
-        # shift; past float max they cannot be formed. Perron-Frobenius puts
-        # the spectral radius of an adjacency matrix at lambda_max <= hi.
-        radius = (max(system.hi, -system.lo) if system.source == "lanczos"
+        # shift; past float max they cannot be formed. A graph's spectral
+        # radius is at most its max degree (Gershgorin).
+        lanczos = isinstance(system, AdjacencyMatrix)
+        radius = (float(system.degrees().max()) if lanczos
                   else float(np.abs(system.eigenvalues).max()))
         spread = abs(float(gamma)) * float(times.max(initial=0.0)) * 2.0 * radius
         if not spread <= _FLOAT_MAX:
             raise SpectralError(f"propagator overflow: |gamma| * t * 2 * rho(A) = {spread:.6g} "
                                 "exceeds the floating-point range")
-        self._gamma, self._times = gamma, times
-        if system.source == "lanczos":
-            self.system, self.krylov_dimension = system, None
-            self.shift = gamma * (system.hi if gamma >= 0.0 else system.lo) * times
+        self.system, self.route = system, "lanczos" if lanczos else system.source
+        self.krylov_dimension = self.interval = None
+        self._gamma, self._times, self._guard = gamma, times, guard
+        if lanczos:
             return
-        self._decompose(system)
-
-    def _decompose(self, es: EigenSystem) -> None:
-        """The exp() factors of es, or where es is complete, factors a, b with
-        exp(gamma*t*(J - I)) x0 = a x0 + b mean(x0) 1 per sample.
-
-        The mean spans the eigenspace of n - 1 and the rest that of -1, so
-        a = e^{-gamma*t} and b = e^{gamma*(n-1)*t} - e^{-gamma*t}, each
-        divided by the guard's e^{shift}, the larger of the two exponentials;
-        b is then 1 - e^{-|gamma*n*t|}, signed, through expm1.
-        """
-        self.system, self.krylov_dimension = es, None
-        gamma, times = self._gamma, self._times
-        if not es.complete:
-            self._factors = np.exp(propagator_exponents(es, gamma, times))
-            self.shift = _guard_rate(es, gamma) * times
-            return
-        low = -gamma * times
-        self.shift = np.maximum(gamma * (es.n - 1) * times, low)
-        gap = gamma * es.n * times
-        self._a = np.exp(low - self.shift)
-        self._b = -np.expm1(-np.abs(gap)) * np.sign(gap)
+        if system.complete:
+            # exp(gamma*t*(J - I)) x0 = a x0 + b mean(x0) 1 per sample: the mean
+            # spans the eigenspace of n - 1 and the rest that of -1, so
+            # a = e^{-gamma*t} and b = e^{gamma*(n-1)*t} - e^{-gamma*t}, each
+            # divided by the guard's e^{shift}, the larger of the two
+            # exponentials; b is then 1 - e^{-|gamma*n*t|}, signed, through expm1
+            low = -gamma * times
+            self.shift = np.maximum(gamma * (system.n - 1) * times, low)
+            gap = gamma * system.n * times
+            self._a = np.exp(low - self.shift)
+            self._b = -np.expm1(-np.abs(gap)) * np.sign(gap)
+        else:
+            self._factors = np.exp(propagator_exponents(system, gamma, times))
+            self.shift = _guard_rate(system, gamma) * times
+        if not guard:
+            unguarded(np.empty((times.size, 0)), self.shift)
 
     def __call__(self, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x0 = np.asarray(x0, dtype=complex)
         if x0.shape != (self.system.n,):
             raise ValueError(f"state shape {x0.shape} does not match dimension {self.system.n}")
-        if self.system.source == "lanczos":
-            result = self._krylov(x0)
-            if result is not None:
-                return result
-            self._decompose(eigendecompose_symmetric(self.system.graph))
+        if self.route == "lanczos":
+            return self._krylov(x0)
         es = self.system
         if es.complete:
             states = np.multiply.outer(self._a, x0)
@@ -381,36 +319,34 @@ class Propagator:
         y = np.multiply(self._factors.T, _real_matmul(es.vectors.T, x0)[:, None], order="C")
         return _real_matmul(es.vectors, y).T, self.shift
 
-    def _krylov(self, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """(states, shift) from the Lanczos basis of x0, or None once the steps
-        have cost, by the measured estimates, more than one eigh would."""
-        gamma, times, n = self._gamma, self._times, self.system.n
+    def _krylov(self, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(states, shift) from the Lanczos basis of x0."""
+        gamma, times = self._gamma, self._times
         norm = np.linalg.norm(x0)
         if norm == 0.0:
-            self.krylov_dimension = 0
-            return np.zeros((times.size, n), dtype=complex), self.shift
-        graph = self.system.graph
-        budget, spent = _EIGH_NS * float(n) ** 3, 0.0
-        for basis, alphas, betas in _lanczos(graph, x0, n):
+            self.krylov_dimension, self.interval = 0, None
+            return np.zeros((times.size, x0.size), dtype=complex), np.zeros_like(times)
+        for basis, alphas, betas in _lanczos(self.system, x0, x0.size):
             m = len(alphas)
-            spent += graph.product_ns + _STEP_NS + _ORTH_NS * m * n
-            if m % _CHECK_EVERY and betas[-1] and spent <= budget:
+            if m % _CHECK_EVERY and betas[-1]:
                 continue
-            spent += _RITZ_NS * m * m
             ritz, vecs = _ritz(alphas, betas)
             rates = gamma * ritz
             top = rates.max()
             at_end = vecs @ (np.exp(times.max() * (rates - top)) * vecs[0])
-            # Saad's error estimate at the last sample against its rounding level
+            # Saad's error estimate at the last sample against its rounding
+            # level; it is 0 once beta is, on the last step at the latest
             if betas[-1] * abs(at_end[-1]) <= betas[-1] * m * _EPS * np.linalg.norm(at_end):
-                self.krylov_dimension = m
-                coeffs = (np.exp(np.outer(times, rates - top)) * (norm * vecs[0])) @ vecs.T
-                return (coeffs @ basis.view(float)).view(complex), top * times
-            if spent > budget:
-                return None
+                break
+        self.krylov_dimension, self.interval = m, [float(ritz[0]), float(ritz[-1])]
+        shift = top * times
+        if not self._guard:
+            unguarded(np.empty((times.size, 0)), shift)
+        coeffs = (np.exp(np.outer(times, rates - top)) * (norm * vecs[0])) @ vecs.T
+        return _real_matmul(coeffs, basis), shift
 
 
-def apply_propagator(system: EigenSystem | LanczosOperator, gamma: float, t: float,
+def apply_propagator(system: EigenSystem | AdjacencyMatrix, gamma: float, t: float,
                      x0: np.ndarray) -> np.ndarray:
     """x(t) = exp(gamma*t*A) x0 itself, on any route; raises where it overflows."""
     return unguarded(*Propagator(system, gamma, [t])(x0))[0]

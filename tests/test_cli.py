@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import kurasim
-from kurasim import spectral
+from kurasim import graphs, spectral
 from kurasim._text import read_json
 from kurasim.cli import _FIGURE_FLAGS, _FIGURES, build_parser, main
 from kurasim.dynamics import read_trajectory_csv
@@ -141,20 +141,23 @@ def test_simulate_complete_graph_long_horizon_overflow_exits_3(tmp_path, capsys)
 
 
 def test_no_guard_overflow_exits_before_any_sample(tmp_path, capsys, monkeypatch):
-    # every route fixes its guard shift when the propagator is built, so an
-    # overflowing unguarded run fails before the propagator is ever called:
-    # on the complete graph, and on a WS graph on the Lanczos route
-    def refuse(self, x0):
+    # an overflowing unguarded run fails as soon as its guard shift is known:
+    # on the complete graph when the propagator is built, before it is ever
+    # called, and on a WS graph once x0's Lanczos steps have given their Ritz
+    # values, before the (samples, n) states are read out of the basis
+    def refuse(*args):
         raise AssertionError("a sample was evaluated")
 
-    monkeypatch.setattr(spectral.Propagator, "__call__", refuse)
-    for graph in (["complete", "--n", 200, "--kappa", 50, "--t-end", 10],
-                  ["ws", "--n", 1500, "--k", 10, "--q", 0.1, "--kappa", 60,
-                   "--record-every", 1000]):
-        code = _run(["simulate", "--graph", *graph, "--method", "analytic", "--no-guard",
-                     "--out", tmp_path])
-        assert code == 3
-        assert "enable the overflow guard" in capsys.readouterr().err
+    argv = ["--method", "analytic", "--no-guard", "--out", tmp_path]
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral.Propagator, "__call__", refuse)
+        assert _run(["simulate", "--graph", "complete", "--n", 200, "--kappa", 50,
+                     "--t-end", 10, *argv]) == 3
+    assert "enable the overflow guard" in capsys.readouterr().err
+    monkeypatch.setattr(spectral, "_real_matmul", refuse)
+    assert _run(["simulate", "--graph", "ws", "--n", 1500, "--k", 10, "--q", 0.1,
+                 "--kappa", 60, "--record-every", 1000, *argv]) == 3
+    assert "enable the overflow guard" in capsys.readouterr().err
     assert not (tmp_path / "trajectory.csv").exists()
 
 
@@ -185,9 +188,9 @@ def test_simulate_repulsive_coupling_guard(tmp_path, monkeypatch):
     (["--graph", "ring", "--n", 40, "--k", 3, "--kappa", 1], "cdt"),
     (["--graph", "complete", "--n", 200, "--kappa", -5, "--t-end", 2], "cdt"),
     (["--graph", "ws", "--n", 200, "--k", 4, "--q", 0.2, "--kappa-over-n", 50], "lanczos"),
-    # |gamma| * t_end = 64: x0's Krylov space costs more products than eigh
+    # |gamma| * t_end = 64, where eigh once took over: still x0's Krylov space
     (["--graph", "ws", "--n", 200, "--k", 4, "--q", 0.2, "--kappa", 10, "--t-end", 10,
-      "--record-every", 100], "numerical"),
+      "--record-every", 100], "lanczos"),
 ], ids=["ring", "complete", "ws", "eigh"])
 def test_no_guard_writes_the_guarded_phases(tmp_path, graph, route):
     # the guard rescales moduli only, so the phases are the same bytes
@@ -413,14 +416,15 @@ def test_analytic_trajectory_of_a_ring_file_is_the_generated_rings(tmp_path):
 @pytest.mark.parametrize("mode", ["cdt", "both"])
 def test_spectrum_cdt_rejects_non_circulant_without_building_the_route(tmp_path, capsys,
                                                                        monkeypatch, mode):
-    # the route is read from the graph's structure; the Lanczos operator
-    # (a dense matrix and Lanczos steps) is never built to be rejected
+    # the route is read from the graph's structure; no Lanczos step, and no
+    # product with the graph, runs for it to be rejected
     assert _run(["graph", "er", "--n", 60, "--p", 0.1, "--out", tmp_path]) == 0
 
-    def refuse(graph):
-        raise AssertionError("the Lanczos operator was built")
+    def refuse(*args):
+        raise AssertionError("a Lanczos step ran")
 
-    monkeypatch.setattr(spectral, "lanczos_operator", refuse)
+    monkeypatch.setattr(spectral, "_lanczos", refuse)
+    monkeypatch.setattr(graphs.AdjacencyMatrix, "product", refuse)
     capsys.readouterr()
     assert _run(["spectrum", "--graph", tmp_path / "graph.edges", "--mode", mode,
                  "--out", tmp_path / "spec"]) == 2
@@ -661,10 +665,9 @@ def test_simulate_analytic_manifest_diagnostics(tmp_path):
     assert diag["route"] == "lanczos"
     lo, hi = diag["interval"]
     assert lo < 0.0 < hi and 1 <= diag["krylov_dimension"] <= 50
-    # the guard shift at t_end = 1 s is gamma times x0's largest Ritz value,
-    # which the guard end hi bounds
+    # the guard shift at t_end = 1 s is gamma times x0's largest Ritz value, hi
     gamma = 2 * (50 / 200) / np.pi
-    assert 0.0 < diag["guard_shift"] <= gamma * hi
+    assert diag["guard_shift"] == gamma * hi
     assert 0.0 < diag["min_relative_modulus"] <= 1.0
     assert manifest["artifacts"] == ["trajectory.csv", "trajectory.meta"]
     meta = json.loads((tmp_path / "ws" / "trajectory.meta").read_text())
@@ -676,12 +679,14 @@ def test_simulate_analytic_manifest_diagnostics(tmp_path):
                  "--method", "analytic", "--out", tmp_path / "ring"]) == 0
     diag = read_json(tmp_path / "ring" / "manifest.json")["diagnostics"]
     assert diag["route"] == "cdt" and "interval" not in diag
-    # strong coupling over 10 s: the eigendecomposition is the cheaper route
+    # strong coupling over 10 s, where eigh once took over: x0's Krylov space
+    # grows, up to n at the most
     assert _run(["simulate", "--graph", "ws", "--n", 200, "--k", 4, "--q", 0.2, "--kappa", 10,
                  "--t-end", 10, "--method", "analytic", "--out", tmp_path / "strong"]) == 0
     diag = read_json(tmp_path / "strong" / "manifest.json")["diagnostics"]
-    assert diag["route"] == "numerical" and "interval" not in diag
-    assert "krylov_dimension" not in diag
+    assert diag["route"] == "lanczos" and 50 < diag["krylov_dimension"] <= 200
+    lo, hi = diag["interval"]
+    assert lo < 0.0 < hi
     # a numerical run records dt * |kappa| * 2 * max degree, its step's stability number
     assert _run(["simulate", *ws, "--out", tmp_path / "num"]) == 0
     diag = read_json(tmp_path / "num" / "manifest.json")["diagnostics"]

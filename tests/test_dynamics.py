@@ -1,6 +1,5 @@
 """Phase wrapping, integration, the closed-form trajectory, and order parameter."""
 
-import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kurasim import dynamics
+from kurasim import dynamics, spectral
 from kurasim.dynamics import (
     IntegrationError,
     SimulationConfig,
@@ -33,7 +32,7 @@ from kurasim.graphs import (gen_complete, gen_erdos_renyi, gen_ring,
                             ring_generating_vector, write_edge_list)
 from kurasim.spectral import (Propagator, SpectralError, apply_propagator, cdt_eigensystem,
                               eigendecompose_symmetric, eigensystem_for,
-                              eigenvalues_symmetric, lanczos_operator)
+                              eigenvalues_symmetric)
 
 K3 = gen_complete(3)
 ES3 = cdt_eigensystem(ring_generating_vector(3, 1))
@@ -474,20 +473,28 @@ def test_amplitudes_late_time_mean_projection():
     assert np.abs(values - expect).max() < 1e-8
 
 
-def test_no_guard_overflow_after_a_fallback_to_eigh_is_reported():
-    # a guard end that misses lambda_max passes the overflow check at build;
-    # past the product budget, the fallback to eigh then lifts the shift
-    # past float range
+def test_no_guard_overflow_on_the_lanczos_route_is_reported(monkeypatch):
+    # the shift, t * gamma times x0's largest Ritz value, is known once the
+    # Lanczos steps stop; guard=False checks it there, before the states are
+    # read out of the basis
     graph = gen_watts_strogatz(60, 4, 0.2, 0)
-    op = lanczos_operator(graph)
-    bad = dataclasses.replace(op, hi=op.hi - 1.0)
-    gamma = 700.0 / bad.hi  # gamma * hi * t_end = 700, gamma * lambda_max * t_end > 800
-    cfg = _cfg(graph=graph, kappa=gamma * math.pi / 2, dt=0.25)
+    lam_max = float(eigenvalues_symmetric(graph).real.max())
     theta0 = initial_phases(60, 0)
+
+    def run(gamma_t, guard):
+        cfg = _cfg(graph=graph, kappa=gamma_t / lam_max * math.pi / 2, dt=0.25)
+        return analytic_trajectory(graph, cfg, theta0, guard=guard)
+
+    # gamma * lambda_max * t_end = 700 bounds the shift: x(t) is in range
+    raw, guarded = run(700.0, False), run(700.0, True)
+    assert raw.diagnostics["route"] == "lanczos" and np.array_equal(raw.states, guarded.states)
+
+    def refuse(*args):
+        raise AssertionError("the states were read out")
+
+    monkeypatch.setattr(spectral, "_real_matmul", refuse)
     with pytest.raises(SpectralError, match="enable the overflow guard"):
-        analytic_trajectory(bad, cfg, theta0, guard=False)
-    traj = analytic_trajectory(bad, cfg, theta0)
-    assert traj.diagnostics["route"] == "numerical"
+        run(800.0, False)
 
 
 def test_amplitudes_report_the_guard_shift():
@@ -495,7 +502,7 @@ def test_amplitudes_report_the_guard_shift():
     g = gen_watts_strogatz(80, 4, 0.2, 3)
     th0 = initial_phases(80, 2)
     cfg = SimulationConfig(graph=g, kappa=1.0, dt=1e-3, t_end=1.0, seed=2)
-    values, shift = analytic_amplitudes(lanczos_operator(g), cfg, th0, t=2.5)
+    values, shift = analytic_amplitudes(g, cfg, th0, t=2.5)
     ref = -np.log(np.abs(apply_propagator(eigendecompose_symmetric(g), cfg.gamma, 2.5,
                                           np.exp(1j * th0))))
     assert shift > 0.0

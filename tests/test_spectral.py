@@ -23,7 +23,6 @@ from kurasim.graphs import (
 )
 from kurasim import graphs, spectral
 from kurasim.spectral import (
-    LanczosOperator,
     Propagator,
     SpectralError,
     apply_propagator,
@@ -33,7 +32,6 @@ from kurasim.spectral import (
     eigendecompose_symmetric,
     eigensystem_for,
     eigenvalues_symmetric,
-    lanczos_operator,
     propagator_exponents,
     read_spectrum_csv,
     unguarded,
@@ -207,9 +205,9 @@ def test_eigensystem_for_picks_the_route():
         assert es.source == "cdt"
         u = cdt_fourier_matrix(graph.n)
         assert np.abs(u.conj().T @ np.diag(es.eigenvalues) @ u - graph.entries).max() < 1e-12
+    # any other graph is its own route, the Lanczos basis of each state
     for graph in (gen_erdos_renyi(20, 0.3, 0), gen_watts_strogatz(20, 2, 0.3, 0)):
-        op = eigensystem_for(graph)
-        assert isinstance(op, LanczosOperator) and op.source == "lanczos"
+        assert eigensystem_for(graph) is graph
 
 
 def test_cdt_and_eigh_agree_on_rings():
@@ -323,8 +321,8 @@ def test_astronomical_gamma_leaves_no_guard_residual():
 def test_gamma_past_the_float_range_raises():
     # |gamma| * t * 2 * rho(A) past float max: no exponent or shift can be formed
     x0 = np.exp(1j * initial_phases(30, 1))
-    for system in (eigendecompose_symmetric(gen_erdos_renyi(30, 0.3, 1)),
-                   lanczos_operator(gen_erdos_renyi(30, 0.3, 1)),
+    graph = gen_erdos_renyi(30, 0.3, 1)
+    for system in (eigendecompose_symmetric(graph), eigensystem_for(graph),
                    eigensystem_for(gen_complete(30)), eigensystem_for(gen_ring(30, 2))):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -332,6 +330,15 @@ def test_gamma_past_the_float_range_raises():
                 Propagator(system, 1e308, [0.0, 2.0])
             states, shift = Propagator(system, 1e300, [0.0, 2.0])(x0)
         assert np.all(np.isfinite(states)) and np.all(np.isfinite(shift))
+    # on the Lanczos route the max degree bounds rho(A): the bound is
+    # float max / (2 * t * max degree), on either side of which gamma raises and runs
+    edge = np.finfo(float).max / (2.0 * 2.0 * graph.degrees().max())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpectralError, match="floating-point range"):
+            Propagator(graph, edge * (1.0 + 1e-9), [0.0, 2.0])
+        states, shift = Propagator(graph, -edge * (1.0 - 1e-9), [0.0, 2.0])(x0)
+    assert np.all(np.isfinite(states)) and np.all(np.isfinite(shift))
 
 
 def test_guard_prevents_overflow():
@@ -386,35 +393,33 @@ LANCZOS_CASES = {
     # |gamma| * t_end = 100: a Krylov space of about a hundred vectors
     "long": (lambda tmp: gen_watts_strogatz(200, 10, 0.1, 0), np.pi / 2, 100.0, 0.1, 1),
     "long_repulsive": (lambda tmp: gen_erdos_renyi(200, 0.2, 0), -np.pi / 2, 20.0, 0.1, 1),
+    # the runs a cost rule once sent to eigh: gamma * t_end = -50, 50 and -1000
+    "strong_repulsive": (lambda tmp: gen_watts_strogatz(200, 10, 0.1, 0), -np.pi, 25.0,
+                         0.25, 10),
+    "ws60": (lambda tmp: gen_watts_strogatz(60, 3, 0.1, 0), np.pi / 2, 50.0, 0.5, 10),
+    "dense_repulsive": (lambda tmp: gen_erdos_renyi(400, 0.5, 0), -5 * np.pi, 100.0, 1.0, 10),
 }
-
-
-@pytest.fixture
-def krylov_only(monkeypatch):
-    """Keep Propagator on the Lanczos route however many products it needs."""
-    monkeypatch.setattr(spectral, "_EIGH_NS", math.inf)
 
 
 # The tests named for the Chebyshev route keep the names and cases under
 # which they first pinned the matrix-free closed form.
 @pytest.mark.parametrize("case", sorted(LANCZOS_CASES))
-def test_chebyshev_phases_match_eigh_oracle(case, tmp_path, krylov_only):
+def test_chebyshev_phases_match_eigh_oracle(case, tmp_path):
     make, kappa, t_end, dt, every = LANCZOS_CASES[case]
     graph = make(tmp_path)
     cfg = SimulationConfig(graph=graph, kappa=kappa, dt=dt, t_end=t_end, seed=3,
                            record_every=every)
     theta0 = initial_phases(graph.n, 3)
-    op = lanczos_operator(graph)
-    lanczos = analytic_trajectory(op, cfg, theta0)
+    lanczos = analytic_trajectory(eigensystem_for(graph), cfg, theta0)
     oracle = analytic_trajectory(eigendecompose_symmetric(graph), cfg, theta0)
     assert _wrapped_gap(lanczos.states, oracle.states) <= 1e-10
     diag = lanczos.diagnostics
-    assert diag["route"] == "lanczos" and diag["interval"] == [op.lo, op.hi]
-    # no more products than a Chebyshev expansion over the guard ends would take
-    z = abs(cfg.gamma) * t_end * 0.5 * (op.hi - op.lo)
-    assert 1 <= diag["krylov_dimension"] <= min(graph.n, 12 * np.sqrt(z) + 32)
-    if case == "star":  # its Krylov spaces have three dimensions: the ends are exact
-        assert abs(op.hi - np.sqrt(399.0)) < 1e-9 and abs(op.lo + np.sqrt(399.0)) < 1e-9
+    assert diag["route"] == "lanczos" and 1 <= diag["krylov_dimension"] <= graph.n
+    # no more products than a Chebyshev expansion over [-max degree, max degree] would take
+    z = abs(cfg.gamma) * t_end * graph.degrees().max()
+    assert diag["krylov_dimension"] <= 12 * np.sqrt(z) + 32
+    if case == "star":  # its Krylov spaces have three dimensions: the Ritz values are exact
+        assert np.abs(np.subtract(diag["interval"], [-np.sqrt(399.0), np.sqrt(399.0)])).max() < 1e-9
 
 
 @pytest.mark.parametrize("graph", [
@@ -427,54 +432,51 @@ def test_chebyshev_phases_match_eigh_oracle(case, tmp_path, krylov_only):
     # the large-graph family, seed 16 included, where the lower end misses
     *(gen_watts_strogatz(1500, 10, 0.1, s) for s in (0, 1, 2, 16))])
 def test_chebyshev_interval_holds_the_spectrum(graph):
-    op = lanczos_operator(graph)
+    # [-max degree, max degree], which the spread check reads, holds the
+    # spectrum, and the interval a call reports, x0's extreme Ritz values, lies inside it
     lam = eigenvalues_symmetric(graph).real
-    degree = graph.degrees().max()
-    # hi holds lambda_max, which Perron-Frobenius makes the spectral radius
-    assert lam.max() <= op.hi + 1e-9 and op.hi <= degree
-    assert -degree <= op.lo <= op.hi and np.abs(lam).max() <= max(op.hi, -op.lo) + 1e-9
+    assert np.abs(lam).max() <= graph.degrees().max()
+    prop = Propagator(graph, 0.5, [0.0, 1.0])
+    prop(np.exp(1j * initial_phases(graph.n, 0)))
+    lo, hi = prop.interval
+    assert lam.min() - 1e-9 <= lo <= hi <= lam.max() + 1e-9
 
 
-def test_chebyshev_guard_shift_and_unguarded_values(krylov_only):
-    graph = gen_watts_strogatz(60, 4, 0.2, 6)
-    op = lanczos_operator(graph)
-    es = eigendecompose_symmetric(graph)
-    x0 = np.exp(1j * initial_phases(60, 1))
-    times = np.linspace(0.0, 1.0, 6)
-    for gamma in (0.5, -0.5):
-        prop = Propagator(op, gamma, times)
-        # built: the guard end's shift, known before any product
-        assert np.array_equal(prop.shift, gamma * (op.hi if gamma > 0 else op.lo) * times)
-        states, shift = prop(x0)
-        # called: t * max gamma*theta over the Ritz values of x0, inside the spectrum
-        assert np.all(shift <= prop.shift)
-        assert np.all(shift <= (gamma * es.eigenvalues.real).max() * times + 1e-12)
-        want = unguarded(*Propagator(es, gamma, times)(x0))
-        assert np.abs(unguarded(states, shift) - want).max() <= 1e-12 * np.abs(want).max()
+def test_chebyshev_guard_shift_and_unguarded_values():
+    # the second graph's x0 excites lambda_min's mode enough that 20 steps from
+    # another start, the guard ends the Lanczos route once kept, missed it
+    for graph, seed, gammas, samples in ((gen_watts_strogatz(60, 4, 0.2, 6), 1, (0.5, -0.5), 6),
+                                         (gen_watts_strogatz(200, 2, 0.5, 2), 0, (-1.0,), 11)):
+        es = eigendecompose_symmetric(graph)
+        x0 = np.exp(1j * initial_phases(graph.n, seed))
+        times = np.linspace(0.0, 1.0, samples)
+        for gamma in gammas:
+            prop = Propagator(graph, gamma, times)
+            states, shift = prop(x0)
+            # t * max gamma*theta over the Ritz values of x0, inside the spectrum
+            lo, hi = prop.interval
+            assert np.array_equal(shift, max(gamma * lo, gamma * hi) * times)
+            assert np.all(shift <= (gamma * es.eigenvalues.real).max() * times + 1e-12)
+            want = unguarded(*Propagator(es, gamma, times)(x0))
+            assert np.abs(unguarded(states, shift) - want).max() <= 1e-12 * np.abs(want).max()
+            assert _wrapped_gap(np.angle(states), np.angle(want)) <= 1e-10
     with pytest.raises(SpectralError):
-        apply_propagator(op, 50.0, 10.0, x0)
-    assert np.all(np.isfinite(Propagator(op, 50.0, [10.0])(x0)[0]))
+        apply_propagator(graph, 50.0, 10.0, x0)
+    assert np.all(np.isfinite(Propagator(graph, 50.0, [10.0])(x0)[0]))
 
 
-def test_propagator_takes_the_cheaper_route():
+def test_propagator_takes_x0s_krylov_space():
     graph = gen_watts_strogatz(200, 10, 0.1, 0)
-    op = lanczos_operator(graph)
     x0 = np.exp(1j * initial_phases(200, 5))
-    short = Propagator(op, 0.2, np.linspace(0.0, 1.0, 11))
+    short = Propagator(graph, 0.2, np.linspace(0.0, 1.0, 11))
     short(x0)
-    # as figure 4's runs: 20 steps, which cost less than one eigh
-    assert short.system is op and short.krylov_dimension == 20
-    # |gamma| * t_end = 50, repulsive: x0's Krylov space needs more Lanczos
-    # steps than one eigh costs
-    times = np.linspace(0.0, 25.0, 11)
-    long = Propagator(op, -2.0, times)
-    states, shift = long(x0)
-    assert long.system.source == "numerical" and long.krylov_dimension is None
-    oracle = Propagator(eigendecompose_symmetric(graph), -2.0, times)(x0)
-    assert np.array_equal(shift, oracle[1])
-    assert np.abs(states - oracle[0]).max() <= 1e-12
-    # the eigendecomposition of the operator's graph, which later calls reuse
-    assert np.array_equal(long.system.vectors, eigendecompose_symmetric(graph).vectors)
+    # as figure 4's runs: 20 steps
+    assert short.route == "lanczos" and short.krylov_dimension == 20
+    # |gamma| * t_end = 50, repulsive: more steps, where eigh once took over
+    long = Propagator(graph, -2.0, np.linspace(0.0, 25.0, 11))
+    states, _ = long(x0)
+    assert long.route == "lanczos" and 20 < long.krylov_dimension <= graph.n
+    # each call builds x0's basis anew, to the same bits
     assert np.array_equal(long(x0)[0], states)
 
 
@@ -518,87 +520,48 @@ def test_sparse_graph_runs_on_edge_products(tmp_path, method, monkeypatch):
 def test_zero_state_stays_zero(expand):
     # on the Lanczos route, which takes no product, and on eigh
     graph = gen_erdos_renyi(40, 0.3, 1)
-    system = lanczos_operator(graph) if expand else eigendecompose_symmetric(graph)
+    system = graph if expand else eigendecompose_symmetric(graph)
     prop = Propagator(system, 50.0, [10.0])
     states, shift = prop(np.zeros(40))
     assert not states.any() and np.all(np.isfinite(shift))
     assert prop.system is system and prop.krylov_dimension == (0 if expand else None)
 
 
-@pytest.mark.parametrize("gamma", [0.5, -0.5])
-def test_guard_end_that_misses_the_spectrum_takes_a_new_shift(gamma, krylov_only):
-    graph = gen_erdos_renyi(150, 0.2, 3)
-    op = lanczos_operator(graph)
-    # cut a quarter of the spectrum off the end the guard uses
-    cut = 0.25 * (op.hi - op.lo)
-    bad = dataclasses.replace(op, hi=op.hi - cut) if gamma > 0 else \
-        dataclasses.replace(op, lo=op.lo + cut)
-    times = np.linspace(0.0, 4.0, 9)
-    x0 = np.exp(1j * initial_phases(150, 2))
-    prop = Propagator(bad, gamma, times)
-    built = prop.shift
-    states, shift = prop(x0)
-    # x0's Ritz values reach past the guard end, and the shift follows them
-    assert prop.system is bad and np.all(shift[1:] > built[1:])
-    want, want_shift = Propagator(eigendecompose_symmetric(graph), gamma, times)(x0)
-    assert np.abs(shift - want_shift).max() <= 1e-12 * np.abs(want_shift).max()
-    assert _wrapped_gap(np.angle(states), np.angle(want)) <= 1e-10
-
-
-def test_lanczos_miss_of_the_guard_end_takes_a_new_shift():
-    # 20 Lanczos steps leave this graph's lowest Ritz value far from lambda_min,
-    # and its residual does not reach it: the lower guard end misses the spectrum
-    graph = gen_watts_strogatz(200, 2, 0.5, 2)
-    op = lanczos_operator(graph)
-    assert op.lo > eigenvalues_symmetric(graph).real.min()
-    times = np.linspace(0.0, 1.0, 11)
-    x0 = np.exp(1j * initial_phases(200, 0))  # excites lambda_min's mode enough to show
-    prop = Propagator(op, -1.0, times)
-    states, shift = prop(x0)
-    # x0's Krylov space reaches below the guard end, with no eigendecomposition
-    assert prop.system is op and shift[-1] > prop.shift[-1]
-    want, want_shift = Propagator(eigendecompose_symmetric(graph), -1.0, times)(x0)
-    want = unguarded(want, want_shift)
-    assert np.abs(unguarded(states, shift) - want).max() <= 1e-12 * np.abs(want).max()
-    assert _wrapped_gap(np.angle(states), np.angle(want)) <= 1e-10
-
-
 def test_chebyshev_on_an_empty_graph_is_the_identity():
-    op = lanczos_operator(gen_erdos_renyi(10, 0.0, 0))
-    assert (op.lo, op.hi) == (0.0, 0.0)
     x0 = np.exp(1j * np.arange(10.0))
-    prop = Propagator(op, 2.0, [0.0, 1.5])
+    prop = Propagator(gen_erdos_renyi(10, 0.0, 0), 2.0, [0.0, 1.5])
     states, shift = prop(x0)
     # A x0 = 0: the steps break down at the first, with T_1 = [0]
-    assert prop.krylov_dimension == 1 and not shift.any()
+    assert prop.krylov_dimension == 1 and prop.interval == [0.0, 0.0] and not shift.any()
     assert np.abs(states - x0).max() <= 4 * np.finfo(float).eps
 
 
 def test_lanczos_route_on_a_graph_below_four_nodes():
-    # a product budget below one step still takes one, then falls back to eigh
+    # x0 excites all three eigenvalues, 1, -1 and 0: its Krylov space is the
+    # whole space at m = n, where T_3 holds the spectrum exactly
     path = AdjacencyMatrix.from_dense(3, np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0.0]]))
     x0 = np.exp(1j * np.arange(3.0))
     prop = Propagator(eigensystem_for(path), 1.0, [0.0, 1.0])
     got = unguarded(*prop(x0))
     want = unguarded(*Propagator(eigendecompose_symmetric(path), 1.0, [0.0, 1.0])(x0))
-    assert prop.system.source == "numerical" and np.abs(got - want).max() <= 1e-15
+    assert prop.route == "lanczos" and prop.krylov_dimension == 3
+    assert np.abs(got - want).max() <= 1e-15
 
 
 # "chebyshev" names the matrix-free route these cases first pinned
 @pytest.mark.parametrize("case", ["complete", "cdt", "chebyshev", "chebyshev_long", "eigh"])
-def test_every_route_returns_one_state_row_per_sample(case, monkeypatch):
+def test_every_route_returns_one_state_row_per_sample(case):
     graph = {"complete": gen_complete(50), "cdt": gen_ring(40, 3)}.get(
         case, gen_watts_strogatz(60, 4, 0.2, 6))
     gamma, t_end = (2.0, 20.0) if case in ("chebyshev_long", "eigh") else (0.5, 2.0)
-    if case.startswith("chebyshev"):
-        monkeypatch.setattr(spectral, "_EIGH_NS", math.inf)
+    system = eigendecompose_symmetric(graph) if case == "eigh" else eigensystem_for(graph)
     times = np.linspace(0.0, t_end, 9)
     x0 = np.exp(1j * initial_phases(graph.n, 5))
-    prop = Propagator(eigensystem_for(graph), gamma, times)
+    prop = Propagator(system, gamma, times)
     states, shift = prop(x0)
     assert states.shape == (times.size, graph.n) and shift.shape == (times.size,)
     route = {"complete": "cdt", "cdt": "cdt", "eigh": "numerical"}.get(case, "lanczos")
-    assert prop.system.source == route
+    assert prop.route == route
     assert getattr(prop.system, "complete", False) == (case == "complete")
     assert (prop.krylov_dimension is not None) == case.startswith("chebyshev")
     # the eigh reference, one row per sample
@@ -661,23 +624,26 @@ def test_generating_vector_names_the_route_eigensystem_for_builds(tmp_path):
         c = graph.generating_vector()
         assert (c is None) == (route == "lanczos"), graph.kind
         es = eigensystem_for(graph)
-        built = "lanczos" if es.source == "lanczos" else \
-            "complete" if es.complete else "ring"
+        built = "lanczos" if es is graph else "complete" if es.complete else "ring"
         assert built == route, graph.kind
         if c is not None:
             assert np.array_equal(es.eigenvalues, cdt_eigenvalues(c)), graph.kind
 
 
-def test_astronomical_coupling_falls_back_to_eigh_without_warnings():
-    # at gamma = 1e300 no Krylov space within the product budget resolves x0;
-    # the eigendecomposition takes over, and no step warns
-    op = lanczos_operator(gen_watts_strogatz(50, 2, 0.3, 0))
+def test_astronomical_coupling_stays_on_lanczos_without_warnings():
+    # at gamma = 1e300 x0's Krylov space is resolved at m <= n, where it is
+    # invariant at the latest, and no step warns
+    graph = gen_watts_strogatz(50, 2, 0.3, 0)
+    times, x0 = np.linspace(0.0, 1.0, 5), np.exp(1j * initial_phases(50, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        prop = Propagator(op, 1e300, np.linspace(0.0, 1.0, 5))
-        states, shift = prop(np.exp(1j * initial_phases(50, 4)))
-    assert prop.system.source == "numerical" and prop.krylov_dimension is None
+        prop = Propagator(graph, 1e300, times)
+        states, shift = prop(x0)
+    assert prop.route == "lanczos" and 1 <= prop.krylov_dimension <= graph.n
     assert np.all(np.isfinite(states)) and np.all(np.isfinite(shift))
+    want, want_shift = Propagator(eigendecompose_symmetric(graph), 1e300, times)(x0)
+    assert np.abs(shift - want_shift).max() <= 1e-12 * np.abs(want_shift).max()
+    assert _wrapped_gap(np.angle(states), np.angle(want)) <= 1e-10
 
 
 @pytest.mark.parametrize("graph", [gen_complete(2), gen_complete(3), gen_complete(200),
