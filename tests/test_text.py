@@ -1,5 +1,6 @@
-"""Text artifacts: every writer against a per-value reference format, every
-table reader's round trip and width error, and bounded-memory writes and reads."""
+"""Text artifacts: every writer against a per-value reference format, the
+shortest-decimal kernel against repr value by value, every table reader's
+round trip and width error, and bounded-memory writes and reads."""
 
 import json
 import re
@@ -7,9 +8,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kurasim import experiments
-from kurasim._text import BLOCK_VALUES
+from kurasim import _text, experiments
+from kurasim._text import BLOCK_VALUES, write_table
 from kurasim.dynamics import (SimulationConfig, Trajectory, read_trajectory_csv,
                               write_trajectory_csv)
 from kurasim.experiments import (REPORT_HEADER, SWEEP_HEADER, ComparisonReport,
@@ -35,9 +37,13 @@ def _floats(rows, width, seed=0):
 
 
 def _row_counts(width):
-    """0 rows, 1 row, and one block of rows minus one, exactly and plus one."""
-    block = BLOCK_VALUES // width
-    return [0, 1, block - 1, block, block + 1]
+    """0 rows, 1 row, one block of rows minus one, exactly and plus one, and
+    the same around 2**16 values: many blocks."""
+    counts = [0, 1]
+    for values in (BLOCK_VALUES, 1 << 16):
+        rows = values // width
+        counts += [rows - 1, rows, rows + 1]
+    return counts
 
 
 def _complex(table):
@@ -117,6 +123,116 @@ def test_sweep_rows_match_reference(tmp_path, monkeypatch, rows):
     meta = json.loads(csv.with_suffix(".meta").read_text(encoding="ascii"))
     want_meta = json.dumps(meta, indent=2, sort_keys=True) + "\n"
     assert csv.with_suffix(".meta").read_text(encoding="ascii") == want_meta
+
+
+# ------------------------------------------- the shortest-decimal kernel
+
+def _ulps(x, k=3):
+    """x and its k float neighbours on each side."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[::-1] + above[1:]
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(11)
+    edges = [v for k in range(-5, 18) for v in _ulps(10.0 ** k)]
+    edges += [v for k in range(-14, 52) for v in _ulps(2.0 ** k)]
+    edges += _ulps(1e-4) + _ulps(2.0 ** 50)  # the ends of the kernel's range
+    tiny = 2.2250738585072014e-308
+    return {
+        "edges": np.array(edges),
+        "sample_times": np.arange(20001) * 1e-3,
+        "short_decimals": rng.integers(-10**6, 10**6, 20000) / 10.0 ** rng.integers(0, 9, 20000),
+        "integers": np.concatenate([rng.integers(0, 2**53, 5000), 2**53 - np.arange(5),
+                                    rng.integers(0, 10**6, 5000)]).astype(float),
+        "phases": np.concatenate([rng.uniform(-np.pi, np.pi, 20000), [np.pi, -np.pi]]),
+        "specials": np.array([0.0, -0.0, 5e-324, tiny, np.nextafter(tiny, 0), 1e308,
+                              np.inf, -np.inf, np.nan]),
+    }
+
+
+_KERNEL_CASES = _kernel_cases()
+
+
+def _signed_table(values, width=7):
+    """values and their negations, repeated to fill rows of width."""
+    values = np.concatenate([values, -values])
+    return np.resize(values, (-(-values.size // width), width))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sep", [",", " "], ids=["comma", "space"])
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_float_kernel_matches_reference(tmp_path, case, sep):
+    table = _signed_table(_KERNEL_CASES[case])
+    path = write_table(tmp_path / "t.csv", "h", table, sep=sep)
+    assert path.read_bytes() == _reference("h", table, sep=sep)
+
+
+@pytest.mark.filterwarnings("error")
+def test_float_kernel_appends_rows(tmp_path):
+    table = _signed_table(_KERNEL_CASES["phases"][:BLOCK_VALUES])
+    path = tmp_path / "t.csv"
+    write_table(path, "h", table[:3])
+    write_table(path, None, table[3:])
+    write_table(path, None, np.empty((0, table.shape[1])))
+    assert path.read_bytes() == _reference("h", table)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.floats() | st.floats(-2.0 ** 50, 2.0 ** 50), min_size=1, max_size=80),
+       st.integers(1, 7), st.sampled_from([",", " "]))
+def test_float_kernel_matches_reference_on_any_floats(values, width, sep):
+    table = np.resize(np.array(values), (-(-len(values) // width), width))
+    assert b"h\n" + _text._float_rows(table, sep) == _reference("h", table, sep=sep)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shift", [-1e-9, 1e-9], ids=["below", "above"])
+def test_float_kernel_leaves_a_misjudged_decade_to_repr(tmp_path, monkeypatch, shift):
+    # a log10 a hair off at powers of ten puts 10**k in the wrong decade
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+    near = np.array([1e-3, 0.1, 1000.0, 1e15])
+    table = _signed_table(np.concatenate([near, near * (1 - 1e-10), [3.5]]), width=4)
+    seen = []
+    repr_batch = _text._repr_batch
+    monkeypatch.setattr(_text, "_repr_batch", lambda text, v: seen.append(v.size) or repr_batch(text, v))
+    path = write_table(tmp_path / "t.csv", "h", table)
+    assert path.read_bytes() == _reference("h", table)
+    assert sum(seen) >= 6
+
+
+@pytest.mark.parametrize("sep", [";;", "", "%", "\u00e9"])
+def test_float_table_refuses_a_separator_the_kernel_cannot_write(tmp_path, sep):
+    with pytest.raises(ValueError, match="separator"):
+        write_table(tmp_path / "t.csv", "h", np.zeros((1, 2)), sep=sep)
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_figure4_leaves_few_values_to_repr(tmp_path, monkeypatch):
+    # the kernel's range covers what the figures write: phases, sample
+    # times, order parameters and deviations
+    seen = {"values": 0, "left": 0}
+    float_rows, repr_batch = _text._float_rows, _text._repr_batch
+
+    def counted_rows(block, sep):
+        seen["values"] += np.count_nonzero(block)
+        return float_rows(block, sep)
+
+    def counted_batch(text, values):
+        seen["left"] += values.size
+        return repr_batch(text, values)
+
+    monkeypatch.setattr(_text, "_float_rows", counted_rows)
+    monkeypatch.setattr(_text, "_repr_batch", counted_batch)
+    experiments.run_fig4("er", seed=0, out_dir=tmp_path)
+    assert seen["values"] > 400_000
+    assert seen["left"] <= 0.001 * seen["values"], seen
 
 
 # ------------------------------------------------------------ readers
@@ -200,6 +316,19 @@ def test_edge_list_write_memory_is_bounded(tmp_path):
     graph = gen_ring(200_000, 2)  # 400 000 edges
     peak = _traced_peak(lambda: write_edge_list(graph, tmp_path / "g.edges"))
     assert peak < 16 * 2**20
+
+
+def test_float_block_temporaries_are_bounded():
+    # one block of a 200-node trajectory; measured at 0.82 MiB
+    block = _signed_table(_KERNEL_CASES["phases"], width=201)[:BLOCK_VALUES // 201]
+    _text._float_rows(block, ",")
+    peak = _traced_peak(lambda: _text._float_rows(block, ","))
+    assert peak < 1.5 * 2**20
+
+
+def test_float_kernel_tables_are_small():
+    tables = [v for v in vars(_text).values() if isinstance(v, np.ndarray)]
+    assert sum(t.nbytes for t in tables) < 64 * 2**10
 
 
 def test_trajectory_write_memory_is_bounded(tmp_path):
