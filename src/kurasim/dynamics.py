@@ -2,7 +2,8 @@
 
 The numerical side integrates theta_i' = omega + kappa * sum_j a_ij *
 sin(theta_j - theta_i) with fixed-step Euler or RK4, one state row or a
-batch of rows at a time, through a coupling kernel chosen once per graph.
+batch of rows at a time, through a coupling kernel chosen once per graph
+(a short row on a complete graph steps as Python floats, with numpy's bits).
 The analytic side evaluates x(t) = exp(gamma*t*A) e^{i*theta0} with the
 rescaled coupling gamma = 2*kappa/pi on the route spectral picks for the
 graph, takes arguments, and restores the omega*t drift that the rotating
@@ -14,6 +15,8 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +205,11 @@ def km_rhs(theta: np.ndarray, cfg: SimulationConfig) -> np.ndarray:
     return cfg.omega + cfg.kappa * coupling
 
 
+# numpy's add.reduce sums a row of fewer than this many values left to right
+# from 0.0; from here on its pairwise sum adds eight interleaved partial sums
+_FLOAT_ROW_LIMIT = 8
+
+
 def step_states(cfg: SimulationConfig, theta0: np.ndarray, order: bool = False,
                 kappa=None) -> Iterator[tuple]:
     """Yield (step, state) after each fixed step from theta0, shaped (n,) or (batch, n).
@@ -222,12 +230,32 @@ def step_states(cfg: SimulationConfig, theta0: np.ndarray, order: bool = False,
     soon as the state turns non-finite. On the mean-field kernel that is
     read from sum cos(theta) per row, which is non-finite exactly when a
     phase of the row is, except after the last step, where no sums exist.
+    A single finite row of fewer than 8 phases on a complete graph, with a
+    scalar kappa, steps as Python floats (_float_steps), with the same bits.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape[-1:] != (cfg.graph.n,) or theta0.ndim > 2:
         raise ValueError(f"theta0 shape {theta0.shape} does not match graph size {cfg.graph.n}")
     kappa = cfg.kappa if kappa is None else np.asarray(kappa, dtype=float)
     np.broadcast_to(kappa, theta0.shape)  # raises ValueError where kappa does not fit
+    if (cfg.graph.is_complete and cfg.graph.n < _FLOAT_ROW_LIMIT and theta0.ndim == 1
+            and np.ndim(kappa) == 0 and np.isfinite(theta0).all()):
+        steps = _float_steps(cfg, theta0, float(kappa))
+    else:
+        steps = _array_steps(cfg, theta0, kappa)
+    for step, state, sums in steps:
+        if not order:
+            if step:
+                yield step, state
+        elif sums is None:
+            yield step, state, order_parameter(state)
+        else:
+            sum_c, sum_s = np.asarray(sums[0]), np.asarray(sums[1])
+            yield step, state, (sum_c + 1j * sum_s)[..., 0] / cfg.graph.n
+
+
+def _array_steps(cfg: SimulationConfig, theta0: np.ndarray, kappa) -> Iterator[tuple]:
+    """(step, state, sums) from step 0 on, sums those of coupling_kernel or None."""
     kernel = coupling_kernel(cfg.graph)
     omega, dt, n_steps = cfg.omega, cfg.dt, cfg.n_steps
 
@@ -240,16 +268,10 @@ def step_states(cfg: SimulationConfig, theta0: np.ndarray, order: bool = False,
     def rhs(theta):
         return stage(theta)[0]
 
-    def order_of(theta, sums):
-        if sums is None:
-            return order_parameter(theta)
-        return (sums[0] + 1j * sums[1])[..., 0] / cfg.graph.n
-
     state = theta0.copy()
     # the first stage of each step is evaluated as soon as its state exists
     slope, sums = stage(state) if n_steps else (None, None)
-    if order:
-        yield 0, state, order_of(state, sums)
+    yield 0, state, sums
     for step in range(1, n_steps + 1):
         if cfg.integrator == "euler":
             state = state + dt * slope
@@ -262,7 +284,52 @@ def step_states(cfg: SimulationConfig, theta0: np.ndarray, order: bool = False,
         slope, sums = stage(state) if step < n_steps else (None, None)
         if not np.isfinite(state if sums is None else sums[0]).all():
             raise IntegrationError(f"non-finite state at step {step}")
-        yield (step, state, order_of(state, sums)) if order else (step, state)
+        yield step, state, sums
+
+
+def _float_steps(cfg: SimulationConfig, theta0: np.ndarray, kappa: float) -> Iterator[tuple]:
+    """_array_steps for one row of a complete graph of fewer than _FLOAT_ROW_LIMIT nodes.
+
+    The state is a list of Python floats, and every value is computed by the
+    operation, in the order, that the mean-field kernel and _array_steps
+    apply elementwise, with sums left to right from 0.0 as numpy's below
+    _FLOAT_ROW_LIMIT values. So the states are numpy's bit for bit, at a
+    fraction of numpy's per-call cost on a few values. sums are shaped as
+    the kernel's, one value per list.
+    """
+    omega, dt, n_steps = cfg.omega, cfg.dt, cfg.n_steps
+    cos, sin = math.cos, math.sin
+
+    def stage(theta):
+        c, s = list(map(cos, theta)), list(map(sin, theta))
+        sum_c, sum_s = reduce(add, c, 0.0), reduce(add, s, 0.0)
+        slope = [(ci * sum_s - si * sum_c) * kappa + omega for ci, si in zip(c, s)]
+        return slope, ([sum_c], [sum_s])
+
+    def rhs(theta):
+        return stage(theta)[0]
+
+    state = theta0.tolist()
+    slope, sums = stage(state) if n_steps else (None, None)
+    yield 0, theta0.copy(), sums
+    half, sixth = 0.5 * dt, dt / 6.0
+    for step in range(1, n_steps + 1):
+        try:
+            if cfg.integrator == "euler":
+                state = [x + dt * v for x, v in zip(state, slope)]
+            else:
+                k1 = slope
+                k2 = rhs([x + half * v for x, v in zip(state, k1)])
+                k3 = rhs([x + half * v for x, v in zip(state, k2)])
+                k4 = rhs([x + dt * v for x, v in zip(state, k3)])
+                state = [x + sixth * (a + 2.0 * b + 2.0 * c + d)
+                         for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
+            slope, sums = stage(state) if step < n_steps else (None, None)
+        except ValueError:  # math.cos of an infinite phase, where np.cos gives nan
+            raise IntegrationError(f"non-finite state at step {step}") from None
+        if not (math.isfinite(sums[0][0]) if sums else all(map(math.isfinite, state))):
+            raise IntegrationError(f"non-finite state at step {step}")
+        yield step, np.array(state), sums
 
 
 def integrate_numerical(cfg: SimulationConfig, theta0: np.ndarray) -> Trajectory:

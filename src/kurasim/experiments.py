@@ -10,7 +10,6 @@ logarithmic kappa grid.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -307,7 +306,11 @@ def run_fig3(points: int = 100, realizations: int = 10, seed: int = 0, jobs: int
     if jobs > 1:  # at least one chunk per worker
         size = max(1, min(size, math.ceil(len(todo) / jobs)))
     tasks = [(N, todo[i:i + size], seeds, DT, T_END) for i in range(0, len(todo), size)]
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and len(tasks) > 1 else None
+    pool = None
+    if jobs > 1 and len(tasks) > 1:
+        # imported here: the pool's modules cost every other command ~20 ms to load
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=jobs)
     try:
         for chunk in pool.map(_sweep_task, tasks) if pool else map(_sweep_task, tasks):
             rows.extend(chunk)

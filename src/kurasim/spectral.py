@@ -87,10 +87,15 @@ def _as_vector(c: np.ndarray) -> np.ndarray:
 def cdt_eigenvalues(c: np.ndarray) -> np.ndarray:
     """Closed-form circulant eigenvalues E_r = sum_j c_j exp(-2pi*i*r*j/n), r, j = 0..n-1.
 
-    The defining sum is the DFT of c, computed by one FFT in O(n log n);
-    symmetric generating vectors give real values up to roundoff.
+    The defining sum is the DFT of c, computed by one FFT in O(n log n).
+    A symmetric c (c_j = c_{n-j}) makes circ(c) symmetric and its spectrum
+    real, so there the FFT's round-off imaginary parts are set to exactly 0.
     """
-    return np.fft.fft(_as_vector(c))
+    vec = _as_vector(c)
+    values = np.fft.fft(vec)
+    if np.array_equal(vec[1:], vec[:0:-1]):
+        values.imag = 0.0
+    return values
 
 
 def cdt_fourier_matrix(n: int) -> np.ndarray:

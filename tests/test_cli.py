@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import kurasim
-from kurasim import graphs, spectral
+from kurasim import dynamics, graphs, spectral
 from kurasim._text import read_json
 from kurasim.cli import _FIGURE_FLAGS, _FIGURES, build_parser, main
 from kurasim.dynamics import read_trajectory_csv
@@ -347,6 +347,16 @@ def test_spectrum_both_routes_agree_on_ring(tmp_path, capsys):
     assert float(line.split("=")[1]) <= 1e-9
 
 
+def test_spectrum_both_writes_real_ring_spectra(tmp_path):
+    # a ring's adjacency matrix is symmetric, so both files carry an all-zero
+    # imaginary column, the circulant one with no FFT round-off in it
+    assert _run(["spectrum", "--graph", "ring", "--n", 1500, "--k", 10,
+                 "--mode", "both", "--out", tmp_path]) == 0
+    for name in ("spectrum_cdt.csv", "spectrum_numerical.csv"):
+        rows = _read_csv_rows(tmp_path / name)[1:]
+        assert len(rows) == 1500 and {row.split(",")[1] for row in rows} == {"0.0"}, name
+
+
 def _no_dense_fourier(n):
     raise AssertionError("dense Fourier matrix built")
 
@@ -642,6 +652,38 @@ def test_sparse_simulate_allocates_no_dense_matrix(tmp_path, method):
     # edge-array products and a Lanczos basis of the steps taken: O(edges)
     # bytes, where one n x n float array takes 8 n^2
     assert peak < 2048 * n
+
+
+# ------------------------------------------------------------ work counts
+
+_N3 = ["--graph", "complete", "--n", 3, "--kappa", 1, "--omega-hz", 10, "--seed", 7]
+
+
+@pytest.mark.parametrize("argv, evaluations", [
+    (["figure", 1, "--seed", 7, "--t-end", 10], 0),
+    (["simulate", *_N3], 0),
+    (["simulate", *_N3, "--method", "analytic"], 0),
+    (["figure", 2, "--seed", 7], 1000),
+    (["simulate", "--graph", "complete", "--n", 200, "--kappa-over-n", 6,
+      "--integrator", "rk4", "--seed", 7], 4000),
+], ids=["figure1", "simulate3", "simulate3-analytic", "figure2", "rk4-K200"])
+def test_numpy_coupling_kernel_evaluations_per_command(tmp_path, monkeypatch, argv, evaluations):
+    # a 3-node row steps as Python floats and never calls the numpy kernel; K200
+    # calls it once per Euler step and four times per RK4 step (1000 steps of 1 ms)
+    calls = []
+    numpy_kernel = dynamics.coupling_kernel
+
+    def counting(graph):
+        kernel = numpy_kernel(graph)
+
+        def counted(theta):
+            calls.append(theta.shape)
+            return kernel(theta)
+        return counted
+
+    monkeypatch.setattr(dynamics, "coupling_kernel", counting)
+    assert _run([*argv, "--out", tmp_path]) == 0
+    assert len(calls) == evaluations
 
 
 # --------------------------------------------------------------- manifests

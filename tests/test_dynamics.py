@@ -196,6 +196,25 @@ def test_kappa_column_steps_each_row_as_alone(integrator):
         next(step_states(cfg, theta0, kappa=np.ones((2, 1))))
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 7), integrator=st.sampled_from(["euler", "rk4"]),
+       kappa=st.floats(-20.0, 20.0).filter(lambda k: k != 0.0),
+       omega=st.floats(-100.0, 100.0).filter(lambda w: w != 0.0),
+       steps=st.integers(0, 40), record_every=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+def test_short_complete_row_steps_as_its_numpy_batch(n, integrator, kappa, omega, steps,
+                                                      record_every, seed):
+    # one row of fewer than 8 phases on K_n steps as Python floats, the same
+    # state as a (1, n) batch through numpy: the states and r are bit for bit equal
+    cfg = SimulationConfig(graph=gen_complete(n), kappa=kappa, omega=omega, dt=1e-2,
+                           t_end=steps * 1e-2, integrator=integrator, record_every=record_every)
+    theta0 = initial_phases(n, seed)
+    row, batch = integrate_numerical(cfg, theta0), integrate_numerical(cfg, theta0[None])
+    assert np.array_equal(row.states, batch.states[:, 0])
+    for (_, state, r), (_, state_1, r_1) in zip(step_states(cfg, theta0, order=True),
+                                                  step_states(cfg, theta0[None], order=True)):
+        assert np.array_equal(state, state_1[0]) and r == r_1[0]
+
+
 def test_step_states_order_with_no_steps():
     cfg = _cfg(t_end=0.0)
     theta0 = initial_phases(3, 2)
@@ -232,10 +251,20 @@ def test_euler_rk4_cross_check():
 
 
 def test_integration_aborts_on_non_finite():
-    cfg = _cfg(kappa=1e308)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(IntegrationError, match="step"):
-            integrate_numerical(cfg, initial_phases(3, 0))
+    # a row of K3 or K5 steps as Python floats, the same state as a (1, n) batch
+    # through numpy: both stop at the same step, and the row lets out neither the
+    # ValueError of math.cos(inf) nor a warning
+    for n in (3, 5):
+        for integrator in ("euler", "rk4"):
+            cfg = _cfg(graph=gen_complete(n), kappa=1e308, integrator=integrator)
+            theta0 = initial_phases(n, 0)
+            with pytest.raises(IntegrationError, match="step") as batch:
+                integrate_numerical(cfg, theta0[None])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(IntegrationError) as row:
+                    integrate_numerical(cfg, theta0)
+            assert str(row.value) == str(batch.value)
 
 
 def test_non_finite_state_is_reported_without_numpy_warnings():
@@ -259,21 +288,27 @@ def _first_non_finite_step(cfg, theta0, kappa):
     return None
 
 
-@pytest.mark.parametrize("graph", [gen_complete(5), gen_ring(6, 1)], ids=["mean-field", "dense"])
+@pytest.mark.parametrize("graph", [gen_complete(5), gen_ring(6, 1), K3],
+                         ids=["mean-field", "dense", "K3"])
 @pytest.mark.parametrize("t_end", [40.0, 18.0])
 def test_non_finite_state_is_reported_at_its_step(graph, t_end):
-    # omega * dt = 1e307 per step overflows after 17 steps; at t_end = 18 the
-    # overflow is on the last step, which has no mean-field sums to check
-    cfg = SimulationConfig(graph=graph, kappa=1.0, omega=1e307, dt=1.0, t_end=t_end)
+    # omega * dt = 1e307 per step overflows after 17 steps, under RK4 as under
+    # Euler; at t_end = 18 the overflow is on the last step, which has no
+    # mean-field sums to check. A row of K3 or K5 steps as Python floats and
+    # raises like the batches, with no ValueError or warning of its own.
     theta0 = np.array([initial_phases(graph.n, s) for s in range(3)])
     kappa = np.array([[0.5], [1.0], [2.0]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = _first_non_finite_step(cfg, theta0, kappa)
-        assert want == 18
-        for theta, k in ((theta0, kappa), (theta0[1], None)):
-            with pytest.raises(IntegrationError, match=f"at step {want}$"):
-                for _ in step_states(cfg, theta, kappa=k):
-                    pass
+    for integrator in ("euler", "rk4"):
+        cfg = SimulationConfig(graph=graph, kappa=1.0, omega=1e307, dt=1.0, t_end=t_end,
+                               integrator=integrator)
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = _first_non_finite_step(cfg, theta0, kappa) if integrator == "euler" else 18
+            assert want == 18
+            for theta, k in ((theta0, kappa), (theta0[1:2], None), (theta0[1], None)):
+                with pytest.raises(IntegrationError, match=f"at step {want}$"):
+                    for _ in step_states(cfg, theta, kappa=k):
+                        pass
 
 
 def test_record_grid_includes_final_step():

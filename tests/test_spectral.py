@@ -82,13 +82,19 @@ def test_cdt_matches_dft_oracle():
         c = (rng.random(n) < 0.5).astype(float)
         vals = cdt_eigenvalues(c)
         assert np.allclose(vals, _dft_direct_sum(c), atol=1e-10), n
+        if not np.array_equal(c[1:], c[:0:-1]):  # only a symmetric c has its imag set to 0
+            assert np.array_equal(vals, np.fft.fft(c)), n
 
 
 @pytest.mark.parametrize("n, k", [(3, 1), (64, 5), (1500, 10), (200, 100)])
 def test_fft_eigenvalues_match_direct_sum_on_graphs(n, k):
     # rings n = 3, 64, 1500 and the complete graph on 200 nodes (k = n // 2)
     c = ring_generating_vector(n, k)
-    assert np.abs(cdt_eigenvalues(c) - _dft_direct_sum(c)).max() < 1e-9
+    vals = cdt_eigenvalues(c)
+    assert np.abs(vals - _dft_direct_sum(c)).max() < 1e-9
+    # a symmetric c: the FFT's real parts, and imaginary parts of exactly 0
+    assert np.array_equal(vals.real, np.fft.fft(c).real) and not vals.imag.any()
+    assert vals.dtype == complex
 
 
 def test_cdt_eigensystem_stores_no_dense_matrix():

@@ -51,6 +51,18 @@ def test_no_module_imports_scipy():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_loads_no_process_pool():
+    # run_fig3 imports the pool only when it makes one; every command pays
+    # for what importing kurasim.cli loads
+    pool_modules = ("concurrent.futures", "multiprocessing", "logging", "socket", "subprocess")
+    probe = ("import sys\nfrom kurasim.cli import build_parser\nbuild_parser()\n"
+             f"print([m for m in {pool_modules!r} if m in sys.modules])")
+    src = str(Path(kurasim.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_benchmark_hooks_resolve():
     # bench/tracing.py wraps these by module attribute, and bench/workloads.py
     # calls the second list; a refactor that moves one breaks only the benchmark
