@@ -64,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--integrator", choices=["euler", "rk4"], default="euler")
     p_sim.add_argument("--record-every", type=int, default=1)
     p_sim.add_argument("--raster", action="store_true", help="also write a PGM raster")
-    p_sim.add_argument("--no-guard", action="store_true",
-                       help="disable the overflow guard of the analytic method")
 
     p_spec = sub.add_parser("spectrum", parents=[common, source, flags],
                             help="write adjacency eigenvalues as CSV")
@@ -83,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     figure_flag("t_end", "duration in seconds", type=float)
     figure_flag("points", "kappa grid size", type=int)
     figure_flag("realizations", "seeds per kappa", type=int)
-    figure_flag("full", "long mode: 1000 kappa points", action="store_true", default=None)
     figure_flag("variant", "random graph family", choices=["er", "ws"])
     figure_flag("kappa", "coupling strength", type=float)
     # read -5, -.5, -1e6 and -2.5E+1 as values; argparse's own pattern has no exponents
@@ -92,12 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# figure-only flag -> the figure that reads it. Each but --full is a parameter of
-# that figure's function, and takes the function's default when absent.
-_FIGURE_FLAGS = {"t_end": 1, "kappa": 4, "points": 3, "realizations": 3, "full": 3, "variant": 4}
+# figure-only flag -> the figure that reads it. Each is a parameter of that
+# figure's function, and takes the function's default when absent.
+_FIGURE_FLAGS = {"t_end": 1, "kappa": 4, "points": 3, "realizations": 3, "variant": 4}
 _FIGURES = {1: run_fig1, 2: run_fig2, 3: run_fig3, 4: run_fig4}
-_FLAG_DEFAULTS = {"full": False, **{dest: inspect.signature(_FIGURES[fig]).parameters[dest].default
-                                    for dest, fig in _FIGURE_FLAGS.items() if dest != "full"}}
+_FLAG_DEFAULTS = {dest: inspect.signature(_FIGURES[fig]).parameters[dest].default
+                  for dest, fig in _FIGURE_FLAGS.items()}
 
 
 def _graph_from_args(args):
@@ -134,10 +131,9 @@ def cmd_simulate(args):
     cfg = SimulationConfig(graph=graph, kappa=kappa, omega=2.0 * np.pi * args.omega_hz,
                            dt=args.dt, t_end=args.t_end, seed=args.seed,
                            integrator=args.integrator, record_every=args.record_every)
-    traj = simulate(cfg, args.method, guard=not args.no_guard)
+    traj = simulate(cfg, args.method)
     path = args.out / "trajectory.csv"
-    write_trajectory_csv(traj, cfg, path,
-                         extra_meta={"method": args.method, "guard": not args.no_guard})
+    write_trajectory_csv(traj, cfg, path)
     artifacts = [path, path.with_suffix(".meta")]
     if args.raster:
         artifacts.append(write_pgm(traj.states, args.out / "trajectory.pgm"))
@@ -176,8 +172,6 @@ def cmd_spectrum(args):
 def cmd_figure(args):
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    if args.full and args.points is not None:
-        raise ValueError("--full sets 1000 kappa points; give --points or --full, not both")
     for dest, figure in _FIGURE_FLAGS.items():
         if getattr(args, dest) is None:
             if args.id == figure:
@@ -186,7 +180,6 @@ def cmd_figure(args):
             flag = "--" + dest.replace("_", "-")
             raise ValueError(f"{flag} applies to figure {figure} only, not figure {args.id}")
     if args.id == 3:
-        args.points = 1000 if args.full else args.points
         path = args.out / "sweep.csv"
         result = run_fig3(args.points, args.realizations, args.seed, args.jobs, out_csv=path)
         gap = float(np.abs(result.mean_abs_r_numerical - result.mean_abs_r_analytic).mean())

@@ -24,7 +24,7 @@ import numpy as np
 from ._text import read_json, read_table, write_json, write_table
 from .graphs import AdjacencyMatrix
 from .seeding import rng_for
-from .spectral import EigenSystem, Propagator, eigensystem_for, unguarded
+from .spectral import EigenSystem, Propagator, eigensystem_for
 
 __all__ = [
     "IntegrationError",
@@ -354,28 +354,25 @@ def integrate_numerical(cfg: SimulationConfig, theta0: np.ndarray) -> Trajectory
 
 
 def analytic_trajectory(es: EigenSystem | AdjacencyMatrix, cfg: SimulationConfig,
-                        theta0: np.ndarray, guard: bool = True) -> Trajectory:
+                        theta0: np.ndarray) -> Trajectory:
     """Closed-form phases arg(exp(gamma*t*A) e^{i*theta0}) + omega*t.
 
     es is the route from spectral.eigensystem_for (an EigenSystem, or the
     graph itself for the Lanczos route), or any EigenSystem. Every sample is
     evaluated without stepping error, so the sample grid is arbitrary. The
-    overflow guard rescales moduli per sample and never changes an argument;
-    guard=False reads the same phases, but raises where x(t) itself
-    overflows, before any sample is formed where the guard shift already
-    does (see Propagator). The
-    diagnostics record the route Propagator took (cdt, lanczos, or
-    numerical for an eigensystem of eigendecompose_symmetric), on the
-    Lanczos route the krylov_dimension m and x0's extreme Ritz values as
-    interval, the guard shift at the last sample, and the smallest
-    min_i |x_i| / max_j |x_j| over the samples, where the phase readout
-    loses meaning as it nears 0.
+    overflow guard rescales moduli per sample and never changes an argument,
+    so the phases are those of x(t) itself. The diagnostics record the route
+    Propagator took (cdt, lanczos, or numerical for an eigensystem of
+    eigendecompose_symmetric), on the Lanczos route the krylov_dimension m
+    and x0's extreme Ritz values as interval, the guard shift at the last
+    sample, and the smallest min_i |x_i| / max_j |x_j| over the samples,
+    where the phase readout loses meaning as it nears 0.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if es.n != cfg.graph.n or theta0.shape != (es.n,):
         raise ValueError("eigensystem, graph and theta0 sizes must agree")
     times = cfg.sample_times()
-    prop = Propagator(es, cfg.gamma, times, guard)
+    prop = Propagator(es, cfg.gamma, times)
     states, shift = prop(np.exp(1j * theta0))
     diagnostics = {"route": prop.route}
     if prop.krylov_dimension is not None:
@@ -384,9 +381,6 @@ def analytic_trajectory(es: EigenSystem | AdjacencyMatrix, cfg: SimulationConfig
     # one (samples, n) array holds the moduli, then the phases, in place
     phases = np.abs(states, out=np.empty((times.size, es.n)))
     top = phases.max(axis=1)
-    if not guard:  # x(t)'s largest moduli, with the shift the call took
-        unguarded(top[:, None], shift)
-        shift = np.zeros_like(shift)
     relative = np.divide(phases.min(axis=1), top, out=np.zeros_like(top), where=top > 0.0)
     diagnostics.update(guard_shift=float(shift[-1]), min_relative_modulus=float(relative.min()))
     # np.angle's arctan2 lands in [-pi, pi]; the add-back then re-wraps to (-pi, pi]
@@ -423,7 +417,7 @@ def analytic_amplitudes(es: EigenSystem | AdjacencyMatrix, cfg: SimulationConfig
 _STABILITY_LIMITS = {"euler": 2.0, "rk4": 2.785}
 
 
-def simulate(cfg: SimulationConfig, method: str = "numerical", guard: bool = True) -> Trajectory:
+def simulate(cfg: SimulationConfig, method: str = "numerical") -> Trajectory:
     """One run of cfg from initial_phases(n, cfg.seed), checked before it starts.
 
     Raises ValueError where a phase can pass 1/eps, and IntegrationError where
@@ -441,7 +435,7 @@ def simulate(cfg: SimulationConfig, method: str = "numerical", guard: bool = Tru
                          "every wrapped phase would be rounding noise")
     theta0 = initial_phases(graph.n, cfg.seed)
     if not numerical:
-        return analytic_trajectory(eigensystem_for(graph), cfg, theta0, guard=guard)
+        return analytic_trajectory(eigensystem_for(graph), cfg, theta0)
     # rho bounds the Laplacian's spectral radius: n on K_n, where exact, else 2 * max degree
     stability = cfg.dt * abs(cfg.kappa) * (graph.n if graph.is_complete else 2 * degree)
     limit = _STABILITY_LIMITS[cfg.integrator]
@@ -461,17 +455,17 @@ def order_parameter(theta: np.ndarray):
     return np.exp(z, out=z).mean(axis=-1)
 
 
-def write_trajectory_csv(traj: Trajectory, cfg: SimulationConfig, path: str | Path,
-                         extra_meta: dict | None = None) -> Path:
+def write_trajectory_csv(traj: Trajectory, cfg: SimulationConfig, path: str | Path) -> Path:
     """Write "t,theta_0,...,theta_{n-1}" rows plus a JSON sidecar.
 
-    The sidecar (same basename, ".meta" suffix) records the full
-    SimulationConfig so a run can be identified and reproduced later.
+    The sidecar (same basename, ".meta" suffix) records the
+    SimulationConfig and the method that ran it (the trajectory's source),
+    so a run can be identified and reproduced later.
     """
     header = "t," + ",".join(f"theta_{i}" for i in range(traj.n))
     path = write_table(path, header, np.column_stack((traj.times, traj.states)))
     write_json(path.with_suffix(".meta"),
-               {"source": traj.source, "config": cfg.to_dict(), **(extra_meta or {})})
+               {"source": traj.source, "config": cfg.to_dict(), "method": traj.source})
     return path
 
 

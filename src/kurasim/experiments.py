@@ -131,8 +131,7 @@ def _run_comparison(graph, kappa, omega, seed, t_end, out_dir, rasters) -> Figur
         out_dir = Path(out_dir)
         artifacts.append(write_report_csv(report, out_dir / "report.csv"))
         for traj in (num, ana):
-            p = write_trajectory_csv(traj, cfg, out_dir / f"trajectory_{traj.source}.csv",
-                                     extra_meta={"method": traj.source})
+            p = write_trajectory_csv(traj, cfg, out_dir / f"trajectory_{traj.source}.csv")
             artifacts.extend([p, p.with_suffix(".meta")])
         if rasters:
             artifacts.extend(write_pgm(traj.states, out_dir / f"raster_{traj.source}.pgm")

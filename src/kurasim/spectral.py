@@ -225,7 +225,7 @@ def unguarded(states: np.ndarray, shift: np.ndarray) -> np.ndarray:
     peak = float(np.max(shift))
     if peak > _EXP_LIMIT:
         raise SpectralError(f"propagator overflow: exponent {peak:.6g}; "
-                            "enable the overflow guard")
+                            "read the guarded states instead")
     return states * np.exp(shift)[:, None]
 
 
@@ -239,8 +239,7 @@ class Propagator:
     returns (states, shift): states shaped (samples, n) and, per sample,
     what the overflow guard subtracted from every log-modulus, so
     x(t) = unguarded(states, shift) = exp(shift) * states. The guard never
-    changes an argument. With guard=False the propagator raises
-    SpectralError through unguarded's check as soon as its shift is known.
+    changes an argument.
 
     On an eigensystem V diag(exp(gamma*t*lambda)) V^{-1} x0 is evaluated per
     sample, and the guard subtracts t * max_r Re(gamma*lambda_r). A circulant
@@ -249,8 +248,8 @@ class Propagator:
     products on the real and imaginary parts. The eigensystem of a complete
     graph is applied through its two eigenspaces instead, in O(n) per
     sample, and its guard takes the exact eigenvalues n - 1 and -1:
-    t * max(gamma*(n - 1), -gamma). An eigensystem's shift is known, and
-    checked, when the propagator is built.
+    t * max(gamma*(n - 1), -gamma). An eigensystem's shift is known when
+    the propagator is built.
 
     On a graph each call builds the Lanczos basis V_m of x0, one
     graph.product per step, and evaluates every sample as
@@ -261,14 +260,12 @@ class Propagator:
     y = exp(gamma*t*(T_m - s)) e_1, is compared with its own rounding level,
     beta_m * m * eps * ||y||, and the steps stop once it is there, or once
     the Krylov space is invariant, at m = n at the latest, where T_m is
-    exact. The shift is checked once the Ritz values are known, before the
-    (samples, n) states are formed. After a call krylov_dimension is m and
-    interval is [theta_min, theta_max], x0's extreme Ritz values; on an
-    eigensystem both stay None.
+    exact. After a call krylov_dimension is m and interval is
+    [theta_min, theta_max], x0's extreme Ritz values; on an eigensystem both
+    stay None.
     """
 
-    def __init__(self, system: EigenSystem | AdjacencyMatrix, gamma: float, times: np.ndarray,
-                 guard: bool = True):
+    def __init__(self, system: EigenSystem | AdjacencyMatrix, gamma: float, times: np.ndarray):
         if not np.isfinite(gamma):
             raise ValueError(f"gamma must be finite, got {gamma}")
         times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -286,7 +283,7 @@ class Propagator:
                                 "exceeds the floating-point range")
         self.system, self.route = system, "lanczos" if lanczos else system.source
         self.krylov_dimension = self.interval = None
-        self._gamma, self._times, self._guard = gamma, times, guard
+        self._gamma, self._times = gamma, times
         if lanczos:
             return
         if system.complete:
@@ -303,8 +300,6 @@ class Propagator:
         else:
             self._factors = np.exp(propagator_exponents(system, gamma, times))
             self.shift = _guard_rate(system, gamma) * times
-        if not guard:
-            unguarded(np.empty((times.size, 0)), self.shift)
 
     def __call__(self, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x0 = np.asarray(x0, dtype=complex)
@@ -344,11 +339,8 @@ class Propagator:
             if betas[-1] * abs(at_end[-1]) <= betas[-1] * m * _EPS * np.linalg.norm(at_end):
                 break
         self.krylov_dimension, self.interval = m, [float(ritz[0]), float(ritz[-1])]
-        shift = top * times
-        if not self._guard:
-            unguarded(np.empty((times.size, 0)), shift)
         coeffs = (np.exp(np.outer(times, rates - top)) * (norm * vecs[0])) @ vecs.T
-        return _real_matmul(coeffs, basis), shift
+        return _real_matmul(coeffs, basis), top * times
 
 
 def apply_propagator(system: EigenSystem | AdjacencyMatrix, gamma: float, t: float,

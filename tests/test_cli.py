@@ -21,7 +21,6 @@ import kurasim
 from kurasim import dynamics, graphs, spectral
 from kurasim._text import read_json
 from kurasim.cli import _FIGURE_FLAGS, _FIGURES, build_parser, main
-from kurasim.dynamics import read_trajectory_csv
 from kurasim.graphs import gen_complete, gen_ring, gen_watts_strogatz, write_edge_list
 
 
@@ -115,6 +114,18 @@ def test_simulate_coupling_flags_are_exclusive(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--graph", "complete", "--n", 3, "--kappa", 1, "--method", "analytic",
+     "--no-guard"],
+    ["figure", 3, "--full"],
+], ids=["no-guard", "full"])
+def test_retired_flags_are_rejected_by_argparse(tmp_path, capsys, argv):
+    # the guard is always on, and figure 3's grid size is --points alone
+    with pytest.raises(SystemExit) as exc:
+        _run([*argv, "--out", tmp_path])
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_simulate_raster(tmp_path):
     _run(["simulate", "--graph", "complete", "--n", 8, "--kappa", 1,
           "--raster", "--out", tmp_path])
@@ -122,85 +133,15 @@ def test_simulate_raster(tmp_path):
     assert raw.startswith(b"P5\n8 1001\n255\n")
 
 
-def test_simulate_analytic_overflow_exits_3(tmp_path, capsys):
-    code = _run(["simulate", "--graph", "complete", "--n", 200, "--kappa", 50,
-                 "--method", "analytic", "--no-guard", "--out", tmp_path])
-    assert code == 3
-    assert "error:" in capsys.readouterr().err
-    # the guard makes the same run finish
-    assert _run(["simulate", "--graph", "complete", "--n", 200, "--kappa", 50,
-                 "--method", "analytic", "--out", tmp_path]) == 0
-
-
-def test_simulate_complete_graph_long_horizon_overflow_exits_3(tmp_path, capsys):
-    # gamma * (n - 1) * t_end is about 6.3e4 here; the run fails before any sample
-    code = _run(["simulate", "--graph", "complete", "--n", 200, "--kappa", 50,
-                 "--t-end", 10, "--method", "analytic", "--no-guard", "--out", tmp_path])
-    assert code == 3
-    assert "enable the overflow guard" in capsys.readouterr().err
-
-
-def test_no_guard_overflow_exits_before_any_sample(tmp_path, capsys, monkeypatch):
-    # an overflowing unguarded run fails as soon as its guard shift is known:
-    # on the complete graph when the propagator is built, before it is ever
-    # called, and on a WS graph once x0's Lanczos steps have given their Ritz
-    # values, before the (samples, n) states are read out of the basis
-    def refuse(*args):
-        raise AssertionError("a sample was evaluated")
-
-    argv = ["--method", "analytic", "--no-guard", "--out", tmp_path]
-    with monkeypatch.context() as patch:
-        patch.setattr(spectral.Propagator, "__call__", refuse)
-        assert _run(["simulate", "--graph", "complete", "--n", 200, "--kappa", 50,
-                     "--t-end", 10, *argv]) == 3
-    assert "enable the overflow guard" in capsys.readouterr().err
-    monkeypatch.setattr(spectral, "_real_matmul", refuse)
-    assert _run(["simulate", "--graph", "ws", "--n", 1500, "--k", 10, "--q", 0.1,
-                 "--kappa", 60, "--record-every", 1000, *argv]) == 3
-    assert "enable the overflow guard" in capsys.readouterr().err
-    assert not (tmp_path / "trajectory.csv").exists()
-
-
-def test_astronomical_exponent_is_reported_in_one_short_line(tmp_path, capsys):
-    # gamma * lambda_max * t is about 1.7e301 here; the exponent prints in six
-    # significant digits
-    assert _run(["simulate", "--graph", "er", "--n", 50, "--p", 0.5, "--kappa", 1e300,
-                 "--method", "analytic", "--no-guard", "--out", tmp_path]) == 3
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: propagator overflow: exponent ") and len(line) < 100
-
-
 def test_simulate_repulsive_coupling_guard(tmp_path, monkeypatch):
-    # kappa < 0: the dominant mode is lambda_min, and the guard must shift by it
-    argv = ["simulate", "--graph", "complete", "--n", 200, "--kappa", -5,
-            "--method", "analytic", "--t-end", 2]
-    assert _run(argv + ["--no-guard", "--out", tmp_path / "raw"]) == 0
-    # the ring/complete closed form never builds a dense Fourier matrix
+    # kappa < 0: the dominant mode is lambda_min = -1, and the guard shifts by
+    # it; the ring/complete closed form never builds a dense Fourier matrix
     monkeypatch.setattr(spectral, "cdt_fourier_matrix", _no_dense_fourier)
-    assert _run(argv + ["--out", tmp_path / "guarded"]) == 0
-    raw = read_trajectory_csv(tmp_path / "raw" / "trajectory.csv")[0].states
-    guarded = read_trajectory_csv(tmp_path / "guarded" / "trajectory.csv")[0].states
-    diff = np.remainder(guarded - raw + np.pi, 2 * np.pi) - np.pi
-    assert np.abs(diff).max() <= 1e-9
-
-
-@pytest.mark.parametrize("graph, route", [
-    (["--graph", "ring", "--n", 40, "--k", 3, "--kappa", 1], "cdt"),
-    (["--graph", "complete", "--n", 200, "--kappa", -5, "--t-end", 2], "cdt"),
-    (["--graph", "ws", "--n", 200, "--k", 4, "--q", 0.2, "--kappa-over-n", 50], "lanczos"),
-    # |gamma| * t_end = 64, where eigh once took over: still x0's Krylov space
-    (["--graph", "ws", "--n", 200, "--k", 4, "--q", 0.2, "--kappa", 10, "--t-end", 10,
-      "--record-every", 100], "lanczos"),
-], ids=["ring", "complete", "ws", "eigh"])
-def test_no_guard_writes_the_guarded_phases(tmp_path, graph, route):
-    # the guard rescales moduli only, so the phases are the same bytes
-    argv = ["simulate", *graph, "--method", "analytic"]
-    assert _run(argv + ["--out", tmp_path / "guarded"]) == 0
-    assert _run(argv + ["--no-guard", "--out", tmp_path / "raw"]) == 0
-    diag = read_json(tmp_path / "raw" / "manifest.json")["diagnostics"]
-    assert diag["route"] == route and diag["guard_shift"] == 0.0
-    assert ((tmp_path / "raw" / "trajectory.csv").read_bytes()
-            == (tmp_path / "guarded" / "trajectory.csv").read_bytes())
+    assert _run(["simulate", "--graph", "complete", "--n", 200, "--kappa", -5,
+                 "--method", "analytic", "--t-end", 2, "--out", tmp_path]) == 0
+    diag = read_json(tmp_path / "manifest.json")["diagnostics"]
+    gamma = 2 * -5 / np.pi
+    assert diag["route"] == "cdt" and diag["guard_shift"] == -gamma * 2.0
 
 
 def test_unknown_graph_source_exits_2(tmp_path, capsys):
@@ -454,12 +395,14 @@ def test_figure1_reports_deviation(tmp_path, capsys):
 
 @pytest.mark.parametrize("method", ["numerical", "analytic"])
 def test_figure1_runs_what_simulate_runs(tmp_path, method):
-    # one seeded run path: figure 1's trajectories are simulate's, byte for byte
+    # one seeded run path: figure 1's trajectories and their sidecars are
+    # simulate's, byte for byte
     assert _run(["figure", "1", "--seed", 7, "--out", tmp_path / "fig"]) == 0
     assert _run(["simulate", "--graph", "complete", "--n", 3, "--kappa", 1, "--omega-hz", 10,
                  "--seed", 7, "--method", method, "--out", tmp_path / "sim"]) == 0
-    figure = (tmp_path / "fig" / f"trajectory_{method}.csv").read_bytes()
-    assert figure == (tmp_path / "sim" / "trajectory.csv").read_bytes()
+    for suffix in (".csv", ".meta"):
+        figure = (tmp_path / "fig" / f"trajectory_{method}").with_suffix(suffix).read_bytes()
+        assert figure == (tmp_path / "sim" / "trajectory").with_suffix(suffix).read_bytes()
     diagnostics = read_json(tmp_path / "fig" / "manifest.json")["diagnostics"]
     assert diagnostics[method] == read_json(tmp_path / "sim" / "manifest.json")["diagnostics"]
 
@@ -501,13 +444,13 @@ def test_figure1_honours_zero_t_end(tmp_path):
 
 
 # the value each figure-only flag is given, where 5 would not parse
-_FLAG_VALUES = {"--full": [], "--variant": ["ws"]}
+_FLAG_VALUES = {"--variant": ["ws"]}
 
 
 @pytest.mark.parametrize("fig, flag", [(2, "--t-end"), (3, "--t-end"), (4, "--t-end"),
                                        (1, "--kappa"), (2, "--kappa"), (3, "--kappa"),
                                        (1, "--points"), (4, "--points"),
-                                       (2, "--realizations"), (2, "--full"),
+                                       (2, "--realizations"),
                                        (1, "--variant"), (3, "--variant")])
 def test_figure_rejects_flags_of_other_figures(tmp_path, capsys, fig, flag):
     assert _run(["figure", fig, flag, *_FLAG_VALUES.get(flag, [5]), "--out", tmp_path]) == 2
@@ -516,29 +459,19 @@ def test_figure_rejects_flags_of_other_figures(tmp_path, capsys, fig, flag):
     assert not (tmp_path / "manifest.json").exists()
 
 
-def test_figure3_rejects_points_with_full(tmp_path, capsys):
-    # --full sets the grid to 1000 points, so --points beside it would be ignored
-    assert _run(["figure", 3, "--full", "--points", 5, "--out", tmp_path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "--points" in err and "--full" in err
-    assert not (tmp_path / "manifest.json").exists()
-
-
 def test_figure_manifest_records_the_values_used(tmp_path):
     assert _run(["figure", "1", "--out", tmp_path / "f1"]) == 0
     params = {1: read_json(tmp_path / "f1" / "manifest.json")["params"]}
     assert params[1]["t_end"] == 1.0
-    assert params[1]["points"] is params[1]["full"] is params[1]["variant"] is None
+    assert params[1]["points"] is params[1]["variant"] is None
     assert _run(["figure", "3", "--points", 2, "--jobs", 1, "--out", tmp_path / "f3"]) == 0
     params[3] = read_json(tmp_path / "f3" / "manifest.json")["params"]
-    assert (params[3]["points"], params[3]["realizations"], params[3]["full"],
-            params[3]["jobs"]) == (2, 10, False, 1)
+    assert (params[3]["points"], params[3]["realizations"], params[3]["jobs"]) == (2, 10, 1)
     assert params[3]["t_end"] is params[3]["kappa"] is params[3]["variant"] is None
     assert _run(["figure", "4", "--out", tmp_path / "f4"]) == 0
     params[4] = read_json(tmp_path / "f4" / "manifest.json")["params"]
     assert (params[4]["kappa"], params[4]["variant"]) == (0.25, "er")
-    assert (params[4]["t_end"] is params[4]["points"] is params[4]["realizations"]
-            is params[4]["full"] is None)
+    assert params[4]["t_end"] is params[4]["points"] is params[4]["realizations"] is None
     # an absent flag records its figure function's default (figure 2 has no flags)
     for figure, recorded in params.items():
         defaults = inspect.signature(_FIGURES[figure]).parameters
@@ -686,6 +619,63 @@ def test_numpy_coupling_kernel_evaluations_per_command(tmp_path, monkeypatch, ar
     assert len(calls) == evaluations
 
 
+def _count_solver_work(monkeypatch):
+    """Count graph products and the sizes of the matrices numpy's symmetric
+    eigensolvers are given, from here to the end of the test."""
+    work = {"products": 0, "eigh": [], "eigvalsh": []}
+    product = graphs.AdjacencyMatrix.product
+
+    def counted_product(graph, x):
+        work["products"] += 1
+        return product(graph, x)
+
+    def counted(name):
+        solver = getattr(np.linalg, name)
+
+        def solve(a, *args, **kwargs):
+            work[name].append(len(a))
+            return solver(a, *args, **kwargs)
+        return solve
+
+    monkeypatch.setattr(graphs.AdjacencyMatrix, "product", counted_product)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    return work
+
+
+@pytest.mark.parametrize("variant", ["er", "ws"])
+def test_figure4_products_and_eigensolves(tmp_path, monkeypatch, variant):
+    # two products per Euler RHS evaluation over 1000 steps, and m = 20 Lanczos
+    # steps with an eigh of T_m every 4 steps; no n x n eigensolver
+    work = _count_solver_work(monkeypatch)
+    for seed in range(4):
+        work.update(products=0, eigh=[], eigvalsh=[])
+        assert _run(["figure", 4, "--variant", variant, "--seed", seed,
+                     "--out", tmp_path / str(seed)]) == 0
+        diagnostics = read_json(tmp_path / str(seed) / "manifest.json")["diagnostics"]
+        assert diagnostics["analytic"]["krylov_dimension"] == 20, seed
+        assert work == {"products": 2000 + 20, "eigh": [4, 8, 12, 16, 20], "eigvalsh": []}, seed
+
+
+@pytest.mark.parametrize("argv, eigvalsh", [
+    (["graph", "ring", "--n", 64, "--k", 3], []),
+    (["simulate", *_N3], []),
+    (["simulate", *_N3, "--method", "analytic"], []),
+    (["spectrum", "--graph", "ring", "--n", 64, "--k", 3, "--mode", "both"], [64]),
+    (["figure", 1, "--seed", 7, "--t-end", 10], []),
+    (["figure", 2, "--seed", 7], []),
+    # README's figure 3 on a smaller grid, in-process: its rows take the same routes
+    (["figure", 3, "--points", 2, "--realizations", 2, "--jobs", 1], []),
+], ids=["graph", "simulate3", "simulate3-analytic", "spectrum", "figure1", "figure2", "figure3"])
+def test_readme_commands_take_no_products_or_eigh(tmp_path, monkeypatch, argv, eigvalsh):
+    # complete graphs run the mean-field kernel and the two-eigenspace closed
+    # form, rings the FFT; only spectrum --mode numerical|both solves an n x n
+    # problem, with one eigvalsh. README's figure 4 is seed 0 of the test above
+    work = _count_solver_work(monkeypatch)
+    assert _run([*argv, "--out", tmp_path]) == 0
+    assert work == {"products": 0, "eigh": [], "eigvalsh": eigvalsh}
+
+
 # --------------------------------------------------------------- manifests
 
 def test_manifest_contents(tmp_path):
@@ -714,9 +704,6 @@ def test_simulate_analytic_manifest_diagnostics(tmp_path):
     assert manifest["artifacts"] == ["trajectory.csv", "trajectory.meta"]
     meta = json.loads((tmp_path / "ws" / "trajectory.meta").read_text())
     assert "diagnostics" not in meta
-    assert _run(["simulate", *ws, "--method", "analytic", "--no-guard",
-                 "--out", tmp_path / "raw"]) == 0
-    assert read_json(tmp_path / "raw" / "manifest.json")["diagnostics"]["guard_shift"] == 0.0
     assert _run(["simulate", "--graph", "ring", "--n", 40, "--k", 3, "--kappa", 1,
                  "--method", "analytic", "--out", tmp_path / "ring"]) == 0
     diag = read_json(tmp_path / "ring" / "manifest.json")["diagnostics"]
@@ -729,6 +716,15 @@ def test_simulate_analytic_manifest_diagnostics(tmp_path):
     assert diag["route"] == "lanczos" and 50 < diag["krylov_dimension"] <= 200
     lo, hi = diag["interval"]
     assert lo < 0.0 < hi
+    # x(t_end) on K200 at kappa = 50 reaches e^{gamma * (n - 1) * t_end}, past
+    # the float range (6.3e3 and 6.3e4); the guard divides it out and the run
+    # reports what it divided
+    for t_end in (1, 10):
+        out = tmp_path / f"k200_{t_end}"
+        assert _run(["simulate", "--graph", "complete", "--n", 200, "--kappa", 50,
+                     "--t-end", t_end, "--method", "analytic", "--out", out]) == 0
+        diag = read_json(out / "manifest.json")["diagnostics"]
+        assert diag["route"] == "cdt" and diag["guard_shift"] == 2 * 50 / np.pi * 199 * t_end
     # a numerical run records dt * |kappa| * 2 * max degree, its step's stability number
     assert _run(["simulate", *ws, "--out", tmp_path / "num"]) == 0
     diag = read_json(tmp_path / "num" / "manifest.json")["diagnostics"]
@@ -819,8 +815,6 @@ def _argv(draw):
                  "--record-every", value(st.integers(1, 3), st.integers(-1, 0)),
                  "--method", draw(st.sampled_from(["numerical", "analytic"])),
                  "--integrator", draw(st.sampled_from(["euler", "rk4"]))]
-        if draw(st.booleans()):
-            argv.append("--no-guard")
     return [str(a) for a in argv]
 
 

@@ -30,7 +30,7 @@ from kurasim.experiments import _sweep_task
 from kurasim.graphs import (gen_complete, gen_erdos_renyi, gen_ring,
                             gen_watts_strogatz, read_edge_list,
                             ring_generating_vector, write_edge_list)
-from kurasim.spectral import (Propagator, SpectralError, apply_propagator, cdt_eigensystem,
+from kurasim.spectral import (Propagator, apply_propagator, cdt_eigensystem,
                               eigendecompose_symmetric, eigensystem_for,
                               eigenvalues_symmetric)
 
@@ -508,30 +508,6 @@ def test_amplitudes_late_time_mean_projection():
     assert np.abs(values - expect).max() < 1e-8
 
 
-def test_no_guard_overflow_on_the_lanczos_route_is_reported(monkeypatch):
-    # the shift, t * gamma times x0's largest Ritz value, is known once the
-    # Lanczos steps stop; guard=False checks it there, before the states are
-    # read out of the basis
-    graph = gen_watts_strogatz(60, 4, 0.2, 0)
-    lam_max = float(eigenvalues_symmetric(graph).real.max())
-    theta0 = initial_phases(60, 0)
-
-    def run(gamma_t, guard):
-        cfg = _cfg(graph=graph, kappa=gamma_t / lam_max * math.pi / 2, dt=0.25)
-        return analytic_trajectory(graph, cfg, theta0, guard=guard)
-
-    # gamma * lambda_max * t_end = 700 bounds the shift: x(t) is in range
-    raw, guarded = run(700.0, False), run(700.0, True)
-    assert raw.diagnostics["route"] == "lanczos" and np.array_equal(raw.states, guarded.states)
-
-    def refuse(*args):
-        raise AssertionError("the states were read out")
-
-    monkeypatch.setattr(spectral, "_real_matmul", refuse)
-    with pytest.raises(SpectralError, match="enable the overflow guard"):
-        run(800.0, False)
-
-
 def test_amplitudes_report_the_guard_shift():
     # Lanczos route, guard on: values - shift are the unguarded -ln|x_i(t)|
     g = gen_watts_strogatz(80, 4, 0.2, 3)
@@ -602,8 +578,8 @@ def test_simulate_runs_the_seeded_state_and_reports_its_stability(graph, integra
     assert np.array_equal(traj.states, want.states) and traj.source == "numerical"
     rho = graph.n if graph.is_complete else 2 * int(graph.degrees().max())
     assert traj.diagnostics == {"step_stability": 1e-3 * 0.5 * rho}
-    ana = simulate(cfg, "analytic", guard=False)
-    want = analytic_trajectory(eigensystem_for(graph), cfg, theta0, guard=False)
+    ana = simulate(cfg, "analytic")
+    want = analytic_trajectory(eigensystem_for(graph), cfg, theta0)
     assert np.array_equal(ana.states, want.states) and ana.diagnostics == want.diagnostics
 
 

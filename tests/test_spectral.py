@@ -293,13 +293,19 @@ def test_propagator_semigroup():
 
 
 def test_guard_preserves_arguments():
-    es = cdt_eigensystem(ring_generating_vector(10, 4))
-    x0 = np.exp(1j * np.linspace(-2.0, 2.0, 10))
-    a = apply_propagator(es, 1.0, 3.0, x0)
-    b = Propagator(es, 1.0, [3.0])(x0)[0][0]
-    diff = np.angle(a) - np.angle(b)
-    diff = np.abs(np.remainder(diff + np.pi, 2 * np.pi) - np.pi)
-    assert diff.max() < 1e-10
+    # the guard rescales moduli only: the guarded states have x(t)'s phases,
+    # on the ring's FFT, the complete graph's repulsive form and the Lanczos
+    # route, also at |gamma| * t_end = 64, where x0's Krylov space grows
+    ws = gen_watts_strogatz(200, 4, 0.2, 0)
+    cases = {"ring": (gen_ring(40, 3), 1.0, 1.0), "complete": (gen_complete(200), -5.0, 2.0),
+             "ws": (ws, 0.25, 1.0), "ws-strong": (ws, 10.0, 10.0)}
+    for name, (graph, kappa, t_end) in cases.items():
+        times = np.linspace(0.0, t_end, 101)
+        x0 = np.exp(1j * initial_phases(graph.n, 0))
+        states, shift = Propagator(eigensystem_for(graph), 2 * kappa / np.pi, times)(x0)
+        assert shift[-1] != 0.0, name
+        gap = _wrapped_gap(np.angle(unguarded(states, shift)), np.angle(states))
+        assert gap < 1e-10, name
 
 
 @pytest.mark.parametrize("gamma", [-3.2, -0.5, 0.0, 0.7, 3.2])
@@ -345,6 +351,19 @@ def test_gamma_past_the_float_range_raises():
             Propagator(graph, edge * (1.0 + 1e-9), [0.0, 2.0])
         states, shift = Propagator(graph, -edge * (1.0 - 1e-9), [0.0, 2.0])(x0)
     assert np.all(np.isfinite(states)) and np.all(np.isfinite(shift))
+
+
+def test_astronomical_exponent_is_reported_in_one_short_line():
+    # gamma * lambda_max * t is about 1.7e301 here: x(t) itself is past the
+    # float range, and the exponent prints in six significant digits
+    x0 = np.exp(1j * initial_phases(50, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpectralError) as exc:
+            apply_propagator(gen_erdos_renyi(50, 0.5, 0), 2e300 / np.pi, 1.0, x0)
+    line = f"error: {exc.value}"
+    assert line.startswith("error: propagator overflow: exponent ") and "\n" not in line
+    assert len(line) < 100
 
 
 def test_guard_prevents_overflow():
@@ -700,7 +719,7 @@ def test_complete_route_amplitudes_match_unguarded_oracle(gamma):
 def test_complete_route_overflow():
     es = eigensystem_for(gen_complete(200))
     x0 = np.ones(200, dtype=complex)
-    with pytest.raises(SpectralError, match="enable the overflow guard"):
+    with pytest.raises(SpectralError, match="read the guarded states instead"):
         unguarded(*Propagator(es, 1.0, [0.0, 10.0])(x0))
     x = Propagator(es, 1.0, [10.0])(x0)[0][0]
     assert np.abs(x - 1.0).max() <= 1e-15  # the uniform mode, rescaled to 1

@@ -77,11 +77,11 @@ def test_edge_list_matches_reference(tmp_path, rows):
 @pytest.mark.parametrize("rows", _row_counts(201))
 def test_trajectory_matches_reference(tmp_path, rows):
     traj, cfg = _trajectory(rows, 200), _config(200)
-    path = write_trajectory_csv(traj, cfg, tmp_path / "t.csv", extra_meta={"method": "x"})
+    path = write_trajectory_csv(traj, cfg, tmp_path / "t.csv")
     header = "t," + ",".join(f"theta_{i}" for i in range(200))
     want = _reference(header, np.column_stack((traj.times, traj.states)))
     assert path.read_bytes() == want
-    meta = {"source": "numerical", "config": cfg.to_dict(), "method": "x"}
+    meta = {"source": "numerical", "config": cfg.to_dict(), "method": "numerical"}
     want_meta = json.dumps(meta, indent=2, sort_keys=True) + "\n"
     assert path.with_suffix(".meta").read_text(encoding="ascii") == want_meta
 

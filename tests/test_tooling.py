@@ -1,5 +1,6 @@
 """Packaging constraints that no single module's tests can see."""
 
+import argparse
 import importlib
 import importlib.util
 import inspect
@@ -97,15 +98,24 @@ def test_package_re_exports_every_module_all():
 
 def test_figure_functions_take_exactly_their_flags():
     # each run_figN parameter but the seed, the pool size and the output target
-    # is a flag of `figure N`, and each flag but --full is such a parameter
-    cli_only = set()
+    # is a flag of `figure N`, and each such flag is a parameter
     for figure, run in cli._FIGURES.items():
         assert run is getattr(experiments, f"run_fig{figure}")
         params = inspect.signature(run).parameters.keys() - {"seed", "jobs", "out_dir", "out_csv"}
         flags = {dest for dest, fig in cli._FIGURE_FLAGS.items() if fig == figure}
-        assert params <= flags, figure
-        cli_only |= flags - params
-    assert cli_only == {"full"}
+        assert params == flags, figure
+
+
+def test_readme_command_line_names_exactly_the_parser_options():
+    # every option a user can pass is documented, and no retired one lingers
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {option for p in (parser, *commands.choices.values()) for action in p._actions
+               for option in action.option_strings}
+    assert named == options - {"-h", "--help", "--version"}
 
 
 def test_readme_library_block_runs():
