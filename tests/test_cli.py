@@ -21,6 +21,7 @@ import kurasim
 from kurasim import dynamics, graphs, spectral
 from kurasim._text import read_json
 from kurasim.cli import _FIGURE_FLAGS, _FIGURES, build_parser, main
+from kurasim.dynamics import read_trajectory_csv
 from kurasim.graphs import gen_complete, gen_ring, gen_watts_strogatz, write_edge_list
 
 
@@ -131,6 +132,65 @@ def test_simulate_raster(tmp_path):
           "--raster", "--out", tmp_path])
     raw = (tmp_path / "trajectory.pgm").read_bytes()
     assert raw.startswith(b"P5\n8 1001\n255\n")
+
+
+def _k200_guard_shift(out, *flags):
+    assert _run(["simulate", "--graph", "complete", "--n", 200, *flags,
+                 "--method", "analytic", "--out", out]) == 0
+    diag = read_json(out / "manifest.json")["diagnostics"]
+    assert diag["route"] == "cdt"
+    return diag["guard_shift"]
+
+
+def test_simulate_analytic_overflow_exits_3(tmp_path, capsys):
+    # x(1) on K200 at kappa = 50 reaches e^{gamma * (n - 1)} = e^6.3e3, past the
+    # float range; the guard divides it out and the run reports what it divided
+    shift = _k200_guard_shift(tmp_path / "k50", "--kappa", 50)
+    assert shift == 2 * 50 / np.pi * 199
+    # an exponent past the float range itself cannot be formed, guard or not
+    assert _run(["simulate", "--graph", "complete", "--n", 200, "--kappa", 1e306,
+                 "--method", "analytic", "--out", tmp_path / "far"]) == 3
+    assert "exceeds the floating-point range" in capsys.readouterr().err
+    assert not (tmp_path / "far" / "trajectory.csv").exists()
+
+
+def test_simulate_complete_graph_long_horizon_overflow_exits_3(tmp_path, capsys):
+    # gamma * (n - 1) * t_end is about 6.3e4 here; the guarded run finishes
+    shift = _k200_guard_shift(tmp_path / "k50", "--kappa", 50, "--t-end", 10)
+    assert shift == 2 * 50 / np.pi * 199 * 10
+    # the bound on the exponent grows with t_end: a coupling that runs for 1 s
+    # exits 3 for 10 s
+    _k200_guard_shift(tmp_path / "short", "--kappa", 2e305)
+    capsys.readouterr()
+    assert _run(["simulate", "--graph", "complete", "--n", 200, "--kappa", 2e305,
+                 "--t-end", 10, "--method", "analytic", "--out", tmp_path / "long"]) == 3
+    assert "exceeds the floating-point range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("graph, build, kappa, route", [
+    (["--graph", "ring", "--n", 40, "--k", 3, "--kappa", 1],
+     lambda: gen_ring(40, 3), 1.0, "cdt"),
+    (["--graph", "complete", "--n", 200, "--kappa", -5, "--t-end", 2],
+     lambda: gen_complete(200), -5.0, "cdt"),
+    (["--graph", "ws", "--n", 200, "--k", 4, "--q", 0.2, "--kappa-over-n", 50],
+     lambda: gen_watts_strogatz(200, 4, 0.2, 0), 50 / 200, "lanczos"),
+    # |gamma| * t_end = 64, where eigh once took over: still x0's Krylov space
+    (["--graph", "ws", "--n", 200, "--k", 4, "--q", 0.2, "--kappa", 10, "--t-end", 10,
+      "--record-every", 100], lambda: gen_watts_strogatz(200, 4, 0.2, 0), 10.0, "lanczos"),
+], ids=["ring", "complete", "ws", "eigh"])
+def test_no_guard_writes_the_guarded_phases(tmp_path, graph, build, kappa, route):
+    # the guard rescales moduli only, so the written phases are those of x(t)
+    # itself, which unguarded gives back from the guarded states
+    assert _run(["simulate", *graph, "--method", "analytic", "--out", tmp_path]) == 0
+    assert read_json(tmp_path / "manifest.json")["diagnostics"]["route"] == route
+    written = read_trajectory_csv(tmp_path / "trajectory.csv")[0]
+    graph = build()
+    x0 = np.exp(1j * dynamics.initial_phases(graph.n, 0))
+    states, shift = spectral.Propagator(spectral.eigensystem_for(graph), 2 * kappa / np.pi,
+                                        written.times)(x0)
+    x = spectral.unguarded(states, shift)
+    gap = np.remainder(np.angle(x) - written.states + np.pi, 2 * np.pi) - np.pi
+    assert np.abs(gap).max() < 1e-10
 
 
 def test_simulate_repulsive_coupling_guard(tmp_path, monkeypatch):
@@ -716,15 +776,6 @@ def test_simulate_analytic_manifest_diagnostics(tmp_path):
     assert diag["route"] == "lanczos" and 50 < diag["krylov_dimension"] <= 200
     lo, hi = diag["interval"]
     assert lo < 0.0 < hi
-    # x(t_end) on K200 at kappa = 50 reaches e^{gamma * (n - 1) * t_end}, past
-    # the float range (6.3e3 and 6.3e4); the guard divides it out and the run
-    # reports what it divided
-    for t_end in (1, 10):
-        out = tmp_path / f"k200_{t_end}"
-        assert _run(["simulate", "--graph", "complete", "--n", 200, "--kappa", 50,
-                     "--t-end", t_end, "--method", "analytic", "--out", out]) == 0
-        diag = read_json(out / "manifest.json")["diagnostics"]
-        assert diag["route"] == "cdt" and diag["guard_shift"] == 2 * 50 / np.pi * 199 * t_end
     # a numerical run records dt * |kappa| * 2 * max degree, its step's stability number
     assert _run(["simulate", *ws, "--out", tmp_path / "num"]) == 0
     diag = read_json(tmp_path / "num" / "manifest.json")["diagnostics"]
