@@ -120,8 +120,6 @@ def _float_rows(block: np.ndarray, sep: str) -> bytes:
     a = np.abs(v)
     fast = (a >= 1e-4) & (a < 2.0 ** 50) & (a.view(_I64) & _MANTISSA != 0)
     done = a == 0
-    if not (fast.any() or done.any()):  # every value left to repr
-        return _repr_batch(((sep.join(["%r"] * width) + "\n") * rows).encode("ascii"), v)
     if fast.all():
         digits, exp10, zeros, done = _shortest(a)
         cells = _cells(digits, exp10, zeros, negative)

@@ -3,7 +3,7 @@
 The numerical side integrates theta_i' = omega + kappa * sum_j a_ij *
 sin(theta_j - theta_i) with fixed-step Euler or RK4, one state row or a
 batch of rows at a time, through a coupling kernel chosen once per graph
-(a short row on a complete graph steps as Python floats, with numpy's bits).
+(a short Euler row on a complete graph steps as Python floats, with numpy's bits).
 The analytic side evaluates x(t) = exp(gamma*t*A) e^{i*theta0} with the
 rescaled coupling gamma = 2*kappa/pi on the route spectral picks for the
 graph, takes arguments, and restores the omega*t drift that the rotating
@@ -210,9 +210,8 @@ def km_rhs(theta: np.ndarray, cfg: SimulationConfig) -> np.ndarray:
 _FLOAT_ROW_LIMIT = 8
 
 
-def step_states(cfg: SimulationConfig, theta0: np.ndarray, order: bool = False,
-                kappa=None) -> Iterator[tuple]:
-    """Yield (step, state) after each fixed step from theta0, shaped (n,) or (batch, n).
+def step_states(cfg: SimulationConfig, theta0: np.ndarray, kappa=None) -> Iterator[tuple]:
+    """(step, state, sums) from step 0 (theta0 itself) on; states are (n,) or (batch, n).
 
     kappa, when given, replaces cfg.kappa: a scalar, or an array that
     broadcasts to the state's shape, such as a (batch, 1) column that gives
@@ -220,42 +219,30 @@ def step_states(cfg: SimulationConfig, theta0: np.ndarray, order: bool = False,
     elementwise or a sum along a row, so each row of a batch steps bit for
     bit as it would alone; the figure-3 sweep steps all its (kappa, seed)
     pairs this way, as one state.
-    With order, yield (step, state, r) instead, from step 0 (theta0 itself)
-    on, r the order parameter of state per row. Where every pair is coupled,
-    r is (sum cos + i sum sin) / n from the sums of the mean-field kernel,
-    which evaluates each state at the start of the next step, so only the
-    last state needs cos/sin of its own; on other graphs r is
-    order_parameter.
+    sums is the mean-field kernel's (sum cos, sum sin) of state per row,
+    with the axis kept, which it evaluates at the start of the next step;
+    it is None on other graphs, after the last step and on a Python-float row.
     States stay unwrapped. Raises IntegrationError with the step index as
     soon as the state turns non-finite. On the mean-field kernel that is
     read from sum cos(theta) per row, which is non-finite exactly when a
     phase of the row is, except after the last step, where no sums exist.
     A single finite row of fewer than 8 phases on a complete graph, with a
-    scalar kappa, steps as Python floats (_float_steps), with the same bits.
+    scalar kappa, takes Euler steps as Python floats (_float_steps), with the
+    same bits.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape[-1:] != (cfg.graph.n,) or theta0.ndim > 2:
         raise ValueError(f"theta0 shape {theta0.shape} does not match graph size {cfg.graph.n}")
     kappa = cfg.kappa if kappa is None else np.asarray(kappa, dtype=float)
     np.broadcast_to(kappa, theta0.shape)  # raises ValueError where kappa does not fit
-    if (cfg.graph.is_complete and cfg.graph.n < _FLOAT_ROW_LIMIT and theta0.ndim == 1
-            and np.ndim(kappa) == 0 and np.isfinite(theta0).all()):
-        steps = _float_steps(cfg, theta0, float(kappa))
-    else:
-        steps = _array_steps(cfg, theta0, kappa)
-    for step, state, sums in steps:
-        if not order:
-            if step:
-                yield step, state
-        elif sums is None:
-            yield step, state, order_parameter(state)
-        else:
-            sum_c, sum_s = np.asarray(sums[0]), np.asarray(sums[1])
-            yield step, state, (sum_c + 1j * sum_s)[..., 0] / cfg.graph.n
+    if (cfg.integrator == "euler" and cfg.graph.is_complete and cfg.graph.n < _FLOAT_ROW_LIMIT
+            and theta0.ndim == 1 and np.ndim(kappa) == 0 and np.isfinite(theta0).all()):
+        return _float_steps(cfg, theta0, float(kappa))
+    return _array_steps(cfg, theta0, kappa)
 
 
 def _array_steps(cfg: SimulationConfig, theta0: np.ndarray, kappa) -> Iterator[tuple]:
-    """(step, state, sums) from step 0 on, sums those of coupling_kernel or None."""
+    """step_states through numpy, sums those of coupling_kernel or None."""
     kernel = coupling_kernel(cfg.graph)
     omega, dt, n_steps = cfg.omega, cfg.dt, cfg.n_steps
 
@@ -288,14 +275,13 @@ def _array_steps(cfg: SimulationConfig, theta0: np.ndarray, kappa) -> Iterator[t
 
 
 def _float_steps(cfg: SimulationConfig, theta0: np.ndarray, kappa: float) -> Iterator[tuple]:
-    """_array_steps for one row of a complete graph of fewer than _FLOAT_ROW_LIMIT nodes.
+    """Euler _array_steps for one row of a complete graph of fewer than _FLOAT_ROW_LIMIT nodes.
 
     The state is a list of Python floats, and every value is computed by the
     operation, in the order, that the mean-field kernel and _array_steps
     apply elementwise, with sums left to right from 0.0 as numpy's below
     _FLOAT_ROW_LIMIT values. So the states are numpy's bit for bit, at a
-    fraction of numpy's per-call cost on a few values. sums are shaped as
-    the kernel's, one value per list.
+    fraction of numpy's per-call cost on a few values. sums is None.
     """
     omega, dt, n_steps = cfg.omega, cfg.dt, cfg.n_steps
     cos, sin = math.cos, math.sin
@@ -303,33 +289,20 @@ def _float_steps(cfg: SimulationConfig, theta0: np.ndarray, kappa: float) -> Ite
     def stage(theta):
         c, s = list(map(cos, theta)), list(map(sin, theta))
         sum_c, sum_s = reduce(add, c, 0.0), reduce(add, s, 0.0)
-        slope = [(ci * sum_s - si * sum_c) * kappa + omega for ci, si in zip(c, s)]
-        return slope, ([sum_c], [sum_s])
-
-    def rhs(theta):
-        return stage(theta)[0]
+        return [(ci * sum_s - si * sum_c) * kappa + omega for ci, si in zip(c, s)], sum_c
 
     state = theta0.tolist()
-    slope, sums = stage(state) if n_steps else (None, None)
-    yield 0, theta0.copy(), sums
-    half, sixth = 0.5 * dt, dt / 6.0
+    slope, sum_c = stage(state) if n_steps else (None, None)
+    yield 0, theta0.copy(), None
     for step in range(1, n_steps + 1):
         try:
-            if cfg.integrator == "euler":
-                state = [x + dt * v for x, v in zip(state, slope)]
-            else:
-                k1 = slope
-                k2 = rhs([x + half * v for x, v in zip(state, k1)])
-                k3 = rhs([x + half * v for x, v in zip(state, k2)])
-                k4 = rhs([x + dt * v for x, v in zip(state, k3)])
-                state = [x + sixth * (a + 2.0 * b + 2.0 * c + d)
-                         for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
-            slope, sums = stage(state) if step < n_steps else (None, None)
+            state = [x + dt * v for x, v in zip(state, slope)]
+            slope, sum_c = stage(state) if step < n_steps else (None, None)
         except ValueError:  # math.cos of an infinite phase, where np.cos gives nan
             raise IntegrationError(f"non-finite state at step {step}") from None
-        if not (math.isfinite(sums[0][0]) if sums else all(map(math.isfinite, state))):
+        if not (math.isfinite(sum_c) if step < n_steps else all(map(math.isfinite, state))):
             raise IntegrationError(f"non-finite state at step {step}")
-        yield step, np.array(state), sums
+        yield step, np.array(state), None
 
 
 def integrate_numerical(cfg: SimulationConfig, theta0: np.ndarray) -> Trajectory:
@@ -343,10 +316,9 @@ def integrate_numerical(cfg: SimulationConfig, theta0: np.ndarray) -> Trajectory
     theta0 = np.asarray(theta0, dtype=float)
     record = cfg.record_steps()
     out = np.empty((record.size, *theta0.shape))
-    out[0] = theta0
-    nxt = 1
+    nxt = 0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step raises instead
-        for step, state in step_states(cfg, theta0):
+        for step, state, _ in step_states(cfg, theta0):
             if nxt < record.size and step == record[nxt]:
                 out[nxt] = state
                 nxt += 1
@@ -388,8 +360,7 @@ def analytic_trajectory(es: EigenSystem | AdjacencyMatrix, cfg: SimulationConfig
     del states
     phases += cfg.omega * times[:, None]
     wrap_phase(phases, out=phases)
-    if times[0] == 0.0:  # exp(i*theta) -> arg round-trip is not bit-exact
-        phases[0] = wrap_phase(theta0)
+    phases[0] = wrap_phase(theta0)  # exp(i*theta) -> arg round-trip is not bit-exact
     return Trajectory(times=times, states=phases, source="analytic", diagnostics=diagnostics)
 
 
@@ -458,14 +429,13 @@ def order_parameter(theta: np.ndarray):
 def write_trajectory_csv(traj: Trajectory, cfg: SimulationConfig, path: str | Path) -> Path:
     """Write "t,theta_0,...,theta_{n-1}" rows plus a JSON sidecar.
 
-    The sidecar (same basename, ".meta" suffix) records the
-    SimulationConfig and the method that ran it (the trajectory's source),
-    so a run can be identified and reproduced later.
+    The sidecar (same basename, ".meta" suffix) records the method that
+    ran the trajectory (its source) and the SimulationConfig, so a run can
+    be identified and reproduced later.
     """
     header = "t," + ",".join(f"theta_{i}" for i in range(traj.n))
     path = write_table(path, header, np.column_stack((traj.times, traj.states)))
-    write_json(path.with_suffix(".meta"),
-               {"source": traj.source, "config": cfg.to_dict(), "method": traj.source})
+    write_json(path.with_suffix(".meta"), {"source": traj.source, "config": cfg.to_dict()})
     return path
 
 

@@ -186,7 +186,7 @@ def _sweep_task(task):
 
     Every (kappa, seed) pair of the chunk steps together as one
     (kappas * seeds, n) state, kappa a column of it, and |r| is summed as the
-    run goes from the order parameters step_states hands over, so no
+    run goes from the mean-field sums step_states hands over, so no
     trajectory is stored. Each row is bit for bit the row of a one-kappa
     chunk. The analytic route builds one propagator per kappa and then
     evaluates one seed at a time.
@@ -198,8 +198,9 @@ def _sweep_task(task):
     column = np.repeat(kappas, len(seeds))[:, None]
     r_num = np.zeros(column.size)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step raises instead
-        for _, _, r in step_states(cfg, np.tile(theta0, (len(kappas), 1)), order=True,
-                                   kappa=column):
+        for _, state, sums in step_states(cfg, np.tile(theta0, (len(kappas), 1)), kappa=column):
+            # the mean-field sums are n r; only the last state has none
+            r = order_parameter(state) if sums is None else (sums[0] + 1j * sums[1])[:, 0] / n
             r_num += np.abs(r)
     r_num /= cfg.n_steps + 1
     es, times = eigensystem_for(graph), cfg.sample_times()

@@ -102,7 +102,7 @@ def test_simulate_kappa_over_n(tmp_path):
           "--out", tmp_path])
     meta = json.loads((tmp_path / "trajectory.meta").read_text())
     assert meta["config"]["kappa"] == 6 / 200
-    assert meta["method"] == "numerical"
+    assert meta["source"] == "numerical"
 
 
 def test_simulate_coupling_flags_are_exclusive(tmp_path):
@@ -715,6 +715,28 @@ def test_figure4_products_and_eigensolves(tmp_path, monkeypatch, variant):
         diagnostics = read_json(tmp_path / str(seed) / "manifest.json")["diagnostics"]
         assert diagnostics["analytic"]["krylov_dimension"] == 20, seed
         assert work == {"products": 2000 + 20, "eigh": [4, 8, 12, 16, 20], "eigvalsh": []}, seed
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_large_ws_closed_form_products(tmp_path, monkeypatch, seed):
+    # the large_graph benchmark's ws_analytic command: WS(1500, 10, 0.1) read
+    # from its edge file takes the Lanczos route with m = 12 products and an
+    # eigh of T_m every 4 steps; neither command builds the dense entries
+    work = _count_solver_work(monkeypatch)
+    built = []
+    entries = graphs.AdjacencyMatrix.entries
+    monkeypatch.setattr(graphs.AdjacencyMatrix, "entries",
+                        property(lambda graph: built.append(graph.n) or entries.fget(graph)))
+    assert _run(["graph", "ws", "--n", 1500, "--k", 10, "--q", 0.1, "--seed", seed,
+                 "--out", tmp_path / "ws"]) == 0
+    assert work == {"products": 0, "eigh": [], "eigvalsh": []}
+    assert _run(["simulate", "--graph", tmp_path / "ws" / "graph.edges", "--kappa-over-n", 50,
+                 "--method", "analytic", "--record-every", 100, "--seed", seed,
+                 "--out", tmp_path / "analytic"]) == 0
+    assert work == {"products": 12, "eigh": [4, 8, 12], "eigvalsh": []}
+    assert built == []
+    diagnostics = read_json(tmp_path / "analytic" / "manifest.json")["diagnostics"]
+    assert diagnostics["route"] == "lanczos" and diagnostics["krylov_dimension"] == 12
 
 
 @pytest.mark.parametrize("argv, eigvalsh", [

@@ -152,7 +152,7 @@ def test_phase_sum_conservation(family, integrator):
                            integrator=integrator)
     theta0 = np.array([initial_phases(graph.n, s) for s in range(3)])
     assert np.abs(km_rhs(theta0[0], cfg).sum() - graph.n * omega) < 1e-9
-    for step, state in step_states(cfg, theta0):
+    for step, state, _ in step_states(cfg, theta0):
         drift = state.sum(axis=-1) - theta0.sum(axis=-1) - graph.n * omega * step * cfg.dt
         assert np.abs(drift).max() < 1e-9
 
@@ -165,15 +165,16 @@ def test_step_states_hands_over_the_order_parameter(family, integrator):
                            integrator=integrator)
     batch = np.array([initial_phases(graph.n, s) for s in range(3)])
     for theta0 in (batch, batch[1]):
-        plain = list(step_states(cfg, theta0))
-        with_order = list(step_states(cfg, theta0, order=True))
-        assert [s for s, *_ in with_order] == list(range(cfg.n_steps + 1))
-        assert np.array_equal(with_order[0][1], theta0)
-        for (step, state), (step_o, state_o, r) in zip(plain, with_order[1:]):
-            # the same states, bit for bit, whether or not r is handed over
-            assert step == step_o and np.array_equal(state, state_o)
-        for _, state, r in with_order:
-            assert np.shape(r) == theta0.shape[:-1]
+        steps = list(step_states(cfg, theta0))
+        assert [s for s, *_ in steps] == list(range(cfg.n_steps + 1))
+        assert np.array_equal(steps[0][1], theta0)
+        for step, state, sums in steps:
+            if not graph.is_complete or step == cfg.n_steps:
+                assert sums is None
+                continue
+            # the mean-field sums, with the axis kept, are n times r of the state
+            assert np.shape(sums[0]) == np.shape(sums[1]) == (*theta0.shape[:-1], 1)
+            r = (sums[0] + 1j * sums[1])[..., 0] / graph.n
             assert np.abs(r - order_parameter(state)).max() <= 1e-13
 
 
@@ -185,13 +186,19 @@ def test_kappa_column_steps_each_row_as_alone(integrator):
     cfg = SimulationConfig(graph=graph, kappa=0.0, omega=3.0, dt=1e-3, t_end=0.05,
                            integrator=integrator)
     theta0 = np.array([initial_phases(7, s) for s in range(3)])
-    batch = list(step_states(cfg, theta0, order=True, kappa=np.array(kappas)[:, None]))
+    batch = list(step_states(cfg, theta0, kappa=np.array(kappas)[:, None]))
     for row, kappa in enumerate(kappas):
         alone = SimulationConfig(graph=graph, kappa=kappa, omega=3.0, dt=1e-3, t_end=0.05,
                                  integrator=integrator)
-        for (_, state, r), (_, state_1, r_1) in zip(batch, step_states(alone, theta0[row],
-                                                                       order=True)):
-            assert np.array_equal(state[row], state_1) and r[row] == r_1
+        # the row alone as a batch of one, which hands over its sums as the column does
+        one = slice(row, row + 1)
+        for (_, state, sums), (_, state_1, sums_1) in zip(batch, step_states(alone, theta0[one]),
+                                                          strict=True):
+            assert np.array_equal(state[one], state_1)
+            assert (sums is None) == (sums_1 is None)
+            if sums is not None:
+                assert np.array_equal(sums[0][one], sums_1[0])
+                assert np.array_equal(sums[1][one], sums_1[1])
     with pytest.raises(ValueError, match="broadcast"):
         next(step_states(cfg, theta0, kappa=np.ones((2, 1))))
 
@@ -203,24 +210,31 @@ def test_kappa_column_steps_each_row_as_alone(integrator):
        steps=st.integers(0, 40), record_every=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
 def test_short_complete_row_steps_as_its_numpy_batch(n, integrator, kappa, omega, steps,
                                                       record_every, seed):
-    # one row of fewer than 8 phases on K_n steps as Python floats, the same
-    # state as a (1, n) batch through numpy: the states and r are bit for bit equal
+    # one row of fewer than 8 phases on K_n takes Euler steps as Python floats
+    # and RK4 steps through numpy, the same state as a (1, n) batch: the states
+    # are bit for bit equal, and only the batch hands over sums under Euler
     cfg = SimulationConfig(graph=gen_complete(n), kappa=kappa, omega=omega, dt=1e-2,
                            t_end=steps * 1e-2, integrator=integrator, record_every=record_every)
     theta0 = initial_phases(n, seed)
     row, batch = integrate_numerical(cfg, theta0), integrate_numerical(cfg, theta0[None])
     assert np.array_equal(row.states, batch.states[:, 0])
-    for (_, state, r), (_, state_1, r_1) in zip(step_states(cfg, theta0, order=True),
-                                                  step_states(cfg, theta0[None], order=True)):
-        assert np.array_equal(state, state_1[0]) and r == r_1[0]
+    for (_, state, sums), (_, state_1, _) in zip(step_states(cfg, theta0),
+                                                  step_states(cfg, theta0[None]), strict=True):
+        assert np.array_equal(state, state_1[0])
+        assert sums is None or integrator == "rk4"
 
 
 def test_step_states_order_with_no_steps():
-    cfg = _cfg(t_end=0.0)
+    # theta0 alone, with no sums, on the float row and the numpy batch alike;
+    # the sweep then reads r from order_parameter
     theta0 = initial_phases(3, 2)
-    assert list(step_states(cfg, theta0)) == []
-    ((step, state, r),) = step_states(cfg, theta0, order=True)
-    assert step == 0 and abs(r - order_parameter(theta0)) <= 1e-15
+    for integrator in ("euler", "rk4"):
+        cfg = _cfg(t_end=0.0, integrator=integrator)
+        for theta in (theta0, theta0[None]):
+            ((step, state, sums),) = step_states(cfg, theta)
+            assert step == 0 and np.array_equal(state, theta) and sums is None
+    (row,) = _sweep_task((3, [1.0], [2], 1e-3, 0.0))
+    assert row[1] == abs(order_parameter(theta0)) and row[2] == 0.0
 
 
 # -------------------------------------------------------------- integration

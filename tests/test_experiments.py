@@ -18,7 +18,7 @@ from kurasim.dynamics import (
     step_states,
     wrap_phase,
 )
-from kurasim import experiments
+from kurasim import dynamics, experiments
 from kurasim.experiments import (
     REPORT_HEADER,
     SWEEP_HEADER,
@@ -253,12 +253,48 @@ def test_sweep_numerical_r_matches_order_parameter_of_the_states():
     n, kappa, seeds, dt, t_end = 200, 2.0, [0, 1, 2], 1e-3, 0.3
     cfg = SimulationConfig(graph=gen_complete(n), kappa=kappa, dt=dt, t_end=t_end)
     theta0 = np.array([initial_phases(n, s) for s in seeds])
-    r = np.abs(order_parameter(theta0))
-    for _, state in step_states(cfg, theta0):
+    r = np.zeros(len(seeds))
+    for _, state, _ in step_states(cfg, theta0):
         r += np.abs(order_parameter(state))
     r /= cfg.n_steps + 1
     (row,) = _sweep_task((n, [kappa], seeds, dt, t_end))
     assert abs(row[1] - r.mean()) <= 1e-13 and abs(row[2] - r.std()) <= 1e-13
+
+
+def test_sweep_chunk_steps_once_and_reads_r_from_the_sums(monkeypatch):
+    # one stepping loop per chunk of two kappas and two seeds, one mean-field
+    # kernel evaluation per Euler step (1000 steps of 1 ms), and one
+    # order_parameter call: on the last state, the one without sums
+    work = {"step_states": 0, "kernel": 0, "order_parameter": []}
+    last = []
+    kernel_of = dynamics.coupling_kernel
+
+    def counted_steps(*args, **kwargs):
+        work["step_states"] += 1
+        for step, state, sums in step_states(*args, **kwargs):
+            last[:] = [state]
+            yield step, state, sums
+
+    def counted_kernel(graph):
+        kernel = kernel_of(graph)
+
+        def counted(theta):
+            work["kernel"] += 1
+            return kernel(theta)
+        return counted
+
+    def counted_order(theta):
+        work["order_parameter"].append(theta)
+        return order_parameter(theta)
+
+    monkeypatch.setattr(experiments, "step_states", counted_steps)
+    monkeypatch.setattr(dynamics, "coupling_kernel", counted_kernel)
+    monkeypatch.setattr(experiments, "order_parameter", counted_order)
+    rows = _sweep_task((experiments.N, [0.5, 2.0], [0, 1], experiments.DT, experiments.T_END))
+    assert len(rows) == 2
+    assert work["step_states"] == 1 and work["kernel"] == 1000
+    (theta,) = work["order_parameter"]
+    assert theta is last[0] and theta.shape == (4, experiments.N)
 
 
 @settings(max_examples=12, deadline=None)

@@ -81,7 +81,7 @@ def test_trajectory_matches_reference(tmp_path, rows):
     header = "t," + ",".join(f"theta_{i}" for i in range(200))
     want = _reference(header, np.column_stack((traj.times, traj.states)))
     assert path.read_bytes() == want
-    meta = {"source": "numerical", "config": cfg.to_dict(), "method": "numerical"}
+    meta = {"source": "numerical", "config": cfg.to_dict()}
     want_meta = json.dumps(meta, indent=2, sort_keys=True) + "\n"
     assert path.with_suffix(".meta").read_text(encoding="ascii") == want_meta
 

@@ -52,6 +52,14 @@ def test_no_module_imports_scipy():
     assert out.stdout.strip() == "False"
 
 
+def test_declared_numpy_floor_admits_no_numpy_1():
+    # Propagator passes out= to np.fft.ifft, which numpy takes from 2.0 on
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    (dependencies,) = re.findall(r"^dependencies = \[(.*)\]$", pyproject, re.M)
+    (major,) = re.findall(r'"numpy>=(\d+)[^"]*"', dependencies)
+    assert int(major) >= 2
+
+
 def test_cli_import_loads_no_process_pool():
     # run_fig3 imports the pool only when it makes one; every command pays
     # for what importing kurasim.cli loads
