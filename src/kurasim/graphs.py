@@ -41,7 +41,7 @@ __all__ = [
 _DENSE_NS = 0.2
 _EDGE_NS = 3.5
 _EDGE_CALL_NS = 8000.0
-# Erdos-Renyi draws about this many pairs at a time (2 MiB of floats)
+# Erdos-Renyi draws this many pairs at a time (2 MiB of floats)
 _ER_BLOCK_PAIRS = 1 << 18
 
 
@@ -257,19 +257,18 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> AdjacencyMatrix:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     rng = rng_for(seed, "erdos_renyi")
-    # a block of rows at a time, about _ER_BLOCK_PAIRS values: numpy's
-    # generator yields the same stream however its draws are split, so
-    # memory is O(block + edges) and every graph keeps its edges
-    block = max(1, _ER_BLOCK_PAIRS // n)
-    nodes = np.arange(n)
+    # pair (i, j > i) is number row_start[i] + j - i - 1 in that order; a block
+    # of _ER_BLOCK_PAIRS draws at a time: numpy's generator yields the same
+    # stream however its draws are split, so memory is O(block + edges)
+    nodes = np.arange(n - 1)
+    row_start = nodes * (2 * n - 1 - nodes) // 2
+    pairs = n * (n - 1) // 2
     rows, cols = [], []
-    for first in range(0, n - 1, block):
-        above = nodes > nodes[first:first + block, None]  # the pairs (i, j > i)
-        hit = np.zeros(above.shape, dtype=bool)
-        hit[above] = rng.random(np.count_nonzero(above)) < p
-        i, j = np.nonzero(hit)
-        rows.append(i + first)
-        cols.append(j)
+    for first in range(0, pairs, _ER_BLOCK_PAIRS):
+        hits = np.flatnonzero(rng.random(min(_ER_BLOCK_PAIRS, pairs - first)) < p) + first
+        i = np.searchsorted(row_start, hits, side="right") - 1
+        rows.append(i)
+        cols.append(hits - row_start[i] + i + 1)
     return AdjacencyMatrix(n, np.concatenate(rows), np.concatenate(cols), kind="erdos_renyi",
                            params={"p": float(p), "seed": int(seed)})
 

@@ -8,7 +8,11 @@ eigenspaces and its exponential needs no transform either. Any other
 graph is its own route: its adjacency matrix needs no eigenvectors, as its
 exponential is applied to a state from the state's own Lanczos basis, with
 graph products only. The numerical eigendecomposition, which keeps its real
-eigenvectors, is the reference the tests compare against.
+eigenvectors, is the reference the tests compare against. The numerical
+eigenvalues alone, which the spectrum command checks the closed form
+against, split on a mirror-symmetric graph (one the node reversal
+i -> n-1-i maps onto itself, as a ring or K_n) into those of two exact
+half-size blocks (Cantoni and Butler 1976).
 Propagator is the one evaluator for all of them, guarded; unguarded undoes
 the guard.
 """
@@ -132,15 +136,55 @@ def eigendecompose_symmetric(graph: AdjacencyMatrix) -> EigenSystem:
                        source="numerical", vectors=vecs[:, ::-1].copy())
 
 
+def _mirror_blocks(graph: AdjacencyMatrix) -> tuple[np.ndarray, np.ndarray] | None:
+    """Two half-size symmetric blocks whose spectra make up graph's, or None.
+
+    The graph is mirror-symmetric when the node reversal i -> n-1-i maps its
+    edges onto themselves, every edge (i, j) having its mirror
+    (n-1-j, n-1-i): one sort of the mirrored keys, O(edges log edges). Its
+    adjacency matrix A is then centrosymmetric, and in the orthonormal basis
+    of sums and differences of mirrored nodes it splits into B + F and B - F,
+    with m = n // 2, B = A[:m, :m] and F = A[:m, n-m:][:, ::-1] (Cantoni and
+    Butler 1976). For odd n the middle node joins the sums: B + F is bordered
+    by sqrt(2) A[:m, m] and A[m, m] = 0. Both blocks are summed from the
+    edges of the first m nodes, with no n x n matrix; their entries are
+    exact, -1 to 2, but for the border.
+    """
+    n, rows, cols = graph.n, graph.rows, graph.cols
+    mirrored = (n - 1 - cols) * n + (n - 1 - rows)
+    mirrored.sort()
+    if not np.array_equal(mirrored, rows * n + cols):
+        return None
+    m = n // 2
+    side = n - m  # m + 1 for odd n, the middle node last
+    # A[u, v] = 1 for both directions (u, v) of every edge with u < m; v's
+    # mirror pair is w = min(v, n-1-v), its sign in the differences is that
+    # of n-1-2v, and the middle node (v = n-1-v) has none
+    u, v = np.concatenate((rows, cols)), np.concatenate((cols, rows))
+    first = u < m
+    u, v = u[first], v[first]
+    at = u * side + np.minimum(v, n - 1 - v)
+    plus = np.bincount(at, np.where(2 * v == n - 1, np.sqrt(2.0), 1.0), side * side)
+    minus = np.bincount(at, np.sign(n - 1 - 2 * v), side * side)
+    plus, minus = plus.reshape(side, side), minus.reshape(side, side)[:m, :m]
+    plus[m:, :m] = plus[:m, m:].T  # the border's row, for odd n
+    return plus, minus
+
+
 def eigenvalues_symmetric(graph: AdjacencyMatrix) -> np.ndarray:
     """The eigenvalues of eigendecompose_symmetric without computing eigenvectors.
 
     Same descending order, complex dtype with exactly zero imaginary parts.
+    A mirror-symmetric graph (a ring, K_n, a path, or an edge list of any)
+    is solved as the two half-size blocks of _mirror_blocks, about a third
+    of the cost of the one full solve that any other graph takes.
     """
+    blocks = _mirror_blocks(graph) or (graph.entries,)
     try:
-        vals = np.linalg.eigvalsh(graph.entries)
+        vals = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"symmetric eigenvalue solver failed: {exc}") from exc
+    vals.sort(kind="stable")  # stable: one full solve's ascending values keep their order
     return vals[::-1].astype(complex)
 
 

@@ -743,7 +743,7 @@ def test_large_ws_closed_form_products(tmp_path, monkeypatch, seed):
     (["graph", "ring", "--n", 64, "--k", 3], []),
     (["simulate", *_N3], []),
     (["simulate", *_N3, "--method", "analytic"], []),
-    (["spectrum", "--graph", "ring", "--n", 64, "--k", 3, "--mode", "both"], [64]),
+    (["spectrum", "--graph", "ring", "--n", 64, "--k", 3, "--mode", "both"], [32, 32]),
     (["figure", 1, "--seed", 7, "--t-end", 10], []),
     (["figure", 2, "--seed", 7], []),
     # README's figure 3 on a smaller grid, in-process: its rows take the same routes
@@ -751,11 +751,28 @@ def test_large_ws_closed_form_products(tmp_path, monkeypatch, seed):
 ], ids=["graph", "simulate3", "simulate3-analytic", "spectrum", "figure1", "figure2", "figure3"])
 def test_readme_commands_take_no_products_or_eigh(tmp_path, monkeypatch, argv, eigvalsh):
     # complete graphs run the mean-field kernel and the two-eigenspace closed
-    # form, rings the FFT; only spectrum --mode numerical|both solves an n x n
-    # problem, with one eigvalsh. README's figure 4 is seed 0 of the test above
+    # form, rings the FFT; only spectrum --mode numerical|both calls eigvalsh,
+    # on a ring's two half-size blocks. README's figure 4 is seed 0 of the
+    # test above
     work = _count_solver_work(monkeypatch)
     assert _run([*argv, "--out", tmp_path]) == 0
     assert work == {"products": 0, "eigh": [], "eigvalsh": eigvalsh}
+
+
+def test_large_graph_spectra_eigvalsh_sizes(tmp_path, monkeypatch):
+    # the large_graph benchmark's spectra: the n = 1500 ring is mirror-symmetric
+    # and takes two half-size blocks, the WS(1500, 10, 0.1) edge file is not
+    # and takes one full solve; neither takes a product or an eigh
+    work = _count_solver_work(monkeypatch)
+    assert _run(["spectrum", "--graph", "ring", "--n", 1500, "--k", 10, "--mode", "both",
+                 "--out", tmp_path / "ring"]) == 0
+    assert work == {"products": 0, "eigh": [], "eigvalsh": [750, 750]}
+    assert _run(["graph", "ws", "--n", 1500, "--k", 10, "--q", 0.1, "--seed", 0,
+                 "--out", tmp_path / "ws"]) == 0
+    work["eigvalsh"].clear()
+    assert _run(["spectrum", "--graph", tmp_path / "ws" / "graph.edges",
+                 "--out", tmp_path / "ws_spectrum"]) == 0
+    assert work == {"products": 0, "eigh": [], "eigvalsh": [1500]}
 
 
 # --------------------------------------------------------------- manifests

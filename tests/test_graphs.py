@@ -268,6 +268,19 @@ def test_er_deterministic_in_seed():
     assert not np.array_equal(a.entries, c.entries)
 
 
+@pytest.mark.parametrize("block", [1, 7, 64, graphs._ER_BLOCK_PAIRS])
+def test_er_edges_match_one_draw_over_every_pair(block):
+    # the whole-stream oracle: one draw over all pairs in np.triu_indices
+    # order; blocks of 1 and 7 pairs split rows, a block of 64 joins them
+    for n, p, seed in [(2, 0.5, 0), (5, 1.0, 1), (13, 0.3, 2), (40, 0.05, 3),
+                       (41, 0.5, 4), (60, 0.0, 5), (97, 0.2, 6)]:
+        rows, cols = np.triu_indices(n, k=1)
+        hit = rng_for(seed, "erdos_renyi").random(rows.size) < p
+        with mock.patch.object(graphs, "_ER_BLOCK_PAIRS", block):
+            g = gen_erdos_renyi(n, p, seed)
+        assert np.array_equal(g.rows, rows[hit]) and np.array_equal(g.cols, cols[hit])
+
+
 def test_er_edge_count_statistics():
     # n=200, p=0.2: mean = 3980, per-draw sigma = sqrt(19900*0.2*0.8) ~ 56.4
     counts = np.array([gen_erdos_renyi(200, 0.2, s).edge_count for s in range(100)])

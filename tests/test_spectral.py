@@ -4,9 +4,11 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kurasim.dynamics import (SimulationConfig, analytic_amplitudes, analytic_trajectory,
                               coupling_kernel, initial_phases, simulate)
@@ -193,6 +195,70 @@ def test_eigenvalues_only_solver_matches_eigh(graph):
     assert np.all(vals.imag == 0.0)
     assert np.all(np.diff(vals.real) <= 0.0)
     assert np.abs(vals - eigendecompose_symmetric(graph).eigenvalues).max() < 1e-10
+
+
+def _split_and_full_solves(graph):
+    """eigenvalues_symmetric(graph), checked against one full eigvalsh of its
+    dense matrix, and the sizes of the blocks eigvalsh was given."""
+    want = np.linalg.eigvalsh(graph.entries)[::-1]
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as solve:
+        vals = eigenvalues_symmetric(graph)
+    assert vals.dtype == complex and np.all(vals.imag == 0.0)
+    assert np.all(np.diff(vals.real) <= 0.0)
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    assert np.abs(vals.real - want).max(initial=0.0) <= graph.n * np.finfo(float).eps * scale
+    return [len(call.args[0]) for call in solve.call_args_list]
+
+
+def _mirror(n, rows, cols):
+    """The graph of the edges (rows, cols), i < j, joined with their mirrors."""
+    keys = np.unique(np.concatenate((rows * n + cols, (n - 1 - cols) * n + n - 1 - rows)))
+    return AdjacencyMatrix(n, keys // n, keys % n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=41), st.floats(min_value=0.0, max_value=1.0),
+       st.integers(min_value=0, max_value=2**32))
+def test_mirror_symmetric_graphs_split_into_two_half_solves(n, p, seed):
+    # a random edge set joined with its mirror, for even and odd n: the
+    # spectrum of the two half-size blocks is the full solve's
+    rows, cols = np.triu_indices(n, k=1)
+    hit = np.random.default_rng(seed).random(rows.size) < p
+    graph = _mirror(n, rows[hit], cols[hit])
+    assert _split_and_full_solves(graph) == [n - n // 2, n // 2]
+
+
+def test_rings_paths_and_complete_graphs_split(tmp_path):
+    for n in range(1, 65):
+        path = AdjacencyMatrix(n, np.arange(n - 1), np.arange(1, n))
+        assert _split_and_full_solves(path) == [n - n // 2, n // 2], n
+    for n in range(2, 65):
+        assert _split_and_full_solves(gen_complete(n)) == [n - n // 2, n // 2], n
+    for n in range(3, 65):
+        for k in range(1, n // 2 + 1):
+            assert _split_and_full_solves(gen_ring(n, k)) == [n - n // 2, n // 2], (n, k)
+    # the split is read from the edges, so an edge file of a ring takes it too
+    write_edge_list(gen_ring(33, 4), tmp_path / "ring.edges")
+    assert _split_and_full_solves(read_edge_list(tmp_path / "ring.edges")) == [17, 16]
+
+
+def test_one_edge_short_of_mirror_symmetry_takes_the_full_solve():
+    # dropping edge (0, 1) keeps its mirror (n-2, n-1), so the graph is no
+    # longer mirror-symmetric: one n x n solve
+    for n in range(3, 65):
+        path = AdjacencyMatrix(n, np.arange(n - 1), np.arange(1, n))
+        for graph in (gen_ring(n, 1 + n // 5), path):
+            short = AdjacencyMatrix(n, graph.rows[1:], graph.cols[1:])
+            assert _split_and_full_solves(short) == [n], n
+    for seed in range(4):
+        rows, cols = np.triu_indices(20, k=1)
+        hit = np.random.default_rng(seed).random(rows.size) < 0.3
+        graph = _mirror(20, rows[hit], cols[hit])
+        # drop an edge that is not its own mirror, i + j != n - 1
+        keep = np.arange(graph.edge_count) != np.flatnonzero(graph.rows + graph.cols != 19)[0]
+        short = AdjacencyMatrix(20, graph.rows[keep], graph.cols[keep])
+        assert _split_and_full_solves(short) == [20], seed
+    assert _split_and_full_solves(gen_watts_strogatz(60, 3, 0.2, 0)) == [60]
 
 
 def test_eigh_keeps_one_real_matrix():
