@@ -142,11 +142,6 @@ def cmd_simulate(args):
     return artifacts, lines, {"diagnostics": traj.diagnostics}
 
 
-def _sorted_desc(values: np.ndarray) -> np.ndarray:
-    order = np.lexsort((values.imag, values.real))[::-1]
-    return values[order]
-
-
 def cmd_spectrum(args):
     graph = _graph_from_args(args)
     spectra = {}  # file name -> eigenvalues in descending order
@@ -154,7 +149,7 @@ def cmd_spectrum(args):
         c = graph.generating_vector()
         if c is None:
             raise ValueError("cdt mode requires a graph whose adjacency matrix is circulant")
-        spectra["spectrum_cdt.csv"] = _sorted_desc(cdt_eigenvalues(c))
+        spectra["spectrum_cdt.csv"] = np.sort(cdt_eigenvalues(c))[::-1]
     if args.mode in ("numerical", "both"):
         spectra["spectrum_numerical.csv"] = eigenvalues_symmetric(graph)
     if args.mode == "both":

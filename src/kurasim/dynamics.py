@@ -5,8 +5,8 @@ sin(theta_j - theta_i) with fixed-step Euler or RK4, one state row or a
 batch of rows at a time, through a coupling kernel chosen once per graph
 (a short Euler row on a complete graph steps as Python floats, with numpy's bits).
 The analytic side evaluates x(t) = exp(gamma*t*A) e^{i*theta0} with the
-rescaled coupling gamma = 2*kappa/pi on the route spectral picks for the
-graph, takes arguments, and restores the omega*t drift that the rotating
+rescaled coupling gamma = 2*kappa/pi on the route spectral.Propagator reads
+from the graph, takes arguments, and restores the omega*t drift that the rotating
 frame removed. simulate checks and runs one seeded config either way.
 """
 
@@ -24,7 +24,7 @@ import numpy as np
 from ._text import read_json, read_table, write_json, write_table
 from .graphs import AdjacencyMatrix
 from .seeding import rng_for
-from .spectral import EigenSystem, Propagator, eigensystem_for
+from .spectral import Propagator
 
 __all__ = [
     "IntegrationError",
@@ -325,33 +325,31 @@ def integrate_numerical(cfg: SimulationConfig, theta0: np.ndarray) -> Trajectory
     return Trajectory(times=record * cfg.dt, states=wrap_phase(out), source="numerical")
 
 
-def analytic_trajectory(es: EigenSystem | AdjacencyMatrix, cfg: SimulationConfig,
-                        theta0: np.ndarray) -> Trajectory:
-    """Closed-form phases arg(exp(gamma*t*A) e^{i*theta0}) + omega*t.
+def analytic_trajectory(cfg: SimulationConfig, theta0: np.ndarray) -> Trajectory:
+    """Closed-form phases arg(exp(gamma*t*A) e^{i*theta0}) + omega*t on cfg.graph.
 
-    es is the route from spectral.eigensystem_for (an EigenSystem, or the
-    graph itself for the Lanczos route), or any EigenSystem. Every sample is
-    evaluated without stepping error, so the sample grid is arbitrary. The
-    overflow guard rescales moduli per sample and never changes an argument,
-    so the phases are those of x(t) itself. The diagnostics record the route
-    Propagator took (cdt, lanczos, or numerical for an eigensystem of
-    eigendecompose_symmetric), on the Lanczos route the krylov_dimension m
-    and x0's extreme Ritz values as interval, the guard shift at the last
-    sample, and the smallest min_i |x_i| / max_j |x_j| over the samples,
-    where the phase readout loses meaning as it nears 0.
+    Every sample is evaluated without stepping error, so the sample grid is
+    arbitrary. The overflow guard rescales moduli per sample and never
+    changes an argument, so the phases are those of x(t) itself. The
+    diagnostics record the route spectral.Propagator read from the graph
+    (cdt or lanczos), on the Lanczos route the krylov_dimension m and x0's
+    extreme Ritz values as interval, the guard shift at the last sample, and
+    the smallest min_i |x_i| / max_j |x_j| over the samples, where the phase
+    readout loses meaning as it nears 0.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    if es.n != cfg.graph.n or theta0.shape != (es.n,):
-        raise ValueError("eigensystem, graph and theta0 sizes must agree")
+    n = cfg.graph.n
+    if theta0.shape != (n,):
+        raise ValueError("graph and theta0 sizes must agree")
     times = cfg.sample_times()
-    prop = Propagator(es, cfg.gamma, times)
+    prop = Propagator(cfg.graph, cfg.gamma, times)
     states, shift = prop(np.exp(1j * theta0))
     diagnostics = {"route": prop.route}
     if prop.krylov_dimension is not None:
         diagnostics.update(krylov_dimension=prop.krylov_dimension, interval=prop.interval)
     del prop  # its factors: one (samples, n) array fewer while the phases are read out
     # one (samples, n) array holds the moduli, then the phases, in place
-    phases = np.abs(states, out=np.empty((times.size, es.n)))
+    phases = np.abs(states, out=np.empty((times.size, n)))
     top = phases.max(axis=1)
     relative = np.divide(phases.min(axis=1), top, out=np.zeros_like(top), where=top > 0.0)
     diagnostics.update(guard_shift=float(shift[-1]), min_relative_modulus=float(relative.min()))
@@ -364,19 +362,19 @@ def analytic_trajectory(es: EigenSystem | AdjacencyMatrix, cfg: SimulationConfig
     return Trajectory(times=times, states=phases, source="analytic", diagnostics=diagnostics)
 
 
-def analytic_amplitudes(es: EigenSystem | AdjacencyMatrix, cfg: SimulationConfig,
-                        theta0: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+def analytic_amplitudes(cfg: SimulationConfig, theta0: np.ndarray,
+                        t: float) -> tuple[np.ndarray, float]:
     """Imaginary phase components at one time: (values, shift), as Propagator returns.
 
     values are -ln of the guarded moduli per node and shift is what the
     guard subtracted from every log-modulus, so -ln|x_i(t)| = values_i - shift
-    on whichever route spectral.Propagator takes. A vanishing |x_i| reports
-    positive infinity.
+    on whichever route spectral.Propagator reads from cfg.graph. A vanishing
+    |x_i| reports positive infinity.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    if es.n != cfg.graph.n or theta0.shape != (es.n,):
-        raise ValueError("eigensystem, graph and theta0 sizes must agree")
-    states, shift = Propagator(es, cfg.gamma, [float(t)])(np.exp(1j * theta0))
+    if theta0.shape != (cfg.graph.n,):
+        raise ValueError("graph and theta0 sizes must agree")
+    states, shift = Propagator(cfg.graph, cfg.gamma, [float(t)])(np.exp(1j * theta0))
     with np.errstate(divide="ignore"):
         values = -np.log(np.abs(states[0]))
     return values, float(shift[0])
@@ -397,16 +395,17 @@ def simulate(cfg: SimulationConfig, method: str = "numerical") -> Trajectory:
     if method not in ("numerical", "analytic"):
         raise ValueError(f"unknown method {method!r}, expected 'numerical' or 'analytic'")
     graph, numerical = cfg.graph, method == "numerical"
-    degree = int(graph.degrees().max())
-    # the largest phase a run can reach: a node sums at most max-degree coupling terms
-    reach = (abs(cfg.omega) + (abs(cfg.kappa) * degree if numerical else 0.0)) * cfg.t_end
+    # the largest phase a run can reach: a node sums at most max-degree coupling
+    # terms, and the closed form's phases drift by omega alone
+    degree = int(graph.degrees().max()) if numerical else 0
+    reach = (abs(cfg.omega) + abs(cfg.kappa) * degree) * cfg.t_end
     if reach > 1.0 / np.finfo(float).eps:
         bound = "(|omega| + |kappa| * max degree)" if numerical else "|omega|"
         raise ValueError(f"{bound} * t_end = {reach:.6g} rad is past float resolution; "
                          "every wrapped phase would be rounding noise")
     theta0 = initial_phases(graph.n, cfg.seed)
     if not numerical:
-        return analytic_trajectory(eigensystem_for(graph), cfg, theta0)
+        return analytic_trajectory(cfg, theta0)
     # rho bounds the Laplacian's spectral radius: n on K_n, where exact, else 2 * max degree
     stability = cfg.dt * abs(cfg.kappa) * (graph.n if graph.is_complete else 2 * degree)
     limit = _STABILITY_LIMITS[cfg.integrator]

@@ -5,16 +5,16 @@ matrix is circulant (a ring, a complete graph, or an edge list of either)
 gets its spectrum in closed form, one FFT of the generating vector, and
 stores no basis at all; where every pair is coupled, A = J - I has two
 eigenspaces and its exponential needs no transform either. Any other
-graph is its own route: its adjacency matrix needs no eigenvectors, as its
-exponential is applied to a state from the state's own Lanczos basis, with
-graph products only. The numerical eigendecomposition, which keeps its real
-eigenvectors, is the reference the tests compare against. The numerical
-eigenvalues alone, which the spectrum command checks the closed form
-against, split on a mirror-symmetric graph (one the node reversal
-i -> n-1-i maps onto itself, as a ring or K_n) into those of two exact
-half-size blocks (Cantoni and Butler 1976).
-Propagator is the one evaluator for all of them, guarded; unguarded undoes
-the guard.
+graph's adjacency matrix needs no eigenvectors, as its exponential is
+applied to a state from the state's own Lanczos basis, with graph products
+only. Propagator(graph, gamma, times) reads which of the three routes a
+graph takes from its edges and is the one evaluator for all of them,
+guarded; unguarded undoes the guard. The numerical eigendecomposition,
+which keeps its real eigenvectors, is the reference the tests compare
+against. The numerical eigenvalues alone, which the spectrum command
+checks the closed form against, split on a mirror-symmetric graph (one the
+node reversal i -> n-1-i maps onto itself, as a ring or K_n) into those of
+two exact half-size blocks (Cantoni and Butler 1976).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "cdt_eigensystem",
     "eigendecompose_symmetric",
     "eigenvalues_symmetric",
-    "eigensystem_for",
     "Propagator",
     "unguarded",
     "apply_propagator",
@@ -69,16 +68,13 @@ class EigenSystem:
     eigenvector columns are the conjugate Fourier modes, the columns of
     cdt_fourier_matrix(n)^H, which Propagator applies with the FFT.
     eigenvalues is complex-typed even when the values are real, so both
-    sources expose one interface. complete marks the cdt eigensystem of a
-    graph where every pair is coupled, which Propagator applies through its
-    two eigenspaces.
+    sources expose one interface.
     """
 
     n: int
     eigenvalues: np.ndarray
     source: str
     vectors: np.ndarray | None = None
-    complete: bool = False
 
 
 def _as_vector(c: np.ndarray) -> np.ndarray:
@@ -231,21 +227,6 @@ def _ritz(alphas: list, betas: list) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(tri)
 
 
-def eigensystem_for(graph: AdjacencyMatrix) -> EigenSystem | AdjacencyMatrix:
-    """The closed form's route for graph, read from its edges.
-
-    A circulant graph gets the cdt eigensystem of graph.generating_vector(),
-    marked complete where every pair is coupled; any other graph is returned
-    itself, for Propagator's Lanczos route, which needs no eigenvectors.
-    """
-    c = graph.generating_vector()
-    if c is None:
-        return graph
-    es = cdt_eigensystem(c)
-    es.complete = graph.is_complete
-    return es
-
-
 def _guard_rate(es: EigenSystem, gamma: float) -> float:
     """What the overflow guard subtracts from every log-modulus per unit time:
     the largest Re(gamma*lambda) over the spectrum of es."""
@@ -264,6 +245,15 @@ def propagator_exponents(es: EigenSystem, gamma: float, times: np.ndarray) -> np
     return np.outer(times, gamma * es.eigenvalues - _guard_rate(es, gamma))
 
 
+def _check_spread(gamma: float, times: np.ndarray, radius: float) -> None:
+    """Raise where |gamma| * t * (lambda_max - lambda_min), which bounds every
+    exponent and shift, is past float max, with radius bounding rho(A)."""
+    spread = abs(float(gamma)) * float(times.max(initial=0.0)) * 2.0 * radius
+    if not spread <= _FLOAT_MAX:
+        raise SpectralError(f"propagator overflow: |gamma| * t * 2 * rho(A) = {spread:.6g} "
+                            "exceeds the floating-point range")
+
+
 def unguarded(states: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """x(t) = e^shift * states from Propagator's pair; raises where x(t) overflows."""
     peak = float(np.max(shift))
@@ -276,26 +266,28 @@ def unguarded(states: np.ndarray, shift: np.ndarray) -> np.ndarray:
 class Propagator:
     """x(t) = exp(gamma*t*A) x0 at fixed sample times, for any initial state x0.
 
-    system is an eigensystem, or a graph (AdjacencyMatrix), which takes the
-    Lanczos route; route names which: cdt, numerical or lanczos. What does
-    not depend on x0 is computed once, when the propagator is built: the
-    exp() factors of an eigensystem and its guard shift. Calling it with x0
+    The constructor reads the route from graph, and nothing else does: a
+    graph where every pair is coupled (graph.is_complete, O(1)) is applied
+    through the two eigenspaces of A = J - I, a circulant one (one with a
+    graph.generating_vector(), O(edges)) through the cdt eigensystem of that
+    vector, and any other through x0's Lanczos basis; route names which: cdt
+    for the first two, lanczos for the third. What does not depend on x0 is
+    computed once, when the propagator is built: the exp() factors of a
+    circulant graph and its guard shift. Calling it with x0
     returns (states, shift): states shaped (samples, n) and, per sample,
     what the overflow guard subtracted from every log-modulus, so
     x(t) = unguarded(states, shift) = exp(shift) * states. The guard never
     changes an argument.
 
-    On an eigensystem V diag(exp(gamma*t*lambda)) V^{-1} x0 is evaluated per
-    sample, and the guard subtracts t * max_r Re(gamma*lambda_r). A circulant
-    (cdt) eigensystem applies its Fourier basis with the FFT in O(n log n)
-    per sample, a numerical one its real eigenvectors with real matrix
-    products on the real and imaginary parts. The eigensystem of a complete
-    graph is applied through its two eigenspaces instead, in O(n) per
-    sample, and its guard takes the exact eigenvalues n - 1 and -1:
-    t * max(gamma*(n - 1), -gamma). An eigensystem's shift is known when
-    the propagator is built.
+    On a complete graph exp(gamma*t*A) x0 = a x0 + b mean(x0) 1, in O(n)
+    per sample, and the guard takes the exact eigenvalues n - 1 and -1:
+    t * max(gamma*(n - 1), -gamma). On any other circulant graph
+    U^H diag(exp(gamma*t*lambda)) U x0 is evaluated per sample, the Fourier
+    basis U applied with the FFT in O(n log n), and the guard subtracts
+    t * max_r Re(gamma*lambda_r). On these two routes the shift is known
+    when the propagator is built.
 
-    On a graph each call builds the Lanczos basis V_m of x0, one
+    On any other graph each call builds the Lanczos basis V_m of x0, one
     graph.product per step, and evaluates every sample as
     ||x0|| V_m exp(gamma*t*(T_m - s)) e_1 (Saad 1992; Hochbruck and Lubich
     1997), gamma*s the largest gamma*theta over the Ritz values theta of T_m,
@@ -305,63 +297,54 @@ class Propagator:
     beta_m * m * eps * ||y||, and the steps stop once it is there, or once
     the Krylov space is invariant, at m = n at the latest, where T_m is
     exact. After a call krylov_dimension is m and interval is
-    [theta_min, theta_max], x0's extreme Ritz values; on an eigensystem both
+    [theta_min, theta_max], x0's extreme Ritz values; on the cdt route both
     stay None.
     """
 
-    def __init__(self, system: EigenSystem | AdjacencyMatrix, gamma: float, times: np.ndarray):
+    def __init__(self, graph: AdjacencyMatrix, gamma: float, times: np.ndarray):
         if not np.isfinite(gamma):
             raise ValueError(f"gamma must be finite, got {gamma}")
         times = np.atleast_1d(np.asarray(times, dtype=float))
         if not np.all(np.isfinite(times) & (times >= 0.0)):
             raise ValueError(f"times must be finite and >= 0, got {times}")
-        # |gamma| * t * (lambda_max - lambda_min) bounds every exponent and
-        # shift; past float max they cannot be formed. A graph's spectral
-        # radius is at most its max degree (Gershgorin).
-        lanczos = isinstance(system, AdjacencyMatrix)
-        radius = (float(system.degrees().max()) if lanczos
-                  else float(np.abs(system.eigenvalues).max()))
-        spread = abs(float(gamma)) * float(times.max(initial=0.0)) * 2.0 * radius
-        if not spread <= _FLOAT_MAX:
-            raise SpectralError(f"propagator overflow: |gamma| * t * 2 * rho(A) = {spread:.6g} "
-                                "exceeds the floating-point range")
-        self.system, self.route = system, "lanczos" if lanczos else system.source
+        self.graph, self.route = graph, "cdt"
         self.krylov_dimension = self.interval = None
-        self._gamma, self._times = gamma, times
-        if lanczos:
-            return
-        if system.complete:
+        self._gamma, self._times, self._factors = gamma, times, None
+        if graph.is_complete:
+            _check_spread(gamma, times, graph.n - 1.0)
             # exp(gamma*t*(J - I)) x0 = a x0 + b mean(x0) 1 per sample: the mean
             # spans the eigenspace of n - 1 and the rest that of -1, so
             # a = e^{-gamma*t} and b = e^{gamma*(n-1)*t} - e^{-gamma*t}, each
             # divided by the guard's e^{shift}, the larger of the two
             # exponentials; b is then 1 - e^{-|gamma*n*t|}, signed, through expm1
             low = -gamma * times
-            self.shift = np.maximum(gamma * (system.n - 1) * times, low)
-            gap = gamma * system.n * times
+            self.shift = np.maximum(gamma * (graph.n - 1) * times, low)
+            gap = gamma * graph.n * times
             self._a = np.exp(low - self.shift)
             self._b = -np.expm1(-np.abs(gap)) * np.sign(gap)
+        elif (c := graph.generating_vector()) is not None:
+            es = cdt_eigensystem(c)
+            _check_spread(gamma, times, float(np.abs(es.eigenvalues).max()))
+            self._factors = np.exp(propagator_exponents(es, gamma, times))
+            self.shift = _guard_rate(es, gamma) * times
         else:
-            self._factors = np.exp(propagator_exponents(system, gamma, times))
-            self.shift = _guard_rate(system, gamma) * times
+            # a graph's spectral radius is at most its max degree (Gershgorin)
+            _check_spread(gamma, times, float(graph.degrees().max()))
+            self.route = "lanczos"
 
     def __call__(self, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x0 = np.asarray(x0, dtype=complex)
-        if x0.shape != (self.system.n,):
-            raise ValueError(f"state shape {x0.shape} does not match dimension {self.system.n}")
+        if x0.shape != (self.graph.n,):
+            raise ValueError(f"state shape {x0.shape} does not match dimension {self.graph.n}")
         if self.route == "lanczos":
             return self._krylov(x0)
-        es = self.system
-        if es.complete:
+        if self._factors is None:  # every pair coupled
             states = np.multiply.outer(self._a, x0)
             states += (self._b * x0.mean())[:, None]
             return states, self.shift
-        if es.source == "cdt":  # U x is fft(x)/sqrt(n), U^H y is ifft(y)*sqrt(n)
-            y = self._factors * np.fft.fft(x0, norm="ortho")
-            return np.fft.ifft(y, norm="ortho", out=y), self.shift
-        # one column per sample, laid out for the product with the eigenvectors
-        y = np.multiply(self._factors.T, _real_matmul(es.vectors.T, x0)[:, None], order="C")
-        return _real_matmul(es.vectors, y).T, self.shift
+        # U x is fft(x)/sqrt(n), U^H y is ifft(y)*sqrt(n)
+        y = self._factors * np.fft.fft(x0, norm="ortho")
+        return np.fft.ifft(y, norm="ortho", out=y), self.shift
 
     def _krylov(self, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(states, shift) from the Lanczos basis of x0."""
@@ -370,7 +353,7 @@ class Propagator:
         if norm == 0.0:
             self.krylov_dimension, self.interval = 0, None
             return np.zeros((times.size, x0.size), dtype=complex), np.zeros_like(times)
-        for basis, alphas, betas in _lanczos(self.system, x0, x0.size):
+        for basis, alphas, betas in _lanczos(self.graph, x0, x0.size):
             m = len(alphas)
             if m % _CHECK_EVERY and betas[-1]:
                 continue
@@ -387,10 +370,10 @@ class Propagator:
         return _real_matmul(coeffs, basis), top * times
 
 
-def apply_propagator(system: EigenSystem | AdjacencyMatrix, gamma: float, t: float,
+def apply_propagator(graph: AdjacencyMatrix, gamma: float, t: float,
                      x0: np.ndarray) -> np.ndarray:
-    """x(t) = exp(gamma*t*A) x0 itself, on any route; raises where it overflows."""
-    return unguarded(*Propagator(system, gamma, [t])(x0))[0]
+    """x(t) = exp(gamma*t*A) x0 itself, on graph's route; raises where it overflows."""
+    return unguarded(*Propagator(graph, gamma, [t])(x0))[0]
 
 
 def write_spectrum_csv(eigenvalues: np.ndarray, path: str | Path) -> None:

@@ -33,10 +33,9 @@ from kurasim.graphs import (
 )
 from kurasim.spectral import (
     apply_propagator,
-    cdt_eigensystem,
     cdt_eigenvalues,
     eigendecompose_symmetric,
-    eigensystem_for,
+    eigenvalues_symmetric,
 )
 
 PI_16 = np.pi / 16
@@ -90,13 +89,12 @@ def test_criterion_1_deviation_bound_100_seeds(criterion_log):
     theta0 = np.array([initial_phases(3, seed) for seed in range(100)])
     batch = integrate_numerical(cfg, theta0)
     assert np.array_equal(batch.states[:, 0], run_fig1(seed=0, t_end=10.0).numerical.states)
-    es = eigensystem_for(graph)
     raw_ok = 0
     worst_raw = worst_linear = worst_locked = 0.0
     misses = []
     for seed in range(100):
         numerical = Trajectory(batch.times, batch.states[:, seed], "numerical")
-        analytic = analytic_trajectory(es, cfg, theta0[seed])
+        analytic = analytic_trajectory(cfg, theta0[seed])
         report = compare_trajectories(numerical, analytic)
         times = report.times
         worst_raw = max(worst_raw, report.max_wrapped_deviation)
@@ -149,13 +147,13 @@ def test_criterion_3_propagator_correctness(criterion_log):
         n = int(rng.integers(2, 33))
         m = np.triu((rng.random((n, n)) < 0.4).astype(float), 1)
         m = m + m.T
-        es = eigendecompose_symmetric(AdjacencyMatrix.from_dense(n, m))
-        norm = float(np.abs(es.eigenvalues.real).max()) or 1.0
+        graph = AdjacencyMatrix.from_dense(n, m)
+        norm = float(np.abs(eigenvalues_symmetric(graph).real).max()) or 1.0
         x0 = np.exp(1j * (np.pi - 2 * np.pi * rng.random(n)))
 
         gamma = 0.5
         t = 0.04 / (gamma * norm)  # inside the gamma*t*||A|| <= 0.1 regime
-        x = apply_propagator(es, gamma, t, x0)
+        x = apply_propagator(graph, gamma, t, x0)
         acc = x0.astype(complex)
         term = x0.astype(complex)
         for k in range(1, 5):
@@ -164,8 +162,8 @@ def test_criterion_3_propagator_correctness(criterion_log):
         worst_taylor = max(worst_taylor, float(np.abs(x - acc).max()))
 
         t1, t2 = 0.8 / norm, 1.7 / norm
-        full = apply_propagator(es, gamma, t1 + t2, x0)
-        comp = apply_propagator(es, gamma, t2, apply_propagator(es, gamma, t1, x0))
+        full = apply_propagator(graph, gamma, t1 + t2, x0)
+        comp = apply_propagator(graph, gamma, t2, apply_propagator(graph, gamma, t1, x0))
         worst_semi = max(worst_semi,
                          float(np.abs(full - comp).max() / np.abs(full).max()))
     ok = worst_taylor < 1e-8 and worst_semi < 1e-8
@@ -302,15 +300,14 @@ def test_criterion_7_property_suites(criterion_log, tmp_path):
     checks.append(abs(order_parameter(2 * np.pi * np.arange(5) / 5)) < 1e-12)
 
     g3 = gen_complete(3)
-    es3 = cdt_eigensystem(ring_generating_vector(3, 1))
     th0 = initial_phases(3, 1)
     cfg = SimulationConfig(graph=g3, kappa=1.0, dt=1e-3, t_end=0.1, seed=1)
     shift = 1.1
     num_a = integrate_numerical(cfg, th0)
     num_b = integrate_numerical(cfg, th0 + shift)
     checks.append(float(np.abs(wrap_phase(num_b.states - num_a.states - shift)).max()) < 1e-9)
-    ana_a = analytic_trajectory(es3, cfg, th0)
-    ana_b = analytic_trajectory(es3, cfg, th0 + shift)
+    ana_a = analytic_trajectory(cfg, th0)
+    ana_b = analytic_trajectory(cfg, th0 + shift)
     checks.append(float(np.abs(wrap_phase(ana_b.states - ana_a.states - shift)).max()) < 1e-10)
 
     argv = ["simulate", "--graph", "er", "--n", "40", "--p", "0.3",

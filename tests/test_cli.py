@@ -186,8 +186,7 @@ def test_no_guard_writes_the_guarded_phases(tmp_path, graph, build, kappa, route
     written = read_trajectory_csv(tmp_path / "trajectory.csv")[0]
     graph = build()
     x0 = np.exp(1j * dynamics.initial_phases(graph.n, 0))
-    states, shift = spectral.Propagator(spectral.eigensystem_for(graph), 2 * kappa / np.pi,
-                                        written.times)(x0)
+    states, shift = spectral.Propagator(graph, 2 * kappa / np.pi, written.times)(x0)
     x = spectral.unguarded(states, shift)
     gap = np.remainder(np.angle(x) - written.states + np.pi, 2 * np.pi) - np.pi
     assert np.abs(gap).max() < 1e-10

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import eigh_oracle
 from kurasim import dynamics, spectral
 from kurasim.dynamics import (
     IntegrationError,
@@ -28,14 +29,10 @@ from kurasim.dynamics import (
 )
 from kurasim.experiments import _sweep_task
 from kurasim.graphs import (gen_complete, gen_erdos_renyi, gen_ring,
-                            gen_watts_strogatz, read_edge_list,
-                            ring_generating_vector, write_edge_list)
-from kurasim.spectral import (Propagator, apply_propagator, cdt_eigensystem,
-                              eigendecompose_symmetric, eigensystem_for,
-                              eigenvalues_symmetric)
+                            gen_watts_strogatz, read_edge_list, write_edge_list)
+from kurasim.spectral import Propagator, eigenvalues_symmetric, unguarded
 
 K3 = gen_complete(3)
-ES3 = cdt_eigensystem(ring_generating_vector(3, 1))
 
 
 def _cfg(**kw):
@@ -383,7 +380,7 @@ def test_gamma_rescaling():
 
 def test_analytic_t0_row_is_bit_exact():
     th0 = initial_phases(3, 2)
-    traj = analytic_trajectory(ES3, _cfg(seed=2), th0)
+    traj = analytic_trajectory(_cfg(seed=2), th0)
     assert np.array_equal(traj.states[0], wrap_phase(th0))
 
 
@@ -393,11 +390,11 @@ def test_analytic_readout_memory_is_bounded():
     # the wrapped copy each took a float array of their own
     graph = gen_complete(200)
     cfg = SimulationConfig(graph=graph, kappa=0.03, omega=5.0, dt=1e-3, t_end=1.0)
-    es, theta0 = eigensystem_for(graph), initial_phases(200, 0)
+    theta0 = initial_phases(200, 0)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        traj = analytic_trajectory(es, cfg, theta0)
+        traj = analytic_trajectory(cfg, theta0)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -410,22 +407,23 @@ def test_fft_route_memory_is_bounded():
     # one complex array, where the product and the inverse FFT took one each
     graph = gen_ring(200, 5)
     cfg = SimulationConfig(graph=graph, kappa=0.03, omega=5.0, dt=1e-3, t_end=1.0)
-    es, theta0 = eigensystem_for(graph), initial_phases(200, 0)
-    assert es.source == "cdt" and not es.complete
+    theta0 = initial_phases(200, 0)
+    assert graph.generating_vector() is not None and not graph.is_complete
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        traj = analytic_trajectory(es, cfg, theta0)
+        traj = analytic_trajectory(cfg, theta0)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    assert traj.diagnostics["route"] == "cdt"
     # measured 32.8 bytes per node and sample
     assert peak <= 34 * traj.states.size
 
 
 def test_analytic_synchronized_state_is_stationary():
     th0 = np.full(3, -1.2)
-    traj = analytic_trajectory(ES3, _cfg(), th0)
+    traj = analytic_trajectory(_cfg(), th0)
     assert np.abs(traj.states - (-1.2)).max() < 1e-12
 
 
@@ -433,7 +431,7 @@ def test_analytic_zero_coupling_restores_drift_exactly():
     omega = 2 * np.pi * 10
     th0 = initial_phases(3, 4)
     cfg = _cfg(kappa=0.0, omega=omega, record_every=250)
-    traj = analytic_trajectory(ES3, cfg, th0)
+    traj = analytic_trajectory(cfg, th0)
     expect = wrap_phase(th0[None, :] + omega * traj.times[:, None])
     assert np.abs(wrap_phase(traj.states - expect)).max() < 1e-12
 
@@ -441,8 +439,8 @@ def test_analytic_zero_coupling_restores_drift_exactly():
 def test_analytic_sampling_is_step_free():
     # the same physical time gives the same row regardless of grid spacing
     th0 = initial_phases(3, 6)
-    coarse = analytic_trajectory(ES3, _cfg(dt=0.4, t_end=0.8), th0)
-    fine = analytic_trajectory(ES3, _cfg(dt=0.2, t_end=0.8), th0)
+    coarse = analytic_trajectory(_cfg(dt=0.4, t_end=0.8), th0)
+    fine = analytic_trajectory(_cfg(dt=0.2, t_end=0.8), th0)
     assert np.abs(coarse.states[1] - fine.states[2]).max() < 1e-10
     assert np.abs(coarse.states[2] - fine.states[4]).max() < 1e-10
 
@@ -470,13 +468,12 @@ def test_routes_agree_in_the_linear_regime(family, tmp_path):
     kappa = 1.0
     gamma = 2 * kappa / np.pi
     t_linear = 0.1 / (gamma * float(np.abs(eigenvalues_symmetric(graph).real).max()))
-    route = eigensystem_for(graph)
     for seed in range(3):
         theta0 = initial_phases(graph.n, seed)
         cfg = SimulationConfig(graph=graph, kappa=kappa, dt=t_linear / 100,
                                t_end=t_linear, seed=seed)
         dev = np.abs(wrap_phase(integrate_numerical(cfg, theta0).states
-                                - analytic_trajectory(route, cfg, theta0).states)).max()
+                                - analytic_trajectory(cfg, theta0).states)).max()
         c = np.abs((graph.entries * np.sin(theta0[None, :] - theta0[:, None])).sum(axis=1))
         assert dev <= 1.25 * (kappa - gamma) * t_linear * c.max(), (seed, dev)
         assert dev < np.pi / 16
@@ -493,8 +490,8 @@ def test_numerical_phase_shift_equivariance():
 def test_analytic_phase_shift_equivariance():
     th0 = initial_phases(3, 8)
     for c in (-3.0, -1.0, 0.5, 3.0):
-        a = analytic_trajectory(ES3, _cfg(t_end=0.1), th0)
-        b = analytic_trajectory(ES3, _cfg(t_end=0.1), th0 + c)
+        a = analytic_trajectory(_cfg(t_end=0.1), th0)
+        b = analytic_trajectory(_cfg(t_end=0.1), th0 + c)
         assert np.abs(wrap_phase(b.states - a.states - c)).max() < 1e-10
 
 
@@ -502,22 +499,21 @@ def test_analytic_phase_shift_equivariance():
 
 def test_amplitudes_vanish_at_t0():
     th0 = initial_phases(3, 3)
-    values, _ = analytic_amplitudes(ES3, _cfg(), th0, t=0.0)
+    values, _ = analytic_amplitudes(_cfg(), th0, t=0.0)
     assert np.abs(values).max() < 1e-12
 
 
 def test_amplitudes_vanish_for_synchronized_state():
-    values, _ = analytic_amplitudes(ES3, _cfg(), np.full(3, 0.9), t=0.7)
+    values, _ = analytic_amplitudes(_cfg(), np.full(3, 0.9), t=0.7)
     assert np.abs(values).max() < 1e-12
 
 
 def test_amplitudes_late_time_mean_projection():
     # guard on: x(t) -> v1 (v1 . x0) = mean(x0) for the complete graph
     g = gen_complete(5)
-    es = cdt_eigensystem(ring_generating_vector(5, 2))
     th0 = initial_phases(5, 3)
     cfg = SimulationConfig(graph=g, kappa=1.0, dt=1e-3, t_end=1.0, seed=3)
-    values, _ = analytic_amplitudes(es, cfg, th0, t=20.0)
+    values, _ = analytic_amplitudes(cfg, th0, t=20.0)
     expect = -np.log(np.abs(np.exp(1j * th0).mean()))
     assert np.abs(values - expect).max() < 1e-8
 
@@ -527,9 +523,8 @@ def test_amplitudes_report_the_guard_shift():
     g = gen_watts_strogatz(80, 4, 0.2, 3)
     th0 = initial_phases(80, 2)
     cfg = SimulationConfig(graph=g, kappa=1.0, dt=1e-3, t_end=1.0, seed=2)
-    values, shift = analytic_amplitudes(g, cfg, th0, t=2.5)
-    ref = -np.log(np.abs(apply_propagator(eigendecompose_symmetric(g), cfg.gamma, 2.5,
-                                          np.exp(1j * th0))))
+    values, shift = analytic_amplitudes(cfg, th0, t=2.5)
+    ref = -np.log(np.abs(unguarded(*eigh_oracle(g, cfg.gamma, [2.5], np.exp(1j * th0)))[0]))
     assert shift > 0.0
     assert np.abs(values - shift - ref).max() < 1e-9
 
@@ -593,7 +588,7 @@ def test_simulate_runs_the_seeded_state_and_reports_its_stability(graph, integra
     rho = graph.n if graph.is_complete else 2 * int(graph.degrees().max())
     assert traj.diagnostics == {"step_stability": 1e-3 * 0.5 * rho}
     ana = simulate(cfg, "analytic")
-    want = analytic_trajectory(eigensystem_for(graph), cfg, theta0)
+    want = analytic_trajectory(cfg, theta0)
     assert np.array_equal(ana.states, want.states) and ana.diagnostics == want.diagnostics
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import eigh_oracle, fourier_oracle
 from kurasim._text import write_json
 from kurasim.dynamics import (
     SimulationConfig,
@@ -32,8 +33,7 @@ from kurasim.experiments import (
     write_pgm,
     write_report_csv,
 )
-from kurasim.graphs import gen_complete, ring_generating_vector
-from kurasim.spectral import cdt_eigensystem, eigendecompose_symmetric
+from kurasim.graphs import gen_complete
 
 
 def _traj(times, states):
@@ -96,7 +96,7 @@ def test_fig1_synchronized_start_never_deviates():
     cfg = SimulationConfig(graph=g, kappa=1.0, omega=2 * np.pi * 10,
                            dt=1e-3, t_end=1.0)
     num = integrate_numerical(cfg, th0)
-    ana = analytic_trajectory(cdt_eigensystem(ring_generating_vector(3, 1)), cfg, th0)
+    ana = analytic_trajectory(cfg, th0)
     rep = compare_trajectories(num, ana)
     assert rep.max_wrapped_deviation < 1e-9
 
@@ -122,15 +122,16 @@ def test_fig2_complete_graph_order_parameter():
 
 
 def test_fig2_analytic_route_is_solver_independent():
-    # swapping the closed-form spectrum for the numerical one must not move
-    # the phases beyond roundoff
+    # swapping the closed form for the dense Fourier or eigh product must
+    # not move the phases beyond roundoff
     n, seed = 200, 7
     g = gen_complete(n)
     th0 = initial_phases(n, seed)
     cfg = SimulationConfig(graph=g, kappa=6.0 / n, dt=1e-3, t_end=1.0, seed=seed)
-    a = analytic_trajectory(cdt_eigensystem(ring_generating_vector(n, n // 2)), cfg, th0)
-    b = analytic_trajectory(eigendecompose_symmetric(g), cfg, th0)
-    assert np.abs(wrap_phase(a.states - b.states)).max() < 1e-6
+    a = analytic_trajectory(cfg, th0)
+    for oracle in (fourier_oracle, eigh_oracle):
+        b = np.angle(oracle(g, cfg.gamma, a.times, np.exp(1j * th0))[0])
+        assert np.abs(wrap_phase(a.states - b)).max() < 1e-6
 
 
 def test_fig2_zero_coupling_routes_agree_exactly():
@@ -233,15 +234,15 @@ def test_sweep_row_matches_per_pair_path(kappa):
     # kappa = 10 puts Euler at its stability edge on K200: dt * kappa * N = 2
     n, seeds, dt, t_end = 200, [0, 1, 2], 1e-3, 1.0
     graph = gen_complete(n)
-    es = cdt_eigensystem(ring_generating_vector(n, n // 2))
     r_num, r_ana = [], []
     for s in seeds:
         cfg = SimulationConfig(graph=graph, kappa=kappa, dt=dt, t_end=t_end, seed=s)
         theta0 = initial_phases(n, s)
         num = integrate_numerical(cfg, theta0)
-        ana = analytic_trajectory(es, cfg, theta0)
+        # the closed form as the dense Fourier product of the per-pair path
+        ana, _ = fourier_oracle(graph, cfg.gamma, cfg.sample_times(), np.exp(1j * theta0))
         r_num.append(np.abs(order_parameter(num.states)).mean())
-        r_ana.append(np.abs(order_parameter(ana.states)).mean())
+        r_ana.append(np.abs(order_parameter(np.angle(ana))).mean())
     want = (kappa, np.mean(r_num), np.std(r_num), np.mean(r_ana), np.std(r_ana))
     (row,) = _sweep_task((n, [kappa], seeds, dt, t_end))
     assert row == pytest.approx(want, rel=1e-10, abs=0.0)

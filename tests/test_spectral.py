@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import eigh_oracle, fourier_oracle
 from kurasim.dynamics import (SimulationConfig, analytic_amplitudes, analytic_trajectory,
                               coupling_kernel, initial_phases, simulate)
+from kurasim.experiments import _sweep_task
 from kurasim.graphs import (
     AdjacencyMatrix,
     circulant,
@@ -32,7 +34,6 @@ from kurasim.spectral import (
     cdt_eigenvalues,
     cdt_fourier_matrix,
     eigendecompose_symmetric,
-    eigensystem_for,
     eigenvalues_symmetric,
     propagator_exponents,
     read_spectrum_csv,
@@ -272,14 +273,16 @@ def test_eigh_keeps_one_real_matrix():
 
 
 def test_eigensystem_for_picks_the_route():
+    # the name is kept from the retired eigensystem_for: Propagator picks the route
     for graph in (gen_ring(12, 2), gen_complete(9)):
-        es = eigensystem_for(graph)
-        assert es.source == "cdt"
+        assert Propagator(graph, 0.5, [1.0]).route == "cdt"
+        es = cdt_eigensystem(graph.generating_vector())
         u = cdt_fourier_matrix(graph.n)
         assert np.abs(u.conj().T @ np.diag(es.eigenvalues) @ u - graph.entries).max() < 1e-12
-    # any other graph is its own route, the Lanczos basis of each state
+    # any other graph takes the Lanczos basis of each state
     for graph in (gen_erdos_renyi(20, 0.3, 0), gen_watts_strogatz(20, 2, 0.3, 0)):
-        assert eigensystem_for(graph) is graph
+        prop = Propagator(graph, 0.5, [1.0])
+        assert prop.route == "lanczos" and prop.graph is graph
 
 
 def test_cdt_and_eigh_agree_on_rings():
@@ -292,17 +295,17 @@ def test_cdt_and_eigh_agree_on_rings():
 # --------------------------------------------------------------- propagator
 
 def test_propagator_identity_at_t0():
-    es = cdt_eigensystem(ring_generating_vector(6, 2))
+    graph = gen_ring(6, 2)
     x0 = np.exp(1j * np.linspace(-3, 3, 6))
-    assert np.abs(apply_propagator(es, 0.7, 0.0, x0) - x0).max() < 1e-12
+    assert np.abs(apply_propagator(graph, 0.7, 0.0, x0) - x0).max() < 1e-12
 
 
 def test_propagator_uniform_mode_growth():
     # the all-ones state is an eigenvector of K3 with eigenvalue 2
-    es = cdt_eigensystem(ring_generating_vector(3, 1))
+    graph = gen_ring(3, 1)
     x0 = np.ones(3, dtype=complex)
     gamma, t = 0.5, 1.3
-    x = apply_propagator(es, gamma, t, x0)
+    x = apply_propagator(graph, gamma, t, x0)
     assert np.abs(x - np.exp(gamma * t * 2.0)).max() < 1e-9
 
 
@@ -313,12 +316,12 @@ def test_propagator_taylor_oracle():
         n = int(rng.integers(2, 33))
         m = np.triu((rng.random((n, n)) < 0.4).astype(float), 1)
         m = m + m.T
-        es = eigendecompose_symmetric(AdjacencyMatrix.from_dense(n, m))
-        norm = float(np.abs(es.eigenvalues.real).max()) or 1.0
+        graph = AdjacencyMatrix.from_dense(n, m)
+        norm = float(np.abs(eigenvalues_symmetric(graph).real).max()) or 1.0
         gamma = 0.5
         t = 0.04 / (gamma * norm)
         x0 = np.exp(1j * (np.pi - 2 * np.pi * rng.random(n)))
-        x = apply_propagator(es, gamma, t, x0)
+        x = apply_propagator(graph, gamma, t, x0)
         acc = x0.astype(complex)
         term = x0.astype(complex)
         for k in range(1, 5):
@@ -329,32 +332,30 @@ def test_propagator_taylor_oracle():
 
 @pytest.mark.parametrize("n, k", [(30, 4), (31, 15), (200, 100)])
 def test_fft_propagation_matches_basis_product(n, k):
-    # ring and complete (k = n // 2) circulants apply their basis through the FFT
-    es = cdt_eigensystem(ring_generating_vector(n, k))
+    # a ring applies its Fourier basis through the FFT; the complete graphs
+    # (k = n // 2) take their two eigenspaces, which the same product checks
+    graph = gen_ring(n, k)
     x0 = np.exp(1j * np.linspace(-3.0, 3.0, n))
     times = np.linspace(0.0, 1.0, 7)
-    factors = np.exp(propagator_exponents(es, 0.4, times))
-    u = cdt_fourier_matrix(n)
-    want = (u.conj().T @ (factors.T * (u @ x0)[:, None])).T
-    assert np.abs(Propagator(es, 0.4, times)(x0)[0] - want).max() < 1e-12
+    want, _ = fourier_oracle(graph, 0.4, times, x0)
+    assert np.abs(Propagator(graph, 0.4, times)(x0)[0] - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("graph", [gen_erdos_renyi(40, 0.3, 5),
                                    gen_watts_strogatz(60, 4, 0.2, 6)], ids=["er", "ws"])
 def test_real_basis_propagation_matches_complex_product(graph):
-    es = eigendecompose_symmetric(graph)
+    # the Lanczos route against the product of eigh's real eigenvectors
     x0 = np.exp(1j * np.linspace(-3.0, 3.0, graph.n))
     times = np.linspace(0.0, 1.0, 7)
-    factors = np.exp(propagator_exponents(es, 0.4, times))
-    want = (es.vectors.astype(complex) @ (factors.T * (es.vectors.T @ x0)[:, None])).T
-    assert np.abs(Propagator(es, 0.4, times)(x0)[0] - want).max() < 1e-12
+    want, _ = eigh_oracle(graph, 0.4, times, x0)
+    assert np.abs(Propagator(graph, 0.4, times)(x0)[0] - want).max() < 1e-12
 
 
 def test_propagator_semigroup():
-    es = cdt_eigensystem(ring_generating_vector(8, 3))
+    graph = gen_ring(8, 3)
     x0 = np.exp(1j * np.linspace(0.0, 2.0, 8))
-    full = apply_propagator(es, 0.3, 2.5, x0)
-    comp = apply_propagator(es, 0.3, 1.5, apply_propagator(es, 0.3, 1.0, x0))
+    full = apply_propagator(graph, 0.3, 2.5, x0)
+    comp = apply_propagator(graph, 0.3, 1.5, apply_propagator(graph, 0.3, 1.0, x0))
     assert np.abs(full - comp).max() / np.abs(full).max() < 1e-8
 
 
@@ -368,7 +369,7 @@ def test_guard_preserves_arguments():
     for name, (graph, kappa, t_end) in cases.items():
         times = np.linspace(0.0, t_end, 101)
         x0 = np.exp(1j * initial_phases(graph.n, 0))
-        states, shift = Propagator(eigensystem_for(graph), 2 * kappa / np.pi, times)(x0)
+        states, shift = Propagator(graph, 2 * kappa / np.pi, times)(x0)
         assert shift[-1] != 0.0, name
         gap = _wrapped_gap(np.angle(unguarded(states, shift)), np.angle(states))
         assert gap < 1e-10, name
@@ -389,9 +390,10 @@ def test_guarded_exponents_are_nonpositive(gamma):
 def test_astronomical_gamma_leaves_no_guard_residual():
     # t * (gamma*lambda_max) minus (gamma*lambda_max) * t is exactly 0 even
     # where gamma * lambda * t is near 1e301
-    es = eigendecompose_symmetric(gen_erdos_renyi(200, 0.2, 0))
+    graph = gen_erdos_renyi(200, 0.2, 0)
+    es = eigendecompose_symmetric(graph)
     gamma = 2e300 / np.pi
-    states, shift = Propagator(es, gamma, [1.0])(np.exp(1j * initial_phases(200, 0)))
+    states, shift = eigh_oracle(graph, gamma, [1.0], np.exp(1j * initial_phases(200, 0)))
     assert np.all(np.isfinite(states)) and np.all(np.isfinite(shift))
     assert propagator_exponents(es, gamma, [1.0]).real.max() == 0.0
 
@@ -400,8 +402,7 @@ def test_gamma_past_the_float_range_raises():
     # |gamma| * t * 2 * rho(A) past float max: no exponent or shift can be formed
     x0 = np.exp(1j * initial_phases(30, 1))
     graph = gen_erdos_renyi(30, 0.3, 1)
-    for system in (eigendecompose_symmetric(graph), eigensystem_for(graph),
-                   eigensystem_for(gen_complete(30)), eigensystem_for(gen_ring(30, 2))):
+    for system in (graph, gen_complete(30), gen_ring(30, 2)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SpectralError, match="floating-point range"):
@@ -433,23 +434,23 @@ def test_astronomical_exponent_is_reported_in_one_short_line():
 
 
 def test_guard_prevents_overflow():
-    es = cdt_eigensystem(ring_generating_vector(200, 100))
+    graph = gen_ring(200, 100)
     x0 = np.ones(200, dtype=complex)
     with pytest.raises(SpectralError):
-        apply_propagator(es, 1.0, 10.0, x0)
-    x = Propagator(es, 1.0, [10.0])(x0)[0]
+        apply_propagator(graph, 1.0, 10.0, x0)
+    x = Propagator(graph, 1.0, [10.0])(x0)[0]
     assert np.all(np.isfinite(x))
 
 
 def test_propagator_rejects_bad_arguments():
-    es = cdt_eigensystem(ring_generating_vector(4, 1))
+    graph = gen_ring(4, 1)
     x0 = np.ones(4, dtype=complex)
     with pytest.raises(ValueError):
-        apply_propagator(es, np.inf, 1.0, x0)
+        apply_propagator(graph, np.inf, 1.0, x0)
     with pytest.raises(ValueError):
-        apply_propagator(es, 1.0, -1.0, x0)
+        apply_propagator(graph, 1.0, -1.0, x0)
     with pytest.raises(ValueError):
-        apply_propagator(es, 1.0, 1.0, np.ones(5, dtype=complex))
+        apply_propagator(graph, 1.0, 1.0, np.ones(5, dtype=complex))
 
 
 # -------------------------------------------------------------- Lanczos route
@@ -501,9 +502,10 @@ def test_chebyshev_phases_match_eigh_oracle(case, tmp_path):
     cfg = SimulationConfig(graph=graph, kappa=kappa, dt=dt, t_end=t_end, seed=3,
                            record_every=every)
     theta0 = initial_phases(graph.n, 3)
-    lanczos = analytic_trajectory(eigensystem_for(graph), cfg, theta0)
-    oracle = analytic_trajectory(eigendecompose_symmetric(graph), cfg, theta0)
-    assert _wrapped_gap(lanczos.states, oracle.states) <= 1e-10
+    lanczos = analytic_trajectory(cfg, theta0)
+    states, _ = eigh_oracle(graph, cfg.gamma, lanczos.times, np.exp(1j * theta0))
+    oracle = np.angle(states) + cfg.omega * lanczos.times[:, None]
+    assert _wrapped_gap(lanczos.states, oracle) <= 1e-10
     diag = lanczos.diagnostics
     assert diag["route"] == "lanczos" and 1 <= diag["krylov_dimension"] <= graph.n
     # no more products than a Chebyshev expansion over [-max degree, max degree] would take
@@ -529,6 +531,9 @@ def test_chebyshev_interval_holds_the_spectrum(graph):
     assert np.abs(lam).max() <= graph.degrees().max()
     prop = Propagator(graph, 0.5, [0.0, 1.0])
     prop(np.exp(1j * initial_phases(graph.n, 0)))
+    if graph.generating_vector() is not None:  # the ring and the empty graph take the FFT
+        assert prop.route == "cdt" and prop.interval is None
+        return
     lo, hi = prop.interval
     assert lam.min() - 1e-9 <= lo <= hi <= lam.max() + 1e-9
 
@@ -538,7 +543,7 @@ def test_chebyshev_guard_shift_and_unguarded_values():
     # another start, the guard ends the Lanczos route once kept, missed it
     for graph, seed, gammas, samples in ((gen_watts_strogatz(60, 4, 0.2, 6), 1, (0.5, -0.5), 6),
                                          (gen_watts_strogatz(200, 2, 0.5, 2), 0, (-1.0,), 11)):
-        es = eigendecompose_symmetric(graph)
+        lam = eigenvalues_symmetric(graph).real
         x0 = np.exp(1j * initial_phases(graph.n, seed))
         times = np.linspace(0.0, 1.0, samples)
         for gamma in gammas:
@@ -547,8 +552,8 @@ def test_chebyshev_guard_shift_and_unguarded_values():
             # t * max gamma*theta over the Ritz values of x0, inside the spectrum
             lo, hi = prop.interval
             assert np.array_equal(shift, max(gamma * lo, gamma * hi) * times)
-            assert np.all(shift <= (gamma * es.eigenvalues.real).max() * times + 1e-12)
-            want = unguarded(*Propagator(es, gamma, times)(x0))
+            assert np.all(shift <= (gamma * lam).max() * times + 1e-12)
+            want = unguarded(*eigh_oracle(graph, gamma, times, x0))
             assert np.abs(unguarded(states, shift) - want).max() <= 1e-12 * np.abs(want).max()
             assert _wrapped_gap(np.angle(states), np.angle(want)) <= 1e-10
     with pytest.raises(SpectralError):
@@ -609,20 +614,29 @@ def test_sparse_graph_runs_on_edge_products(tmp_path, method, monkeypatch):
 
 @pytest.mark.parametrize("expand", [False, True])
 def test_zero_state_stays_zero(expand):
-    # on the Lanczos route, which takes no product, and on eigh
+    # on the Lanczos route, which takes no product, and on the eigh oracle
     graph = gen_erdos_renyi(40, 0.3, 1)
-    system = graph if expand else eigendecompose_symmetric(graph)
-    prop = Propagator(system, 50.0, [10.0])
-    states, shift = prop(np.zeros(40))
+    if expand:
+        prop = Propagator(graph, 50.0, [10.0])
+        states, shift = prop(np.zeros(40))
+        assert prop.graph is graph and prop.krylov_dimension == 0
+    else:
+        states, shift = eigh_oracle(graph, 50.0, [10.0], np.zeros(40))
     assert not states.any() and np.all(np.isfinite(shift))
-    assert prop.system is system and prop.krylov_dimension == (0 if expand else None)
 
 
 def test_chebyshev_on_an_empty_graph_is_the_identity():
+    # the empty graph is circulant, c = 0, and takes the FFT
     x0 = np.exp(1j * np.arange(10.0))
     prop = Propagator(gen_erdos_renyi(10, 0.0, 0), 2.0, [0.0, 1.5])
     states, shift = prop(x0)
-    # A x0 = 0: the steps break down at the first, with T_1 = [0]
+    assert prop.route == "cdt" and not shift.any()
+    assert np.abs(states - x0).max() <= 4 * np.finfo(float).eps
+    # on a path 0 - 1 - 2 and seven isolated nodes, with x0_1 = 0 and
+    # x0_0 = -x0_2, A x0 = 0 too: the steps break down at the first, with T_1 = [0]
+    x0[:3] = 1.0, 0.0, -1.0
+    prop = Propagator(AdjacencyMatrix(10, np.array([0, 1]), np.array([1, 2])), 2.0, [0.0, 1.5])
+    states, shift = prop(x0)
     assert prop.krylov_dimension == 1 and prop.interval == [0.0, 0.0] and not shift.any()
     assert np.abs(states - x0).max() <= 4 * np.finfo(float).eps
 
@@ -632,9 +646,9 @@ def test_lanczos_route_on_a_graph_below_four_nodes():
     # whole space at m = n, where T_3 holds the spectrum exactly
     path = AdjacencyMatrix.from_dense(3, np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0.0]]))
     x0 = np.exp(1j * np.arange(3.0))
-    prop = Propagator(eigensystem_for(path), 1.0, [0.0, 1.0])
+    prop = Propagator(path, 1.0, [0.0, 1.0])
     got = unguarded(*prop(x0))
-    want = unguarded(*Propagator(eigendecompose_symmetric(path), 1.0, [0.0, 1.0])(x0))
+    want = unguarded(*eigh_oracle(path, 1.0, [0.0, 1.0], x0))
     assert prop.route == "lanczos" and prop.krylov_dimension == 3
     assert np.abs(got - want).max() <= 1e-15
 
@@ -645,16 +659,18 @@ def test_every_route_returns_one_state_row_per_sample(case):
     graph = {"complete": gen_complete(50), "cdt": gen_ring(40, 3)}.get(
         case, gen_watts_strogatz(60, 4, 0.2, 6))
     gamma, t_end = (2.0, 20.0) if case in ("chebyshev_long", "eigh") else (0.5, 2.0)
-    system = eigendecompose_symmetric(graph) if case == "eigh" else eigensystem_for(graph)
     times = np.linspace(0.0, t_end, 9)
     x0 = np.exp(1j * initial_phases(graph.n, 5))
-    prop = Propagator(system, gamma, times)
-    states, shift = prop(x0)
+    if case == "eigh":  # the oracle, which no command runs
+        prop, (states, shift) = None, eigh_oracle(graph, gamma, times, x0)
+    else:
+        prop = Propagator(graph, gamma, times)
+        states, shift = prop(x0)
     assert states.shape == (times.size, graph.n) and shift.shape == (times.size,)
-    route = {"complete": "cdt", "cdt": "cdt", "eigh": "numerical"}.get(case, "lanczos")
-    assert prop.route == route
-    assert getattr(prop.system, "complete", False) == (case == "complete")
-    assert (prop.krylov_dimension is not None) == case.startswith("chebyshev")
+    if prop is not None:
+        assert prop.route == ("cdt" if case in ("complete", "cdt") else "lanczos")
+        assert prop.graph.is_complete == (case == "complete")
+        assert (prop.krylov_dimension is not None) == case.startswith("chebyshev")
     # the eigh reference, one row per sample
     vals, vecs = np.linalg.eigh(graph.entries)
     want = (vecs @ (np.exp(gamma * np.outer(vals, times)) * (vecs.T @ x0)[:, None])).T
@@ -671,15 +687,15 @@ def _complete_from_file(n, tmp_path):
 
 
 def test_eigensystem_for_marks_every_pair_coupled(tmp_path):
+    # the name is kept from the retired eigensystem_for: the graph marks it
     for graph in (gen_complete(2), gen_complete(200), gen_ring(9, 4), gen_ring(10, 5),
                   _complete_from_file(7, tmp_path)):
-        es = eigensystem_for(graph)
-        assert es.source == "cdt" and es.complete, graph.kind
+        assert graph.is_complete and Propagator(graph, 0.5, [1.0]).route == "cdt", graph.kind
+        es = cdt_eigensystem(graph.generating_vector())
         want = cdt_eigenvalues(ring_generating_vector(graph.n, graph.n // 2))
         assert np.array_equal(es.eigenvalues, want)
     for graph in (gen_ring(9, 3), gen_ring(200, 99)):
-        assert not eigensystem_for(graph).complete
-    assert not cdt_eigensystem(ring_generating_vector(9, 4)).complete
+        assert not graph.is_complete
 
 
 def test_every_pair_coupled_is_decided_once(tmp_path):
@@ -692,8 +708,8 @@ def test_every_pair_coupled_is_decided_once(tmp_path):
         z = np.exp(1j * theta)
         coupling, sums = coupling_kernel(graph)(theta)
         assert np.abs(coupling - np.imag(np.conj(z) * (z @ graph.entries))).max() < 1e-12
-        es = eigensystem_for(graph)
-        assert getattr(es, "complete", False) == coupled
+        prop = Propagator(graph, 0.5, [1.0])
+        assert (prop.route == "cdt" and prop.graph.is_complete) == coupled
         if coupled:  # the mean-field sums, per row, axis kept
             assert np.array_equal(sums[0], np.cos(theta).sum(axis=-1, keepdims=True))
             assert np.array_equal(sums[1], np.sin(theta).sum(axis=-1, keepdims=True))
@@ -714,11 +730,12 @@ def test_generating_vector_names_the_route_eigensystem_for_builds(tmp_path):
                          (gen_watts_strogatz(20, 2, 0.3, 0), "lanczos")):
         c = graph.generating_vector()
         assert (c is None) == (route == "lanczos"), graph.kind
-        es = eigensystem_for(graph)
-        built = "lanczos" if es is graph else "complete" if es.complete else "ring"
+        prop = Propagator(graph, 0.5, [1.0])
+        built = ("lanczos" if prop.route == "lanczos" else "complete" if graph.is_complete
+                 else "ring")
         assert built == route, graph.kind
-        if c is not None:
-            assert np.array_equal(es.eigenvalues, cdt_eigenvalues(c)), graph.kind
+        if c is not None:  # the guard's rate is read from c's eigenvalues
+            assert prop.shift[0] == 0.5 * cdt_eigenvalues(c).real.max(), graph.kind
 
 
 def test_astronomical_coupling_stays_on_lanczos_without_warnings():
@@ -732,7 +749,7 @@ def test_astronomical_coupling_stays_on_lanczos_without_warnings():
         states, shift = prop(x0)
     assert prop.route == "lanczos" and 1 <= prop.krylov_dimension <= graph.n
     assert np.all(np.isfinite(states)) and np.all(np.isfinite(shift))
-    want, want_shift = Propagator(eigendecompose_symmetric(graph), 1e300, times)(x0)
+    want, want_shift = eigh_oracle(graph, 1e300, times, x0)
     assert np.abs(shift - want_shift).max() <= 1e-12 * np.abs(want_shift).max()
     assert _wrapped_gap(np.angle(states), np.angle(want)) <= 1e-10
 
@@ -747,19 +764,17 @@ def test_complete_route_matches_fft_and_eigh(graph, gamma, guard):
         return (states, shift) if guard else (unguarded(states, shift), 0.0 * shift)
 
     n = graph.n
-    es = eigensystem_for(graph)
     times = np.linspace(0.0, 2.0, 11)
     x0 = np.exp(1j * initial_phases(n, 3))
-    prop = Propagator(es, gamma, times)
-    assert prop.system is es and prop.krylov_dimension is None
+    prop = Propagator(graph, gamma, times)
+    assert prop.graph is graph and prop.krylov_dimension is None
     states, shift = propagate(prop, x0)
     assert states.shape == (times.size, n)
     assert np.array_equal(states[0], x0)  # the t = 0 sample is x0 itself
     want_shift = times * max(gamma * (n - 1), -gamma) if guard else 0.0 * times
     assert np.array_equal(shift, want_shift)
-    for route in (cdt_eigensystem(ring_generating_vector(n, n // 2)),
-                  eigendecompose_symmetric(graph)):
-        want, route_shift = propagate(Propagator(route, gamma, times), x0)
+    for oracle in (fourier_oracle, eigh_oracle):
+        want, route_shift = propagate(lambda x: oracle(graph, gamma, times, x), x0)
         assert np.abs(shift - route_shift).max() <= 1e-12 * max(1.0, np.abs(shift).max())
         assert np.abs(states - want).max() <= 1e-12 * np.abs(want).max()
         assert _wrapped_gap(np.angle(states), np.angle(want)) <= 1e-12
@@ -771,36 +786,64 @@ def test_complete_route_amplitudes_match_unguarded_oracle(gamma):
     cfg = SimulationConfig(graph=graph, kappa=gamma * np.pi / 2, dt=1e-3, t_end=1.0)
     theta0 = initial_phases(200, 4)
     x0 = np.exp(1j * theta0)
-    oracle = -np.log(np.abs(apply_propagator(eigendecompose_symmetric(graph), cfg.gamma, 1.0, x0)))
+    oracle = -np.log(np.abs(unguarded(*eigh_oracle(graph, cfg.gamma, [1.0], x0))[0]))
     for guard in (True, False):
         if guard:
-            values, shift = analytic_amplitudes(eigensystem_for(graph), cfg, theta0, 1.0)
+            values, shift = analytic_amplitudes(cfg, theta0, 1.0)
         else:
-            values, shift = -np.log(np.abs(apply_propagator(eigensystem_for(graph), cfg.gamma,
-                                                            1.0, x0))), 0.0
+            values, shift = -np.log(np.abs(apply_propagator(graph, cfg.gamma, 1.0, x0))), 0.0
         assert shift == (max(gamma * 199, -gamma) if guard else 0.0)
         assert np.abs(values - shift - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 def test_complete_route_overflow():
-    es = eigensystem_for(gen_complete(200))
+    graph = gen_complete(200)
     x0 = np.ones(200, dtype=complex)
     with pytest.raises(SpectralError, match="read the guarded states instead"):
-        unguarded(*Propagator(es, 1.0, [0.0, 10.0])(x0))
-    x = Propagator(es, 1.0, [10.0])(x0)[0][0]
+        unguarded(*Propagator(graph, 1.0, [0.0, 10.0])(x0))
+    x = Propagator(graph, 1.0, [10.0])(x0)[0][0]
     assert np.abs(x - 1.0).max() <= 1e-15  # the uniform mode, rescaled to 1
     # repulsive coupling: the guard divides by e^{gamma * t} instead
-    states, shift = Propagator(es, -30.0, [0.0, 10.0])(np.exp(1j * np.arange(200.0)))
+    states, shift = Propagator(graph, -30.0, [0.0, 10.0])(np.exp(1j * np.arange(200.0)))
     assert shift[-1] == 300.0 and np.all(np.isfinite(states))
 
 
 def test_complete_route_holds_no_state_sized_factors():
-    es = eigensystem_for(gen_complete(200))
+    graph = gen_complete(200)
     times = np.linspace(0.0, 1.0, 1001)
-    prop, _, kept = _peak_and_kept_bytes(lambda: Propagator(es, 0.5, times))
+    prop, _, kept = _peak_and_kept_bytes(lambda: Propagator(graph, 0.5, times))
     assert prop.krylov_dimension is None
     # two factor vectors and the shift, against 16 * n * samples for FFT factors
     assert kept <= 4 * 8 * times.size
+
+
+def test_complete_route_reads_no_edges(monkeypatch):
+    # K_n's route is read from graph.is_complete, in O(1): building and
+    # calling a propagator, a sweep chunk's per-kappa propagators and an
+    # analytic simulate run scan no edges and run no FFT
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("generating_vector", "degrees"):
+        monkeypatch.setattr(AdjacencyMatrix, name, counted(name, getattr(AdjacencyMatrix, name)))
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    graph = gen_complete(200)
+    x0 = np.exp(1j * initial_phases(200, 0))
+    Propagator(graph, 0.5, np.linspace(0.0, 1.0, 11))(x0)
+    _sweep_task((200, [0.1, 1.0], [0, 1], 1e-3, 0.1))
+    cfg = SimulationConfig(graph=graph, kappa=0.5, dt=1e-3, t_end=0.1)
+    assert simulate(cfg, "analytic").diagnostics["route"] == "cdt"
+    assert calls == []
+    # the counters do see a ring's route and a numerical run's stability rule
+    Propagator(gen_ring(200, 5), 0.5, [1.0])(x0)
+    simulate(cfg)
+    assert calls == ["generating_vector", "fft", "fft", "ifft", "degrees"]
 
 
 # ---------------------------------------------------------------------- I/O

@@ -17,10 +17,10 @@ from kurasim import cli, experiments
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
 
-# Imports every kurasim module, runs every route of the closed form (the
-# Lanczos basis, also over a long repulsive horizon, gamma*t = -30, the
-# complete-graph form, the ring FFT, and the eigh oracle) and one figure-3 sweep
-# row once, and reports whether scipy was loaded along the way: it is installed next to
+# Imports every kurasim module, runs every route of the closed form from the
+# graph (the Lanczos basis, also over a long repulsive horizon, gamma*t = -30,
+# the complete-graph form and the ring FFT), the eigh the tests' oracle takes
+# and one figure-3 sweep row once, and reports whether scipy was loaded along the way: it is installed next to
 # numpy on many hosts but is not a dependency of the package.
 _PROBE = """
 import importlib, pkgutil, sys
@@ -30,16 +30,16 @@ for mod in pkgutil.iter_modules(kurasim.__path__):
     importlib.import_module("kurasim." + mod.name)
 from kurasim.experiments import _sweep_task
 from kurasim.graphs import gen_complete, gen_erdos_renyi, gen_ring, gen_watts_strogatz
-from kurasim.spectral import Propagator, eigendecompose_symmetric, eigensystem_for
+from kurasim.spectral import Propagator, eigendecompose_symmetric
 for graph, gamma_t, route in ((gen_watts_strogatz(200, 2, 0.3, 0), 0.5, "lanczos"),
                               (gen_complete(200), 0.5, "cdt"), (gen_ring(200, 5), 0.5, "cdt"),
                               (gen_erdos_renyi(200, 0.1, 0), -30.0, "lanczos")):
-    prop = Propagator(eigensystem_for(graph), gamma_t, np.linspace(0.0, 1.0, 5))
+    prop = Propagator(graph, gamma_t, np.linspace(0.0, 1.0, 5))
     states, _ = prop(np.ones(200, dtype=complex))
     assert prop.route == route and np.all(np.isfinite(states))
-states, _ = Propagator(eigendecompose_symmetric(graph), 0.5, [1.0])(np.ones(200))
-assert np.all(np.isfinite(states))
-assert eigensystem_for(gen_complete(200)).complete
+es = eigendecompose_symmetric(graph)
+assert np.all(np.isfinite(es.vectors))
+assert gen_complete(200).is_complete
 assert np.all(np.isfinite(_sweep_task((200, [1.0], [0, 1], 1e-3, 0.1))))
 print("scipy" in sys.modules)
 """
