@@ -1,7 +1,7 @@
 """The one format of every text artifact: ASCII, a header line, then rows of
 shortest round-trip decimals (repr of a Python float, so artifacts are
-byte-comparable) joined by one separator; JSON sidecars and manifests are
-written with sorted keys and a 2-space indent.
+byte-comparable) joined by commas (an edge list: integers, by spaces);
+JSON sidecars and manifests are written with sorted keys and a 2-space indent.
 
 Float tables are formatted by a numpy kernel that gives repr's bytes
 without a Python call per value. For finite 1e-4 <= |x| < 2**50 that are
@@ -9,7 +9,8 @@ not powers of two it finds the shortest decimal that reads back as x with
 exact integer arithmetic (Steele & White 1990; Adams 2018): Dekker's split
 (1971) makes x * 10**p exact in float64, and the digits are the multiple of
 the largest power of ten inside x's rounding interval that is nearest to it.
-Zeros are written directly. repr formats the rest, in one batch per block.
+A block takes one pass, with an in-range stand-in for every other value;
+zeros are then written directly, and repr formats the rest in one batch.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ _SPLIT = 134217729.0  # 2**27 + 1: Dekker's split into two 26-bit halves
 # on move up one, and every byte outside [start, end) but the sign becomes
 # NUL, which is deleted from the block's bytes: start keeps one integer digit
 # '0' when E < 0, and end drops the t trailing zeros of the digits but keeps
-# one decimal. The separator or newline is byte 23.
+# one decimal. The comma or newline is byte 23.
 _digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 _quads = np.empty((10, 10, 10, 10, 4), np.uint8)  # "0000".."9999"
 for _i in range(4):
@@ -74,24 +75,22 @@ def ensure_parent(path: str | Path) -> Path:
     return path
 
 
-def write_table(path: str | Path, header: str | None, table, sep: str = ",") -> Path:
+def write_table(path: str | Path, header: str | None, table) -> Path:
     """Write the header line, then the rows of a 2-d array, a block at a time.
 
-    With header None the rows are appended to the file. Every value is
-    written as repr of a Python float (an int array: as %d). Float blocks go
-    through the shortest-decimal kernel of this module, which writes the
-    same bytes; sep is one ASCII character.
+    With header None the rows are appended to the file. A float table is
+    comma-separated, every value written as repr of a Python float, through
+    the shortest-decimal kernel of this module, which writes the same bytes.
+    An int table (an edge list) is space-separated, each value as %d.
     """
     path = ensure_parent(path)
     table = np.asarray(table)
     rows, width = table.shape
     step = max(1, BLOCK_VALUES // width)
     if table.dtype.kind == "f":
-        _separator_word(sep)  # refused before the file is opened
-        def format_rows(block):
-            return _float_rows(block, sep)
+        format_rows = _float_rows
     else:
-        template = sep.join(["%d"] * width) + "\n"
+        template = " ".join(["%d"] * width) + "\n"
         def format_rows(block):
             return (template * len(block) % tuple(block.ravel().tolist())).encode("ascii")
     with path.open("ab" if header is None else "wb") as fh:
@@ -102,41 +101,31 @@ def write_table(path: str | Path, header: str | None, table, sep: str = ",") -> 
     return path
 
 
-def _separator_word(sep: str):
-    """sep at byte 23 of a cell: the top byte of its last word."""
-    if len(sep) != 1 or not sep.isascii() or sep == "%":
-        raise ValueError(f"separator must be one ASCII character other than %, not {sep!r}")
-    return np.frombuffer(b"\0" * 7 + sep.encode("ascii"), _U64)[0]
+# a comma or newline at byte 23 of a cell: the top byte of its last word
+_COMMA, _NEWLINE = np.frombuffer(b"\0" * 7 + b"," + b"\0" * 7 + b"\n", _U64)
 
 
-_NEWLINE = _separator_word("\n")
+def _float_rows(block: np.ndarray) -> bytes:
+    """The comma-separated rows of a 2-d float block, each value as repr writes it.
 
-
-def _float_rows(block: np.ndarray, sep: str) -> bytes:
-    """The rows of a 2-d float block, each value as repr writes it."""
+    A value outside the kernel's range (zeros, inf, nan, powers of two, and
+    |x| < 1e-4 or >= 2**50) is formatted as the stand-in 1.5, and its cell is
+    then overwritten: a zero's with its own, any other's with repr's %r.
+    """
     rows, width = block.shape
     v = np.ascontiguousarray(block, dtype=np.float64).ravel()
     negative = v.view(_I64) < 0
     a = np.abs(v)
     fast = (a >= 1e-4) & (a < 2.0 ** 50) & (a.view(_I64) & _MANTISSA != 0)
-    done = a == 0
-    if fast.all():
-        digits, exp10, zeros, done = _shortest(a)
-        cells = _cells(digits, exp10, zeros, negative)
-        cells[~done] = _LEFT
-    else:
-        cells = np.empty((v.size, 3), _U64)
-        cells[:] = _LEFT
-        at = np.flatnonzero(done)
-        cells[at] = _ZERO[negative[at].view(np.uint8)]
-        at = np.flatnonzero(fast)
-        if at.size:
-            digits, exp10, zeros, ok = _shortest(a[at])
-            cells[at] = np.where(ok[:, None], _cells(digits, exp10, zeros, negative[at]), _LEFT)
-            done[at] = ok
-    sep_word = _separator_word(sep)
-    cells[:, 2] |= sep_word
-    cells.reshape(rows, width, 3)[:, -1, 2] ^= sep_word ^ _NEWLINE
+    digits, exp10, zeros, done = _shortest(np.where(fast, a, 1.5))
+    done &= fast
+    cells = _cells(digits, exp10, zeros, negative)
+    cells[~done] = _LEFT
+    at = np.flatnonzero(a == 0)
+    cells[at] = _ZERO[negative[at].view(np.uint8)]
+    done[at] = True
+    cells[:, 2] |= _COMMA
+    cells.reshape(rows, width, 3)[:, -1, 2] ^= _COMMA ^ _NEWLINE
     text = cells.tobytes().translate(None, b"\0")
     left = np.flatnonzero(~done)
     return _repr_batch(text, v[left]) if left.size else text

@@ -46,13 +46,11 @@ _ER_BLOCK_PAIRS = 1 << 18
 
 
 def _real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x for a real matrix m and an x shaped (n,) or (n, k).
+    """m @ x for a real matrix m and a complex x shaped (n,) or (n, k).
 
-    Viewing a complex x as interleaved real and imaginary parts turns the
-    product into one real matrix product, with no complex copy of m.
+    Viewing x as interleaved real and imaginary parts turns the product into
+    one real matrix product, with no complex copy of m.
     """
-    if not np.iscomplexobj(x):
-        return m @ x
     x = np.ascontiguousarray(x)
     y = m @ x.reshape(x.shape[0], -1).view(float)
     return y.view(complex).reshape(m.shape[0], *x.shape[1:])
@@ -152,15 +150,16 @@ class AdjacencyMatrix:
         x may be real or complex; the result is a new array of x's shape.
         On a sparse graph each node sums its neighbours' values, listed in
         ascending order, in O(edges) time and memory, and entries is never
-        built. Otherwise it is one BLAS call on entries: a vector is multiplied
-        as a column (A @ x), a real batch as rows (x @ A, A being symmetric),
-        and complex values as interleaved real pairs.
+        built. Otherwise it is one BLAS call on entries: a real x, one state
+        or a batch, is multiplied as rows (x @ A, A being symmetric), so a
+        state gets the bits of a batch's row; a complex x as interleaved real
+        pairs.
         """
         x = np.asarray(x)
         if x.ndim not in (1, 2) or x.shape[-1] != self.n:
             raise ValueError(f"shape {x.shape} does not end in the node count {self.n}")
         if not self.sparse:
-            if x.ndim == 2 and not np.iscomplexobj(x):
+            if not np.iscomplexobj(x):
                 return x @ self.entries
             return _real_matmul(self.entries, x.T).T
         if self._neighbours is None:
@@ -201,9 +200,13 @@ class AdjacencyMatrix:
         return np.bincount(np.concatenate((self.rows, self.cols)), minlength=self.n)
 
 
-def _check_ring_params(n: int, k: int, strict_k: bool = False) -> None:
+def _check_node_count(n: int) -> None:
     if int(n) != n or n < 2:
         raise ValueError(f"node count must be an integer >= 2, got {n}")
+
+
+def _check_ring_params(n: int, k: int, strict_k: bool = False) -> None:
+    _check_node_count(n)
     k_max = n // 2 - 1 if strict_k else n // 2
     if int(k) != k or not 1 <= k <= k_max:
         raise ValueError(f"neighbor radius k={k} outside [1, {k_max}] for n={n}")
@@ -241,8 +244,7 @@ def _ring_edges(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gen_complete(n: int) -> AdjacencyMatrix:
     """Complete graph K_n, identical to gen_ring(n, floor(n/2))."""
-    if int(n) != n or n < 2:
-        raise ValueError(f"node count must be an integer >= 2, got {n}")
+    _check_node_count(n)
     return AdjacencyMatrix(n, *np.triu_indices(n, k=1), kind="complete", params={})
 
 
@@ -252,8 +254,7 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> AdjacencyMatrix:
     Pairs are decided in lexicographic (i, j) order from one dedicated RNG
     stream, so the output is reproducible for identical (n, p, seed).
     """
-    if int(n) != n or n < 2:
-        raise ValueError(f"node count must be an integer >= 2, got {n}")
+    _check_node_count(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     rng = rng_for(seed, "erdos_renyi")
@@ -332,7 +333,7 @@ def circulant(c: np.ndarray) -> np.ndarray:
 
 def write_edge_list(a: AdjacencyMatrix, path: str | Path) -> None:
     """Plain-text edge list: first line "n m", then m lines "i j" with i < j, sorted."""
-    write_table(path, f"{a.n} {a.edge_count}", np.column_stack((a.rows, a.cols)), sep=" ")
+    write_table(path, f"{a.n} {a.edge_count}", np.column_stack((a.rows, a.cols)))
 
 
 def read_edge_list(path: str | Path) -> AdjacencyMatrix:

@@ -384,6 +384,19 @@ def test_analytic_t0_row_is_bit_exact():
     assert np.array_equal(traj.states[0], wrap_phase(th0))
 
 
+@pytest.mark.parametrize("graph, route", [
+    (gen_complete(6), "cdt"), (gen_ring(8, 2), "cdt"), (gen_erdos_renyi(12, 0.4, 1), "lanczos"),
+], ids=["complete", "circulant", "lanczos"])
+def test_analytic_functions_refuse_a_theta0_of_the_wrong_length(graph, route):
+    cfg = _cfg(graph=graph)
+    assert Propagator(graph, cfg.gamma, [1.0]).route == route
+    for theta0 in (np.zeros(graph.n - 1), np.zeros(graph.n + 1), np.zeros((1, graph.n))):
+        with pytest.raises(ValueError, match="does not match dimension"):
+            analytic_trajectory(cfg, theta0)
+        with pytest.raises(ValueError, match="does not match dimension"):
+            analytic_amplitudes(cfg, theta0, 0.5)
+
+
 def test_analytic_readout_memory_is_bounded():
     # the phases are read out in place: the complex states plus one
     # (samples, n) float array, where moduli, angles, the drift add-back and

@@ -167,6 +167,21 @@ def test_edge_product_matches_dense_product(case, from_file, batch, complex_, se
         assert np.all(np.abs(g.product(x) - want) <= bound)
 
 
+@pytest.mark.parametrize("dense_ns", [0.0, math.inf], ids=["dense", "sparse"])
+@pytest.mark.parametrize("gen, args", [
+    (gen_erdos_renyi, (64, 0.2, 0)), (gen_erdos_renyi, (800, 0.02, 1)),
+    (gen_watts_strogatz, (200, 10, 0.1, 2)), (gen_watts_strogatz, (800, 4, 0.2, 3)),
+], ids=["er64", "er800", "ws200", "ws800"])
+def test_state_product_is_its_batch_row(gen, args, dense_ns):
+    # a real state is multiplied as rows, as a batch is: the same bits
+    g = gen(*args)
+    x = rng_for(0, "test_state_product").standard_normal((5, g.n))
+    with mock.patch.object(graphs, "_DENSE_NS", dense_ns):
+        assert g.sparse == (dense_ns == math.inf)
+        for state in x:
+            assert np.array_equal(g.product(state), g.product(state[None])[0])
+
+
 def test_product_route_follows_density():
     # figure 4's graphs take dense products; the large-graph WS edge list does not
     for seed in range(3):
@@ -210,6 +225,16 @@ def test_ring_degree_law(nk):
     assert np.all(deg == deg[0])
     # 2k neighbour offsets collapse onto n-1 distinct nodes when 2k >= n-1
     assert deg[0] == min(2 * k, n - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2.5, -3])
+def test_generators_share_the_node_count_check(n):
+    want = f"node count must be an integer >= 2, got {n}"
+    for make in (gen_complete, lambda n: gen_erdos_renyi(n, 0.5, 0), lambda n: gen_ring(n, 1),
+                 lambda n: gen_watts_strogatz(n, 1, 0.1, 0)):
+        with pytest.raises(ValueError) as err:
+            make(n)
+        assert str(err.value) == want
 
 
 def test_ring_invalid_params():

@@ -164,12 +164,12 @@ def _signed_table(values, width=7):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("sep", [",", " "], ids=["comma", "space"])
-@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
-def test_float_kernel_matches_reference(tmp_path, case, sep):
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES),
+                         ids=[f"{case}-comma" for case in sorted(_KERNEL_CASES)])
+def test_float_kernel_matches_reference(tmp_path, case):
     table = _signed_table(_KERNEL_CASES[case])
-    path = write_table(tmp_path / "t.csv", "h", table, sep=sep)
-    assert path.read_bytes() == _reference("h", table, sep=sep)
+    path = write_table(tmp_path / "t.csv", "h", table)
+    assert path.read_bytes() == _reference("h", table)
 
 
 @pytest.mark.filterwarnings("error")
@@ -182,13 +182,15 @@ def test_float_kernel_appends_rows(tmp_path):
     assert path.read_bytes() == _reference("h", table)
 
 
-@pytest.mark.filterwarnings("error")
+# a failure report imports libcst, whose import warns; any other warning fails
+@pytest.mark.filterwarnings("error",
+                            "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.lists(st.floats() | st.floats(-2.0 ** 50, 2.0 ** 50), min_size=1, max_size=80),
-       st.integers(1, 7), st.sampled_from([",", " "]))
-def test_float_kernel_matches_reference_on_any_floats(values, width, sep):
+       st.integers(1, 7))
+def test_float_kernel_matches_reference_on_any_floats(values, width):
     table = np.resize(np.array(values), (-(-len(values) // width), width))
-    assert b"h\n" + _text._float_rows(table, sep) == _reference("h", table, sep=sep)
+    assert b"h\n" + _text._float_rows(table) == _reference("h", table)
 
 
 @pytest.mark.filterwarnings("error")
@@ -207,22 +209,15 @@ def test_float_kernel_leaves_a_misjudged_decade_to_repr(tmp_path, monkeypatch, s
     assert sum(seen) >= 6
 
 
-@pytest.mark.parametrize("sep", [";;", "", "%", "\u00e9"])
-def test_float_table_refuses_a_separator_the_kernel_cannot_write(tmp_path, sep):
-    with pytest.raises(ValueError, match="separator"):
-        write_table(tmp_path / "t.csv", "h", np.zeros((1, 2)), sep=sep)
-    assert not (tmp_path / "t.csv").exists()
-
-
 def test_figure4_leaves_few_values_to_repr(tmp_path, monkeypatch):
     # the kernel's range covers what the figures write: phases, sample
     # times, order parameters and deviations
     seen = {"values": 0, "left": 0}
     float_rows, repr_batch = _text._float_rows, _text._repr_batch
 
-    def counted_rows(block, sep):
+    def counted_rows(block):
         seen["values"] += np.count_nonzero(block)
-        return float_rows(block, sep)
+        return float_rows(block)
 
     def counted_batch(text, values):
         seen["left"] += values.size
@@ -321,8 +316,8 @@ def test_edge_list_write_memory_is_bounded(tmp_path):
 def test_float_block_temporaries_are_bounded():
     # one block of a 200-node trajectory; measured at 0.82 MiB
     block = _signed_table(_KERNEL_CASES["phases"], width=201)[:BLOCK_VALUES // 201]
-    _text._float_rows(block, ",")
-    peak = _traced_peak(lambda: _text._float_rows(block, ","))
+    _text._float_rows(block)
+    peak = _traced_peak(lambda: _text._float_rows(block))
     assert peak < 1.5 * 2**20
 
 
