@@ -14,13 +14,18 @@ which keeps its real eigenvectors, is the reference the tests compare
 against. The numerical eigenvalues alone, which the spectrum command
 checks the closed form against, split on a mirror-symmetric graph (one the
 node reversal i -> n-1-i maps onto itself, as a ring or K_n) into those of
-two exact half-size blocks (Cantoni and Butler 1976).
+two exact half-size blocks (Cantoni and Butler 1976). A dense eigensolve
+of order up to _ONE_THREAD_ORDER, a Ritz check among them, and a Lanczos
+call on a graph of that order run on one OpenBLAS thread.
 """
 
 from __future__ import annotations
 
+import ctypes
 from collections.abc import Iterator
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -53,10 +58,62 @@ _EXP_LIMIT = float(np.log(_FLOAT_MAX))
 # Each check is an eigendecomposition of T_m: checking after every step made
 # a figure-4 call (n = 200) about a quarter slower, though it stopped sooner.
 _CHECK_EVERY = 4
+# A dense eigensolve of at most this order, and a Lanczos call on a graph of
+# at most this order, run on one BLAS thread. Measured with OpenBLAS on 2
+# cores, one thread took eigvalsh and 60 Lanczos steps about as long as two
+# at n = 300 to 400 and never stalled, where two took eigvalsh 37-46 ms at
+# n = 200 in some runs and 0.49-1.1 s at n = 256 to 400; two threads were
+# 1.6-1.8x faster at n = 750 and 1500 (README, "BLAS threads").
+_ONE_THREAD_ORDER = 400
 
 
 class SpectralError(RuntimeError):
     pass
+
+
+@cache
+def _blas_thread_setter():
+    """The loaded OpenBLAS's openblas_set_num_threads_local, or None where there is none.
+
+    The library is the one /proc/self/maps lists, and the function, which
+    sets the thread count and returns the previous one, is looked up on
+    first use, not on import. Another BLAS, or an OS with no /proc, gives
+    None.
+    """
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the body on one OpenBLAS thread, then restore the caller's count.
+
+    A small product or eigensolve split over OpenBLAS's threads waits for a
+    worker to wake, and the worker then spins for about 0.1 s of CPU after
+    it: the README's "BLAS threads" paragraph gives the measurements. Where
+    _blas_thread_setter finds nothing, the body runs as it would without.
+    OpenBLAS's pthreads build keeps one count for the whole process.
+    """
+    setter = _blas_thread_setter()
+    if setter is None:
+        yield
+        return
+    previous = setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)
 
 
 @dataclass(eq=False)
@@ -115,6 +172,17 @@ def cdt_eigensystem(c: np.ndarray) -> EigenSystem:
     return EigenSystem(n=vec.size, eigenvalues=cdt_eigenvalues(vec), source="cdt")
 
 
+def _blas_threads_for(order: int):
+    """_one_blas_thread() for a problem of order _ONE_THREAD_ORDER or less, else no change."""
+    return _one_blas_thread() if order <= _ONE_THREAD_ORDER else nullcontext()
+
+
+def _dense_solve(solver, matrix: np.ndarray):
+    """solver(matrix), on the threads _blas_threads_for gives its order."""
+    with _blas_threads_for(matrix.shape[0]):
+        return solver(matrix)
+
+
 def eigendecompose_symmetric(graph: AdjacencyMatrix) -> EigenSystem:
     """Numerical eigendecomposition of a graph's adjacency matrix.
 
@@ -123,7 +191,7 @@ def eigendecompose_symmetric(graph: AdjacencyMatrix) -> EigenSystem:
     vectors is their inverse.
     """
     try:
-        vals, vecs = np.linalg.eigh(graph.entries)
+        vals, vecs = _dense_solve(np.linalg.eigh, graph.entries)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"symmetric eigendecomposition failed: {exc}") from exc
     # eigh sorts ascending; reverse, do not re-sort. The copy is contiguous:
@@ -177,7 +245,7 @@ def eigenvalues_symmetric(graph: AdjacencyMatrix) -> np.ndarray:
     """
     blocks = _mirror_blocks(graph) or (graph.entries,)
     try:
-        vals = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
+        vals = np.concatenate([_dense_solve(np.linalg.eigvalsh, block) for block in blocks])
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"symmetric eigenvalue solver failed: {exc}") from exc
     vals.sort(kind="stable")  # stable: one full solve's ascending values keep their order
@@ -224,7 +292,7 @@ def _lanczos(graph: AdjacencyMatrix, x: np.ndarray, steps: int) -> Iterator[tupl
 def _ritz(alphas: list, betas: list) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvector columns of the tridiagonal T_m."""
     tri = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
-    return np.linalg.eigh(tri)
+    return _dense_solve(np.linalg.eigh, tri)
 
 
 def _guard_rate(es: EigenSystem, gamma: float) -> float:
@@ -298,7 +366,8 @@ class Propagator:
     the Krylov space is invariant, at m = n at the latest, where T_m is
     exact. After a call krylov_dimension is m and interval is
     [theta_min, theta_max], x0's extreme Ritz values; on the cdt route both
-    stay None.
+    stay None. On a graph of order _ONE_THREAD_ORDER or less the call runs
+    on one BLAS thread.
     """
 
     def __init__(self, graph: AdjacencyMatrix, gamma: float, times: np.ndarray):
@@ -337,7 +406,8 @@ class Propagator:
         if x0.shape != (self.graph.n,):
             raise ValueError(f"state shape {x0.shape} does not match dimension {self.graph.n}")
         if self.route == "lanczos":
-            return self._krylov(x0)
+            with _blas_threads_for(x0.size):
+                return self._krylov(x0)
         if self._factors is None:  # every pair coupled
             states = np.multiply.outer(self._a, x0)
             states += (self._b * x0.mean())[:, None]

@@ -774,6 +774,76 @@ def test_large_graph_spectra_eigvalsh_sizes(tmp_path, monkeypatch):
     assert work == {"products": 0, "eigh": [], "eigvalsh": [1500]}
 
 
+# ------------------------------------------------------------ BLAS threads
+
+# Runs one CLI command and prints, as JSON, the CPU ticks (utime + stime of
+# /proc/self/task/*/stat) the main thread and each other thread gained over
+# it; exits 77 where the loaded BLAS has no openblas_set_num_threads_local.
+# OpenBLAS's workers spin for about 0.05 s after numpy's import starts them,
+# which the sleep waits out.
+_THREAD_TICKS_MAIN = """
+import json, os, sys, time
+from kurasim.cli import main
+from kurasim.spectral import _blas_thread_setter
+
+def ticks():
+    out = {}
+    for tid in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{tid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+        out[int(tid)] = int(fields[11]) + int(fields[12])
+    return out
+
+if _blas_thread_setter() is None:
+    sys.exit(77)
+time.sleep(0.3)
+before = ticks()
+code = main(sys.argv[1:])
+gained = {tid: n - before.get(tid, 0) for tid, n in ticks().items()}
+print(json.dumps({"main": gained.pop(os.getpid()), "others": sorted(gained.values())}))
+sys.exit(code)
+"""
+
+
+def _default_threads_env():
+    """The environment with kurasim on the path and OpenBLAS left at its default threads."""
+    src = str(Path(kurasim.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS",
+                                                             "OMP_NUM_THREADS")}
+    return {**env, "PYTHONPATH": src}
+
+
+def test_figure4_gives_blas_worker_threads_no_cpu(tmp_path):
+    # the closed form on figure 4's n = 200 graph runs on one BLAS thread, and
+    # its Euler products were measured to leave OpenBLAS's worker asleep, so
+    # no thread but the main one gains CPU; split over two threads, the closed
+    # form's readout left a worker spinning for 60-130 ms of CPU
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("no /proc/self/task to read per-thread CPU from")
+    argv = ["figure", "4", "--variant", "ws", "--seed", "0", "--out", str(tmp_path)]
+    out = subprocess.run([sys.executable, "-c", _THREAD_TICKS_MAIN, *argv], capture_output=True,
+                         text=True, env=_default_threads_env(), timeout=120)
+    if out.returncode == 77:
+        pytest.skip("the loaded BLAS has no openblas_set_num_threads_local")
+    assert out.returncode == 0, out.stderr
+    ticks = json.loads(out.stdout.splitlines()[-1])
+    assert ticks["main"] > 0 and not any(ticks["others"]), ticks
+
+
+@pytest.mark.parametrize("variant", ["er", "ws"])
+def test_figure4_bytes_do_not_depend_on_blas_threads(tmp_path, variant):
+    runs = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / str(len(runs))
+        subprocess.run([sys.executable, "-m", "kurasim", "figure", "4", "--variant", variant,
+                        "--seed", "0", "--out", str(out)], capture_output=True, check=True,
+                       env={**_default_threads_env(), **threads}, timeout=120)
+        files = {path.name: path.read_bytes() for path in out.iterdir()
+                 if path.name != "manifest.json"}
+        runs.append((files, read_json(out / "manifest.json")["diagnostics"]))
+    assert len(runs[0][0]) == 7 and runs[0] == runs[1]
+
+
 # --------------------------------------------------------------- manifests
 
 def test_manifest_contents(tmp_path):

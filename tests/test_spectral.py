@@ -1,6 +1,7 @@
 """Closed-form circulant spectra, the numerical eigensolver, and the propagator."""
 
 import dataclasses
+import io
 import math
 import tracemalloc
 import warnings
@@ -844,6 +845,119 @@ def test_complete_route_reads_no_edges(monkeypatch):
     Propagator(gen_ring(200, 5), 0.5, [1.0])(x0)
     simulate(cfg)
     assert calls == ["generating_vector", "fft", "fft", "ifft", "degrees"]
+
+
+# ------------------------------------------------------------- BLAS threads
+
+class _FakeBlas:
+    """Stands in for openblas_set_num_threads_local: sets the count, returns the last."""
+
+    def __init__(self, threads):
+        self.threads = threads
+
+    def __call__(self, threads):
+        previous, self.threads = self.threads, threads
+        return previous
+
+
+def test_one_blas_thread_sets_one_and_restores_the_callers_count(monkeypatch):
+    blas = _FakeBlas(2)
+    monkeypatch.setattr(spectral, "_blas_thread_setter", lambda: blas)
+    with spectral._one_blas_thread():
+        assert blas.threads == 1
+    assert blas.threads == 2
+    with pytest.raises(ZeroDivisionError), spectral._one_blas_thread():
+        assert blas.threads == 1
+        1 / 0
+    assert blas.threads == 2
+
+
+def test_one_blas_thread_on_the_loaded_openblas():
+    setter = spectral._blas_thread_setter()
+    if setter is None:
+        pytest.skip("the loaded BLAS has no openblas_set_num_threads_local")
+    caller = setter(2)
+    try:
+        with spectral._one_blas_thread():
+            inside = setter(1)  # returns the count the body runs on
+        after = setter(2)
+        with pytest.raises(ZeroDivisionError), spectral._one_blas_thread():
+            1 / 0
+        after_raise = setter(2)
+    finally:
+        setter(caller)
+    assert (inside, after, after_raise) == (1, 2, 2)
+
+
+def test_one_blas_thread_without_openblas_runs_the_body_as_it_is(monkeypatch):
+    real = spectral._blas_thread_setter()
+    graph = gen_watts_strogatz(200, 3, 0.1, 0)
+    x0 = np.exp(1j * initial_phases(200, 0))
+    times = np.linspace(0.0, 1.0, 101)
+    expected, expected_shift = Propagator(graph, -5.0, times)(x0)
+    monkeypatch.setattr(spectral, "_blas_thread_setter", lambda: None)
+    caller = real(2) if real else None
+    try:
+        with spectral._one_blas_thread():
+            inside = real(2) if real else None  # the count is not touched
+        with pytest.raises(ZeroDivisionError), spectral._one_blas_thread():
+            1 / 0
+        states, shift = Propagator(graph, -5.0, times)(x0)
+    finally:
+        if real:
+            real(caller)
+    assert inside == (2 if real else None)
+    assert np.array_equal(states, expected) and np.array_equal(shift, expected_shift)
+
+
+@pytest.mark.parametrize("maps", [None, "", "7f00-7f01 r-xp 0 00:00 0 /nowhere/libopenblas.so\n"])
+def test_blas_thread_lookup_finds_nothing_without_openblas(monkeypatch, maps):
+    # no /proc (another OS), no OpenBLAS among the mapped files (another
+    # BLAS), and a listed OpenBLAS that cannot be loaded
+    def fake_open(path, *args, **kwargs):
+        if maps is None:
+            raise FileNotFoundError(path)
+        return io.StringIO(maps)
+
+    monkeypatch.setattr(spectral, "open", fake_open, raising=False)
+    assert spectral._blas_thread_setter.__wrapped__() is None
+
+
+def test_small_problems_take_one_blas_thread(monkeypatch):
+    # every eigensolve of order _ONE_THREAD_ORDER or less, the Ritz checks
+    # among them, and every BLAS call of a Lanczos call on a graph of that
+    # order run on one thread; larger ones keep the caller's count
+    blas = _FakeBlas(2)
+    monkeypatch.setattr(spectral, "_blas_thread_setter", lambda: blas)
+    seen = []
+
+    def record(name, fn):
+        def wrapper(a, *args, **kwargs):
+            seen.append((name, a.shape[0], blas.threads))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, record(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(spectral, "_real_matmul", record("readout", spectral._real_matmul))
+    product = AdjacencyMatrix.product
+    monkeypatch.setattr(AdjacencyMatrix, "product", lambda graph, x: seen.append(
+        ("product", graph.n, blas.threads)) or product(graph, x))
+    limit = spectral._ONE_THREAD_ORDER
+    eigenvalues_symmetric(gen_ring(2 * limit, 3))  # two mirror blocks of order limit
+    eigenvalues_symmetric(gen_ring(2 * limit + 2, 3))
+    eigenvalues_symmetric(gen_watts_strogatz(limit, 3, 0.3, 0))
+    eigendecompose_symmetric(gen_watts_strogatz(limit + 1, 3, 0.3, 0))
+    assert seen == [("eigvalsh", limit, 1)] * 2 + [("eigvalsh", limit + 1, 2)] * 2 + [
+        ("eigvalsh", limit, 1), ("eigh", limit + 1, 2)]
+    for n, threads in ((limit, 1), (limit + 1, 2)):
+        seen.clear()
+        Propagator(gen_watts_strogatz(n, 3, 0.1, 0), -5.0, np.linspace(0.0, 1.0, 11))(
+            np.exp(1j * initial_phases(n, 0)))
+        assert {name for name, _, _ in seen} == {"product", "eigh", "readout"}
+        for name, order, count in seen:
+            assert count == (1 if name == "eigh" else threads), (name, order, count)
+        assert blas.threads == 2
 
 
 # ---------------------------------------------------------------------- I/O
